@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive tests under ThreadSanitizer and runs
 # them. The solver-service layer (SolverPool, QueryCache, the parallel
-# consistency checker and per-obligation SyGuS fan-out) is where data
-# races would live, so this drives the tests that exercise it with
-# multiple pool workers.
+# consistency checker and per-obligation SyGuS fan-out) and the
+# counting-game exploration (pool workers write per-wave-slot buffers)
+# are where data races would live, so this drives the tests that
+# exercise them with multiple pool workers.
 #
 # Usage: scripts/run_tsan.sh [build-dir]
 set -euo pipefail
@@ -16,13 +17,13 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DTEMOS_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DTEMOS_TEST_TIMEOUT=3600
-cmake --build "$BUILD_DIR" -j"$(nproc)" --target test_support test_core
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target test_support test_core test_benchmarks
 
 # halt_on_error keeps a race from scrolling past; second_deadlock_stack
 # makes lock-order reports actionable.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 
 (cd "$BUILD_DIR" && ctest --output-on-failure \
-    -R "QueryCache|ParallelConsistency|PipelineValidate")
+    -R "QueryCache|ParallelConsistency|PipelineValidate|IncrementalParity.JobsFourMatchesJobsOne")
 
 echo "TSan run clean."

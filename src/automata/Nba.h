@@ -5,7 +5,7 @@
 /// acceptance over the factored TSL alphabet. Produced by the tableau
 /// (automata/Tableau.h) from the negated specification; consumed
 /// universally (as a universal co-Buechi automaton) by the bounded
-/// synthesis game (game/SafetyGame.h), and directly by the LTL
+/// synthesis game (game/BoundedSynthesis.h), and directly by the LTL
 /// satisfiability check the refinement loop needs (Alg. 4).
 ///
 //===----------------------------------------------------------------------===//

@@ -47,8 +47,8 @@ struct GeneratedAssumption {
 
 /// Generates TSL assumptions from obligations via SyGuS.
 ///
-/// Construction is cheap (no per-spec precomputation), so the parallel
-/// pipeline builds one generator per pool worker: generators share the
+/// Construction is cheap (no per-spec precomputation), so the pipeline
+/// builds one generator per obligation task: generators share the
 /// Context (whose factories are internally synchronized) but nothing
 /// else, and obligations are independent, so concurrent generate()
 /// calls on distinct instances are safe.

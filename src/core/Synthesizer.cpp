@@ -7,8 +7,6 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <mutex>
-#include <numeric>
 
 using namespace temos;
 
@@ -82,7 +80,7 @@ PipelineResult Synthesizer::run(const Specification &Spec,
   // exceptions rethrown deterministically at SolverPool::wait() -- is
   // mapped onto the failure taxonomy and reported as Unknown.
   try {
-    return Options.Eager ? runEager(Spec, Options) : runLazy(Spec, Options);
+    return runPipeline(Spec, Options);
   } catch (const DeadlineExpired &E) {
     return pipelineFailure(FailureKind::Timeout, E.what());
   } catch (const RationalOverflow &E) {
@@ -156,11 +154,81 @@ void recordReactiveFailure(PipelineResult &Result,
   Result.Stats.Failures.push_back({Kind, "reactive", std::move(Detail)});
 }
 
+/// Programs the refinement loop (Alg. 4) has ruled out for one SyGuS
+/// assumption.
+struct Exclusions {
+  std::vector<SequentialProgram> Seq;
+  std::vector<LoopProgram> Loop;
+};
+
+/// One refinement step of Alg. 4 after an unrealizable eager round:
+/// replaces (or drops) the first unhelpful SyGuS assumption. Returns
+/// false when every assumption is executable.
+bool refineUnhelpful(const Specification &Spec, Context &Ctx,
+                     AssumptionGenerator &Generator, PipelineResult &Result,
+                     const std::vector<const Formula *> &ForAlphabet,
+                     std::vector<Exclusions> &Excluded) {
+  // Look for an "unhelpful" assumption (Alg. 4) -- one whose update
+  // chain can never be executed when its pre-condition holds, detected
+  // by the unsatisfiability of phi && G(pre -> upd) && F pre. The F pre
+  // conjunct makes the check consider executions where the
+  // pre-condition actually occurs (Example 4.6 implicitly starts from
+  // x = 0). The satisfiability check conjoins the constraints (Example
+  // 4.6 checks the plain conjunction): environment assumptions,
+  // generated assumptions, the guarantees, and the committed update
+  // chain.
+  std::vector<const Formula *> Conjuncts;
+  for (const Formula *A : Spec.Assumptions)
+    Conjuncts.push_back(Ctx.Formulas.globally(A));
+  Conjuncts.insert(Conjuncts.end(), Result.Assumptions.begin(),
+                   Result.Assumptions.end());
+  Conjuncts.push_back(Spec.guaranteeFormula(Ctx));
+  const Formula *AllConstraints = Ctx.Formulas.andF(std::move(Conjuncts));
+
+  for (size_t I = 0; I < Result.SygusAssumptions.size(); ++I) {
+    GeneratedAssumption &A = Result.SygusAssumptions[I];
+    const Formula *Guarantee = Generator.refinementGuarantee(A);
+    const Formula *Check = Ctx.Formulas.andF(
+        {AllConstraints, Guarantee, Ctx.Formulas.finallyF(A.PreFormula)});
+    std::vector<const Formula *> CheckExtra = ForAlphabet;
+    CheckExtra.push_back(Check);
+    Alphabet CheckAB = Alphabet::build(Spec, Ctx, CheckExtra);
+    if (isSatisfiable(Check, Ctx, CheckAB))
+      continue; // Helpful (executable) assumption: keep it.
+
+    // Re-run SyGuS, excluding the unhelpful program.
+    if (A.IsLoop)
+      Excluded[I].Loop.push_back(A.Loop);
+    else
+      Excluded[I].Seq.push_back(A.Sequential);
+    std::optional<GeneratedAssumption> Replacement;
+    try {
+      Replacement = Generator.generate(A.Ob, Excluded[I].Seq, Excluded[I].Loop);
+    } catch (const DeadlineExpired &) {
+      // Out of time mid-refinement: fall through to the drop path
+      // (dropping only weakens psi, so the degraded run stays sound).
+      Result.Stats.Failures.push_back(
+          {FailureKind::Timeout, "sygus",
+           "refinement re-synthesis timed out; assumption dropped"});
+    }
+    ++Result.Stats.Refinements;
+    if (Replacement) {
+      A = std::move(*Replacement);
+    } else {
+      // No alternative program exists: drop the assumption (dropping
+      // only weakens psi; soundness is preserved).
+      Result.SygusAssumptions.erase(Result.SygusAssumptions.begin() + I);
+      Excluded.erase(Excluded.begin() + I);
+    }
+    return true;
+  }
+  return false; // Every assumption is executable.
+}
+
 } // namespace
 
 void Synthesizer::generateAssumptions(const Specification &Spec,
                                       const PipelineOptions &Options,
-                                      AssumptionGenerator &Generator,
                                       PipelineResult &Result,
                                       const Deadline &Global) {
   Decomposition Decomp = decompose(Spec, Ctx, Options.Decomp);
@@ -187,92 +255,71 @@ void Synthesizer::generateAssumptions(const Specification &Spec,
              " literal combinations left unchecked; the emitted "
              "assumptions remain individually valid"});
 
-  // SyGuS per obligation. Obligations are independent, so with pool
-  // workers available they are generated concurrently (one
-  // AssumptionGenerator per task; the shared Context factories are
-  // internally synchronized) and merged afterwards. The merge order is
-  // obligation order under DeterministicMerge (byte-identical output
-  // for every NumThreads value) or completion order otherwise.
+  // SyGuS per obligation, in batches of the pool's parallelism.
+  // Obligations are independent, so a batch fans out across the pool
+  // (one AssumptionGenerator per task; the shared Context factories are
+  // internally synchronized) and is then merged in obligation order.
+  // The merge deduplicates on exact formula identity (hash-consing) and
+  // on (update chain, post) pairs -- the same program/post with a
+  // stronger pre-condition adds nothing -- and applies the caps, and
+  // generation stops once the SyGuS cap is reached. The assumption list
+  // is therefore identical for every NumThreads value, and a one-thread
+  // run generates one obligation at a time and none past the cap.
   const std::vector<Obligation> &Obs = Decomp.Obligations;
   const Deadline SygusDl =
       phaseDeadline(Global, Options.Budget.SygusSeconds);
   Svc.setDeadline(SygusDl);
-  Generator.setDeadline(SygusDl);
-  Generator.setSpinHangForTesting(Options.InjectSpinHang);
+  struct Outcome {
+    std::optional<GeneratedAssumption> G;
+    bool TimedOut = false;
+  };
+  const size_t BatchSize = Svc.pool().parallelism();
+  std::vector<Outcome> Batch;
+  std::vector<const Formula *> SeenAssumptions;
+  std::vector<std::pair<const Formula *, const Formula *>> SeenUpdPost;
+  size_t LoopCount = 0;
   size_t TimedOutObligations = 0;
-  const bool Parallel = Svc.pool().workerCount() > 0 && Obs.size() > 1;
-  std::vector<std::optional<GeneratedAssumption>> Generated;
-  std::vector<size_t> Order(Obs.size());
-  std::iota(Order.begin(), Order.end(), size_t(0));
-  if (Parallel) {
-    Generated.resize(Obs.size());
-    std::mutex CompletionMutex;
-    std::vector<size_t> Completion;
-    Completion.reserve(Obs.size());
-    Svc.pool().forEach(Obs.size(), [&](size_t I) {
+  auto CapReached = [&] {
+    return Result.SygusAssumptions.size() >= Options.MaxSygusAssumptions;
+  };
+  for (size_t Begin = 0; Begin < Obs.size() && !CapReached();
+       Begin += BatchSize) {
+    Batch.assign(std::min(BatchSize, Obs.size() - Begin), Outcome());
+    Svc.pool().forEach(Batch.size(), [&](size_t I) {
       AssumptionGenerator Worker(Spec, Ctx);
       Worker.Opts = Options.Sygus;
       Worker.setService(&Svc);
       Worker.setDeadline(SygusDl);
       Worker.setSpinHangForTesting(Options.InjectSpinHang);
-      // Deadline expiry mid-search marks this obligation unresolved
-      // (nullopt) and lets every other worker finish its own search;
-      // any other exception propagates through the pool's capture +
-      // deterministic rethrow and unwinds the run.
-      std::optional<GeneratedAssumption> G;
-      bool TimedOut = false;
+      // Deadline expiry mid-search marks this obligation unresolved and
+      // lets every other task finish (or fail fast on the tripped
+      // token); any other exception propagates through the pool's
+      // capture + deterministic rethrow and unwinds the run.
       try {
-        G = Worker.generate(Obs[I]);
+        Batch[I].G = Worker.generate(Obs[Begin + I]);
       } catch (const DeadlineExpired &) {
-        TimedOut = true;
+        Batch[I].TimedOut = true;
       }
-      std::lock_guard<std::mutex> Lock(CompletionMutex);
-      Generated[I] = std::move(G);
-      TimedOutObligations += TimedOut ? 1 : 0;
-      Completion.push_back(I);
     });
-    if (!Options.Parallelism.DeterministicMerge)
-      Order = std::move(Completion);
-  }
-
-  // Merge with two levels of deduplication: exact formula identity
-  // (hash-consing) and (update chain, post) pairs -- the same
-  // program/post with a stronger pre-condition adds nothing. The caps
-  // are applied at merge time, so the serial path generates lazily and
-  // stops at the cap exactly like the pre-service pipeline.
-  std::vector<const Formula *> SeenAssumptions;
-  std::vector<std::pair<const Formula *, const Formula *>> SeenUpdPost;
-  size_t LoopCount = 0;
-  for (size_t I : Order) {
-    if (Result.SygusAssumptions.size() >= Options.MaxSygusAssumptions)
-      break;
-    std::optional<GeneratedAssumption> G;
-    if (Parallel) {
-      G = std::move(Generated[I]);
-    } else {
-      try {
-        G = Generator.generate(Obs[I]);
-      } catch (const DeadlineExpired &) {
-        // Obligation unresolved; the ones already merged stay. Later
-        // obligations still run (and fail fast on the tripped token).
-        ++TimedOutObligations;
-      }
+    for (size_t I = 0; I < Batch.size() && !CapReached(); ++I) {
+      TimedOutObligations += Batch[I].TimedOut ? 1 : 0;
+      std::optional<GeneratedAssumption> &G = Batch[I].G;
+      if (!G)
+        continue;
+      if (G->IsLoop && LoopCount >= Options.MaxLoopAssumptions)
+        continue;
+      if (std::find(SeenAssumptions.begin(), SeenAssumptions.end(),
+                    G->Assumption) != SeenAssumptions.end())
+        continue;
+      auto Pair = std::make_pair(G->UpdFormula, G->PostFormula);
+      if (std::find(SeenUpdPost.begin(), SeenUpdPost.end(), Pair) !=
+          SeenUpdPost.end())
+        continue;
+      SeenAssumptions.push_back(G->Assumption);
+      SeenUpdPost.push_back(Pair);
+      LoopCount += G->IsLoop ? 1 : 0;
+      Result.SygusAssumptions.push_back(std::move(*G));
     }
-    if (!G)
-      continue;
-    if (G->IsLoop && LoopCount >= Options.MaxLoopAssumptions)
-      continue;
-    if (std::find(SeenAssumptions.begin(), SeenAssumptions.end(),
-                  G->Assumption) != SeenAssumptions.end())
-      continue;
-    auto Pair = std::make_pair(G->UpdFormula, G->PostFormula);
-    if (std::find(SeenUpdPost.begin(), SeenUpdPost.end(), Pair) !=
-        SeenUpdPost.end())
-      continue;
-    SeenAssumptions.push_back(G->Assumption);
-    SeenUpdPost.push_back(Pair);
-    LoopCount += G->IsLoop ? 1 : 0;
-    Result.SygusAssumptions.push_back(std::move(*G));
   }
   if (TimedOutObligations > 0)
     Result.Stats.Failures.push_back(
@@ -296,8 +343,8 @@ void Synthesizer::recordReactiveRun(PipelineResult &Result, unsigned Round,
   Result.Stats.ReactiveDetail.push_back(RS);
 }
 
-PipelineResult Synthesizer::runEager(const Specification &Spec,
-                                     const PipelineOptions &Options) {
+PipelineResult Synthesizer::runPipeline(const Specification &Spec,
+                                        const PipelineOptions &Options) {
   PipelineResult Result;
   const Deadline Global = Options.Budget.TotalSeconds > 0
                               ? Deadline::after(Options.Budget.TotalSeconds)
@@ -310,25 +357,11 @@ PipelineResult Synthesizer::runEager(const Specification &Spec,
   const size_t NbaMisses0 = Engine.nbaCacheMisses();
   const size_t ExpHits0 = Engine.expansionCacheHits();
   const size_t ExpMisses0 = Engine.expansionCacheMisses();
-  auto CaptureCacheStats = [&] {
-    Result.Stats.CacheHits = Svc.cache().hits() - Hits0;
-    Result.Stats.CacheMisses = Svc.cache().misses() - Misses0;
-    Result.Stats.CacheEvictions = Svc.cache().evictions() - Evictions0;
-    Result.Stats.NbaCacheHits = Engine.nbaCacheHits() - NbaHits0;
-    Result.Stats.NbaCacheMisses = Engine.nbaCacheMisses() - NbaMisses0;
-    Result.Stats.ExpansionCacheHits = Engine.expansionCacheHits() - ExpHits0;
-    Result.Stats.ExpansionCacheMisses =
-        Engine.expansionCacheMisses() - ExpMisses0;
-  };
   Timer PsiTimer;
   CpuTimer PsiCpu;
 
   // --- Decomposition, consistency checking, SyGuS (Secs. 4.1-4.3). -------
-  AssumptionGenerator Generator(Spec, Ctx);
-  Generator.Opts = Options.Sygus;
-  Generator.setService(&Svc);
-  generateAssumptions(Spec, Options, Generator, Result, Global);
-
+  generateAssumptions(Spec, Options, Result, Global);
   Result.Stats.PsiGenSeconds = PsiTimer.seconds();
   Result.Stats.PsiGenCpuSeconds = PsiCpu.seconds();
 
@@ -340,21 +373,27 @@ PipelineResult Synthesizer::runEager(const Specification &Spec,
   const Deadline SynthDl =
       phaseDeadline(Global, Options.Budget.ReactiveSeconds);
   Svc.setDeadline(SynthDl);
+  AssumptionGenerator Generator(Spec, Ctx);
+  Generator.Opts = Options.Sygus;
+  Generator.setService(&Svc);
   Generator.setDeadline(SynthDl);
   SynthesisOptions ReactiveOpts = Options.Reactive;
   if (!ReactiveOpts.Dl.armed())
     ReactiveOpts.Dl = SynthDl;
-  // Per-obligation exclusion lists for refinement.
-  std::vector<std::vector<SequentialProgram>> ExcludedSeq(
-      Result.SygusAssumptions.size());
-  std::vector<std::vector<LoopProgram>> ExcludedLoop(
-      Result.SygusAssumptions.size());
+  std::vector<Exclusions> Excluded(Result.SygusAssumptions.size());
 
-  for (unsigned Round = 0; Round <= Options.MaxRefinements; ++Round) {
-    // Assemble the current assumption set.
+  // Eager mode (the paper's approach) synthesizes with every SyGuS
+  // assumption and, when that is unrealizable, refines (Alg. 4) and
+  // retries. Lazy mode (Sec. 5.2's alternative) starts from the
+  // consistency assumptions alone and appends one SyGuS assumption per
+  // unrealizable round. Round counts refinements (eager) or appended
+  // assumptions (lazy).
+  for (unsigned Round = 0;; ++Round) {
+    const size_t SygusUsed =
+        Options.Eager ? Result.SygusAssumptions.size() : Round;
     Result.Assumptions = Result.ConsistencyAssumptions;
-    for (const GeneratedAssumption &A : Result.SygusAssumptions)
-      Result.Assumptions.push_back(A.Assumption);
+    for (size_t I = 0; I < SygusUsed; ++I)
+      Result.Assumptions.push_back(Result.SygusAssumptions[I].Assumption);
     Result.Stats.AssumptionCount = Result.Assumptions.size();
 
     const Formula *Phi = formulaWithAssumptions(Spec, Result.Assumptions);
@@ -370,164 +409,27 @@ PipelineResult Synthesizer::runEager(const Specification &Spec,
     recordReactiveRun(Result, Round, Reactive);
     Result.Stats.GameStates =
         std::max(Result.Stats.GameStates, Reactive.Stats.GameStates);
-
+    Result.Status = Reactive.Status;
     if (Reactive.Status == Realizability::Realizable) {
-      Result.Status = Realizability::Realizable;
-      Result.Machine = std::move(Reactive.Machine);
-      Result.Stats.SynthesisSeconds = SynthTimer.seconds();
-      Result.Stats.SynthesisCpuSeconds = SynthCpu.seconds();
-      CaptureCacheStats();
-      return Result;
-    }
-    if (Reactive.Status == Realizability::Unknown) {
-      Result.Status = Realizability::Unknown;
-      recordReactiveFailure(Result, Reactive);
-      Result.Stats.SynthesisSeconds = SynthTimer.seconds();
-      Result.Stats.SynthesisCpuSeconds = SynthCpu.seconds();
-      CaptureCacheStats();
-      return Result;
-    }
-
-    // Unrealizable: look for an "unhelpful" assumption (Alg. 4) -- one
-    // whose update chain can never be executed when its pre-condition
-    // holds, detected by the unsatisfiability of
-    // phi && G(pre -> upd) && F pre. The F pre conjunct makes the check
-    // consider executions where the pre-condition actually occurs
-    // (Example 4.6 implicitly starts from x = 0).
-    // The satisfiability check conjoins the constraints (Example 4.6
-    // checks the plain conjunction): environment assumptions, generated
-    // assumptions, the guarantees, and the committed update chain.
-    std::vector<const Formula *> Conjuncts;
-    for (const Formula *A : Spec.Assumptions)
-      Conjuncts.push_back(Ctx.Formulas.globally(A));
-    Conjuncts.insert(Conjuncts.end(), Result.Assumptions.begin(),
-                     Result.Assumptions.end());
-    Conjuncts.push_back(Spec.guaranteeFormula(Ctx));
-    const Formula *AllConstraints = Ctx.Formulas.andF(std::move(Conjuncts));
-
-    bool Refined = false;
-    for (size_t I = 0; I < Result.SygusAssumptions.size() && !Refined; ++I) {
-      GeneratedAssumption &A = Result.SygusAssumptions[I];
-      const Formula *Guarantee = Generator.refinementGuarantee(A);
-      const Formula *Check = Ctx.Formulas.andF(
-          {AllConstraints, Guarantee,
-           Ctx.Formulas.finallyF(A.PreFormula)});
-      std::vector<const Formula *> CheckExtra = ForAlphabet;
-      CheckExtra.push_back(Check);
-      Alphabet CheckAB = Alphabet::build(Spec, Ctx, CheckExtra);
-      if (isSatisfiable(Check, Ctx, CheckAB))
-        continue; // Helpful (executable) assumption: keep it.
-
-      // Re-run SyGuS, excluding the unhelpful program.
-      if (A.IsLoop)
-        ExcludedLoop[I].push_back(A.Loop);
-      else
-        ExcludedSeq[I].push_back(A.Sequential);
-      std::optional<GeneratedAssumption> Replacement;
-      try {
-        Replacement = Generator.generate(A.Ob, ExcludedSeq[I], ExcludedLoop[I]);
-      } catch (const DeadlineExpired &) {
-        // Out of time mid-refinement: fall through to the drop path
-        // (dropping only weakens psi, so the degraded run stays sound).
-        Result.Stats.Failures.push_back(
-            {FailureKind::Timeout, "sygus",
-             "refinement re-synthesis timed out; assumption dropped"});
-      }
-      ++Result.Stats.Refinements;
-      if (Replacement) {
-        A = std::move(*Replacement);
-      } else {
-        // No alternative program exists: drop the assumption (dropping
-        // only weakens psi; soundness is preserved).
-        Result.SygusAssumptions.erase(Result.SygusAssumptions.begin() + I);
-        ExcludedSeq.erase(ExcludedSeq.begin() + I);
-        ExcludedLoop.erase(ExcludedLoop.begin() + I);
-      }
-      Refined = true;
-    }
-    if (!Refined)
-      break; // Every assumption is executable: genuinely unrealizable.
-  }
-
-  Result.Status = Realizability::Unrealizable;
-  Result.Stats.SynthesisSeconds = SynthTimer.seconds();
-  Result.Stats.SynthesisCpuSeconds = SynthCpu.seconds();
-  CaptureCacheStats();
-  return Result;
-}
-
-PipelineResult Synthesizer::runLazy(const Specification &Spec,
-                                    const PipelineOptions &Options) {
-  // Lazy alternative (Sec. 5.2's discussion): add assumptions one at a
-  // time, re-running reactive synthesis after each addition, stopping at
-  // the first realizable set. Generation still happens once up front;
-  // the measured difference is the repeated reactive-synthesis runs.
-  PipelineOptions EagerOptions = Options;
-  EagerOptions.Eager = true;
-
-  PipelineResult Result;
-  const Deadline Global = Options.Budget.TotalSeconds > 0
-                              ? Deadline::after(Options.Budget.TotalSeconds)
-                              : Deadline();
-  SolverService &Svc = ensureService(Spec.Th, Options);
-  const size_t Hits0 = Svc.cache().hits();
-  const size_t Misses0 = Svc.cache().misses();
-  const size_t Evictions0 = Svc.cache().evictions();
-  const size_t NbaHits0 = Engine.nbaCacheHits();
-  const size_t NbaMisses0 = Engine.nbaCacheMisses();
-  const size_t ExpHits0 = Engine.expansionCacheHits();
-  const size_t ExpMisses0 = Engine.expansionCacheMisses();
-  Timer PsiTimer;
-  CpuTimer PsiCpu;
-  AssumptionGenerator Generator(Spec, Ctx);
-  Generator.Opts = Options.Sygus;
-  Generator.setService(&Svc);
-  generateAssumptions(Spec, Options, Generator, Result, Global);
-  Result.Stats.PsiGenSeconds = PsiTimer.seconds();
-  Result.Stats.PsiGenCpuSeconds = PsiCpu.seconds();
-
-  Timer SynthTimer;
-  CpuTimer SynthCpu;
-  const Deadline SynthDl =
-      phaseDeadline(Global, Options.Budget.ReactiveSeconds);
-  Svc.setDeadline(SynthDl);
-  SynthesisOptions ReactiveOpts = Options.Reactive;
-  if (!ReactiveOpts.Dl.armed())
-    ReactiveOpts.Dl = SynthDl;
-  std::vector<const Formula *> Current = Result.ConsistencyAssumptions;
-  size_t NextSygus = 0;
-  for (;;) {
-    Result.Assumptions = Current;
-    Result.Stats.AssumptionCount = Current.size();
-    const Formula *Phi = formulaWithAssumptions(Spec, Current);
-    if (Options.SimplifyBeforeSynthesis)
-      Phi = simplify(Phi, Ctx.Formulas);
-    std::vector<const Formula *> ForAlphabet = Current;
-    ForAlphabet.push_back(Phi);
-    Result.AB = Alphabet::build(Spec, Ctx, ForAlphabet);
-
-    ++Result.Stats.ReactiveRuns;
-    SynthesisResult Reactive =
-        Engine.synthesize(Phi, Ctx, Result.AB, ReactiveOpts, &Svc.pool());
-    recordReactiveRun(Result, static_cast<unsigned>(NextSygus), Reactive);
-    Result.Stats.GameStates =
-        std::max(Result.Stats.GameStates, Reactive.Stats.GameStates);
-    if (Reactive.Status == Realizability::Realizable) {
-      Result.Status = Realizability::Realizable;
       Result.Machine = std::move(Reactive.Machine);
       break;
     }
     if (Reactive.Status == Realizability::Unknown) {
-      Result.Status = Realizability::Unknown;
       recordReactiveFailure(Result, Reactive);
       break;
     }
-    if (NextSygus >= Result.SygusAssumptions.size()) {
-      Result.Status = Realizability::Unrealizable;
+    // Eager refines before checking the round cap, so the last allowed
+    // round's refinement step still runs and counts.
+    if (Options.Eager) {
+      if (!refineUnhelpful(Spec, Ctx, Generator, Result, ForAlphabet,
+                           Excluded) ||
+          Round >= Options.MaxRefinements)
+        break;
+    } else if (SygusUsed == Result.SygusAssumptions.size()) {
       break;
     }
-    Current.push_back(Result.SygusAssumptions[NextSygus++].Assumption);
   }
+
   Result.Stats.SynthesisSeconds = SynthTimer.seconds();
   Result.Stats.SynthesisCpuSeconds = SynthCpu.seconds();
   Result.Stats.CacheHits = Svc.cache().hits() - Hits0;

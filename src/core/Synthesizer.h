@@ -40,11 +40,6 @@ struct ParallelismOptions {
   /// same Synthesizer and serves repeated runs (PipelineStats reports
   /// the hit/miss split per run).
   bool CacheEnabled = true;
-  /// Merge parallel results in task order so the emitted assumption
-  /// set is byte-identical for every NumThreads value. Off merges in
-  /// completion order: the assumption *set* generated per obligation is
-  /// unchanged but cap-induced truncation may differ between runs.
-  bool DeterministicMerge = true;
 };
 
 /// Wall-clock budgets for one pipeline run, in seconds; 0 = unlimited.
@@ -218,16 +213,14 @@ public:
   SynthesisEngine &engine() { return Engine; }
 
 private:
-  PipelineResult runEager(const Specification &Spec,
-                          const PipelineOptions &Options);
-  PipelineResult runLazy(const Specification &Spec,
-                         const PipelineOptions &Options);
-  /// Shared front half: decomposition, consistency checking and SyGuS
+  /// The pipeline body behind run(), for both eager and lazy mode.
+  PipelineResult runPipeline(const Specification &Spec,
+                             const PipelineOptions &Options);
+  /// Front half: decomposition, consistency checking and SyGuS
   /// assumption generation (with semantic deduplication). Fans
   /// independent obligations out across the service's pool.
   void generateAssumptions(const Specification &Spec,
                            const PipelineOptions &Options,
-                           AssumptionGenerator &Generator,
                            PipelineResult &Result, const Deadline &Global);
   /// Returns the service to use for this run, (re)creating the lazily
   /// owned one when the theory or parallelism configuration changed.

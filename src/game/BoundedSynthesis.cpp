@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <span>
 #include <unordered_map>
 
 using namespace temos;
@@ -41,9 +42,10 @@ namespace {
 /// A state of the k-counting game: counters for the *active* UCW states
 /// only, sorted by state id (sparse -- UCWs run to thousands of states
 /// while only a handful are active at a time).
-using CountVector = std::vector<std::pair<uint32_t, uint8_t>>;
+using CountEntry = std::pair<uint32_t, uint8_t>;
+using CountVector = std::vector<CountEntry>;
 
-std::string countKey(const CountVector &Counts) {
+std::string countKey(std::span<const CountEntry> Counts) {
   std::string Key;
   Key.reserve(Counts.size() * 5);
   for (const auto &[State, Count] : Counts) {
@@ -148,14 +150,14 @@ public:
 
   /// Extends exploration so every move of weight <= \p B is present.
   /// Returns false when the state budget is exhausted or \p Dl expired
-  /// (verdict: Unknown; timedOut() distinguishes). With \p Pool,
-  /// successor cells of a wave of frontier states are computed in
-  /// parallel and merged in deterministic order; the arena is identical
-  /// for every pool width. Deadline polls happen only at wave
-  /// boundaries, where the arena is exactly a sequential-execution
+  /// (verdict: Unknown; timedOut() distinguishes). Successor cells of a
+  /// wave of frontier states are computed across \p Pool and merged in
+  /// wave order; the arena is identical for every pool width (an inline
+  /// pool expands one state per wave). Deadline polls happen only at
+  /// wave boundaries, where the arena is exactly a sequential-execution
   /// prefix: an interrupted extension can be resumed (or the arena
   /// reused) without breaking determinism.
-  bool extendTo(unsigned B, SolverPool *Pool, const Deadline &Dl);
+  bool extendTo(unsigned B, SolverPool &Pool, const Deadline &Dl);
 
   /// Solves the bound-\p B safety game over the explored arena,
   /// seeding the fixpoint with winning certificates of bounds <= B and
@@ -207,10 +209,11 @@ private:
     uint32_t Out;
   };
 
-  /// Interns \p Counts, enqueueing new states for expansion. Returns
-  /// nullopt when the state is new and the budget is already full (the
-  /// arena never holds more than StateBudget states).
-  std::optional<uint32_t> internState(const CountVector &Counts) {
+  /// Interns \p Counts, enqueueing new states for expansion (the range
+  /// is copied into States only for a new state). Returns nullopt when
+  /// the state is new and the budget is already full (the arena never
+  /// holds more than StateBudget states).
+  std::optional<uint32_t> internState(std::span<const CountEntry> Counts) {
     std::string Key = countKey(Counts);
     auto It = StateIds.find(Key);
     if (It != StateIds.end())
@@ -219,7 +222,7 @@ private:
       return std::nullopt;
     uint32_t Id = static_cast<uint32_t>(States.size());
     StateIds.emplace(std::move(Key), Id);
-    States.push_back(Counts);
+    States.emplace_back(Counts.begin(), Counts.end());
     Moves.emplace_back();
     Pending.push_back(Id);
     return Id;
@@ -234,12 +237,13 @@ private:
   }
 
   /// Successor counting state of (Counts, In, Out) with overflow cutoff
-  /// \p Cutoff. Returns false if some counter would exceed the cutoff;
-  /// otherwise fills \p Next (sorted by UCW state) and \p Weight (the
-  /// largest counter produced -- the bound-independent legality
-  /// threshold of this move). Requires successor-cache entries for
-  /// every state in \p Counts; uses per-thread scratch only, so
-  /// concurrent calls for different game states are safe.
+  /// \p Cutoff. Returns false (appending nothing) if some counter would
+  /// exceed the cutoff; otherwise appends the successor's entries
+  /// (sorted by UCW state) to \p Next and sets \p Weight (the largest
+  /// counter produced -- the bound-independent legality threshold of
+  /// this move). Requires successor-cache entries for every state in
+  /// \p Counts; uses per-thread scratch only, so concurrent calls for
+  /// different game states are safe.
   bool successor(const CountVector &Counts, uint32_t In, uint32_t Out,
                  unsigned Cutoff, CountVector &Next, uint32_t &Weight) const {
     SuccScratch &SS = succScratch();
@@ -273,8 +277,6 @@ private:
 
     if (!Overflowed) {
       std::sort(SS.Touched.begin(), SS.Touched.end());
-      Next.clear();
-      Next.reserve(SS.Touched.size());
       for (uint32_t T : SS.Touched)
         Next.emplace_back(T, static_cast<uint8_t>(SS.Counts[T]));
       Weight = MaxCount;
@@ -297,7 +299,7 @@ private:
     ExhaustedBound = B;
   }
 
-  bool drainPending(unsigned B, SolverPool *Pool, const Deadline &Dl);
+  bool drainPending(unsigned B, SolverPool &Pool, const Deadline &Dl);
 
   std::shared_ptr<const Nba> UcwPtr;
   const Nba &Ucw;
@@ -330,7 +332,7 @@ private:
   bool TimedOut = false;
 };
 
-bool GameArena::extendTo(unsigned B, SolverPool *Pool, const Deadline &Dl) {
+bool GameArena::extendTo(unsigned B, SolverPool &Pool, const Deadline &Dl) {
   TimedOut = false;
   if (Exhausted) {
     // The usable prefix (bounds <= ExploredBound) remains exact; any
@@ -351,9 +353,10 @@ bool GameArena::extendTo(unsigned B, SolverPool *Pool, const Deadline &Dl) {
   // cache rows filled already.
   std::vector<OverflowMove> Still;
   Still.reserve(Overflow.size());
+  CountVector Next;
   for (const OverflowMove &OM : Overflow) {
-    CountVector Next;
     uint32_t Weight = 0;
+    Next.clear();
     ensureSucc(States[OM.S]);
     if (!successor(States[OM.S], OM.In, OM.Out, B, Next, Weight)) {
       Still.push_back(OM);
@@ -374,25 +377,33 @@ bool GameArena::extendTo(unsigned B, SolverPool *Pool, const Deadline &Dl) {
   return true;
 }
 
-bool GameArena::drainPending(unsigned B, SolverPool *Pool,
+bool GameArena::drainPending(unsigned B, SolverPool &Pool,
                              const Deadline &Dl) {
-  const size_t NumInputs = AB.inputLetterCount();
-  const size_t NumOutputs = AB.outputLetterCount();
-  const size_t Workers = Pool ? Pool->workerCount() : 0;
-  // Wave size: how many frontier states are expanded per parallel
-  // round. 1 (pure sequential) when no pool workers exist.
-  const size_t WaveCap = Workers > 0 ? 256 : 1;
+  const uint32_t NumInputs = static_cast<uint32_t>(AB.inputLetterCount());
+  const uint32_t NumOutputs = static_cast<uint32_t>(AB.outputLetterCount());
+  // Wave size: how many frontier states are expanded per round. 1 on an
+  // inline pool, which makes every wave boundary a state boundary.
+  const size_t WaveCap = Pool.workerCount() > 0 ? 256 : 1;
 
+  /// One (input, output) successor of a wave state; a legal move's
+  /// counts are Slot.Counts[Offset, Offset + Length).
   struct Item {
     uint32_t In;
     uint32_t Out;
     uint32_t Weight;
+    uint32_t Offset;
+    uint32_t Length;
     bool Legal;
-    CountVector Next;
   };
+  /// Per wave position, reused across waves: written by one pool task,
+  /// read by the merge.
+  struct Slot {
+    std::vector<Item> Items;
+    CountVector Counts;
+  };
+  std::vector<Slot> Slots;
   std::vector<uint32_t> Wave;
-  std::vector<std::vector<Item>> WaveItems;
-  std::vector<char> FillMark(Workers > 0 ? Ucw.stateCount() : 0, 0);
+  std::vector<uint32_t> NeedFill;
 
   while (!Pending.empty()) {
     if (Dl.expired()) {
@@ -405,78 +416,55 @@ bool GameArena::drainPending(unsigned B, SolverPool *Pool,
     const size_t WaveLen = std::min(Pending.size(), WaveCap);
     Wave.assign(Pending.begin(), Pending.begin() + WaveLen);
     Pending.erase(Pending.begin(), Pending.begin() + WaveLen);
-
-    if (Workers == 0) {
-      // Sequential fast path: expand and merge one state at a time.
-      uint32_t S = Wave[0];
-      Moves[S].assign(NumInputs, {});
-      ensureSucc(States[S]);
-      CountVector Next;
-      for (uint32_t In = 0; In < NumInputs; ++In) {
-        for (uint32_t Out = 0; Out < NumOutputs; ++Out) {
-          uint32_t Weight = 0;
-          if (!successor(States[S], In, Out, B, Next, Weight)) {
-            Overflow.push_back({S, In, static_cast<uint32_t>(Out)});
-            continue;
-          }
-          std::optional<uint32_t> Target = internState(Next);
-          if (!Target) {
-            markExhausted(B);
-            return false;
-          }
-          Moves[S][In].push_back({Out, *Target, Weight});
-        }
-      }
-      continue;
-    }
+    if (Slots.size() < WaveLen)
+      Slots.resize(WaveLen);
 
     // Phase 1: fill the successor-cache rows this wave needs. Each row
     // is an independent slot, so the fills fan out across the pool.
-    std::vector<uint32_t> NeedFill;
+    NeedFill.clear();
     for (uint32_t S : Wave)
       for (const auto &[Q, Count] : States[S]) {
         (void)Count;
-        if (!Succ.filled(Q) && !FillMark[Q]) {
-          FillMark[Q] = 1;
+        if (!Succ.filled(Q))
           NeedFill.push_back(Q);
-        }
       }
-    if (!NeedFill.empty())
-      Pool->forEach(NeedFill.size(),
-                    [&](size_t I) { Succ.fill(NeedFill[I]); });
-    for (uint32_t Q : NeedFill)
-      FillMark[Q] = 0;
+    std::sort(NeedFill.begin(), NeedFill.end());
+    NeedFill.erase(std::unique(NeedFill.begin(), NeedFill.end()),
+                   NeedFill.end());
+    Pool.forEach(NeedFill.size(), [&](size_t I) { Succ.fill(NeedFill[I]); });
 
     // Phase 2: compute every (input, output) successor of every wave
-    // state concurrently. Reads are confined to the (now filled)
-    // successor cache and the immutable States prefix; writes go to
-    // per-state buffers.
-    WaveItems.assign(WaveLen, {});
-    Pool->forEach(WaveLen, [&](size_t W) {
-      uint32_t S = Wave[W];
-      std::vector<Item> &Items = WaveItems[W];
-      Items.reserve(NumInputs * NumOutputs);
+    // state. Reads are confined to the (now filled) successor cache and
+    // the immutable States prefix; writes go to the state's own slot.
+    Pool.forEach(WaveLen, [&](size_t W) {
+      const CountVector &Counts = States[Wave[W]];
+      Slot &Sl = Slots[W];
+      Sl.Items.clear();
+      Sl.Counts.clear();
       for (uint32_t In = 0; In < NumInputs; ++In)
         for (uint32_t Out = 0; Out < NumOutputs; ++Out) {
-          Item It{In, Out, 0, false, {}};
-          It.Legal = successor(States[S], In, Out, B, It.Next, It.Weight);
-          Items.push_back(std::move(It));
+          Item It{In, Out, 0, static_cast<uint32_t>(Sl.Counts.size()), 0,
+                  false};
+          It.Legal = successor(Counts, In, Out, B, Sl.Counts, It.Weight);
+          It.Length = static_cast<uint32_t>(Sl.Counts.size()) - It.Offset;
+          Sl.Items.push_back(It);
         }
     });
 
     // Phase 3: merge sequentially in wave order. Interning order is
-    // exactly the order the sequential path would produce, so state
-    // ids -- and everything downstream -- are identical for every pool
-    // width.
+    // exactly the state-by-state order, so state ids -- and everything
+    // downstream -- are identical for every pool width.
     for (size_t W = 0; W < WaveLen; ++W) {
       uint32_t S = Wave[W];
+      const Slot &Sl = Slots[W];
       Moves[S].assign(NumInputs, {});
-      for (Item &It : WaveItems[W]) {
+      for (const Item &It : Sl.Items) {
         if (!It.Legal) {
           Overflow.push_back({S, It.In, It.Out});
           continue;
         }
-        std::optional<uint32_t> Target = internState(It.Next);
+        std::optional<uint32_t> Target =
+            internState({Sl.Counts.data() + It.Offset, It.Length});
         if (!Target) {
           markExhausted(B);
           return false;
@@ -663,6 +651,10 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
     BoundCtx = &Ctx;
 
   const bool Incremental = Options.Incremental;
+  // Exploration always runs through a pool; without one from the
+  // caller, an inline pool (no threads) stands in.
+  std::optional<SolverPool> Inline;
+  SolverPool &Explore = Pool ? *Pool : Inline.emplace(1);
   Timer NbaTimer;
 
   // The tableau inherits the phase deadline unless it carries its own.
@@ -746,7 +738,7 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
       Local = std::make_unique<GameArena>(Ucw, AB, Options.StateBudget);
       Arena = Local.get();
     }
-    if (!Arena->extendTo(Bound, Pool, Options.Dl)) {
+    if (!Arena->extendTo(Bound, Explore, Options.Dl)) {
       Result.Status = Realizability::Unknown;
       Result.Stats.TimedOut = Arena->timedOut();
       Result.Stats.GameStates =

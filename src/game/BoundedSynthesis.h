@@ -127,9 +127,9 @@ struct SynthesisResult {
 /// All cache keys involve formula renderings and formula ids, so an
 /// engine must only ever be used with a single Context (checked). Not
 /// thread-safe; calls are expected from the pipeline thread. The
-/// optional SolverPool is used *within* a call to explore counting-game
-/// successor cells in parallel with a deterministic merge: results are
-/// byte-identical for every pool width.
+/// SolverPool is used *within* a call to explore counting-game
+/// successor cells in waves merged in wave order (a null pool means an
+/// inline one): results are byte-identical for every pool width.
 class SynthesisEngine {
 public:
   SynthesisEngine();

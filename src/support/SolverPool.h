@@ -7,11 +7,11 @@
 /// their independent SMT/SyGuS tasks out across the workers.
 ///
 /// A pool constructed with one thread spawns no workers at all: submit()
-/// runs the task inline on the caller's thread. That makes the
-/// single-threaded configuration byte-for-byte identical to the code
-/// before the pool existed -- no scheduling, no locks on the hot path --
-/// which is what the deterministic-merge guarantee of the pipeline is
-/// anchored on.
+/// runs the task inline on the caller's thread -- no scheduling, no
+/// locks on the hot path. SyGuS generation and counting-game
+/// exploration fan out through forEach() at every width and merge the
+/// results in task order, so their one-thread run executes the same
+/// code, in the same order, as a wider one.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -40,9 +40,6 @@
 ///                                    search (testing only) to prove
 ///                                    the deadline machinery trips
 ///
-/// The pre-redesign spellings --js, --cpp and --assumptions still work
-/// as deprecated aliases for the corresponding --emit=... values.
-///
 /// Exit codes (also in the README):
 ///   0  synthesis succeeded
 ///   1  input error: unreadable file, parse error, unknown benchmark, I/O
@@ -111,10 +108,6 @@ bool parseEmitKind(const char *Value, EmitKind &Out) {
   else
     return false;
   return true;
-}
-
-void warnDeprecated(const char *Old, const char *New) {
-  std::fprintf(stderr, "warning: %s is deprecated, use %s\n", Old, New);
 }
 
 /// One stderr line per failure record, e.g.
@@ -242,15 +235,6 @@ int main(int argc, char **argv) {
         return usage(argv[0]);
       }
       Repeats = static_cast<unsigned>(N);
-    } else if (std::strcmp(argv[I], "--js") == 0) {
-      warnDeprecated("--js", "--emit=js");
-      Emit = EmitKind::Js;
-    } else if (std::strcmp(argv[I], "--cpp") == 0) {
-      warnDeprecated("--cpp", "--emit=cpp");
-      Emit = EmitKind::Cpp;
-    } else if (std::strcmp(argv[I], "--assumptions") == 0) {
-      warnDeprecated("--assumptions", "--emit=assumptions");
-      Emit = EmitKind::Assumptions;
     } else if (std::strcmp(argv[I], "--time-budget") == 0 && I + 1 < argc) {
       char *End = nullptr;
       double S = std::strtod(argv[++I], &End);

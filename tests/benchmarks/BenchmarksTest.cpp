@@ -10,7 +10,6 @@
 #include "benchmarks/Runner.h"
 
 #include "logic/Parser.h"
-#include "tsl2ltl/TlsfExporter.h"
 
 #include <gtest/gtest.h>
 
@@ -95,26 +94,6 @@ TEST(Benchmarks, AllSpecsRoundTripThroughPrinter) {
       EXPECT_EQ(Reparsed->AlwaysGuarantees[I]->str(),
                 Spec->AlwaysGuarantees[I]->str())
           << B.Name << " formula " << I;
-  }
-}
-
-TEST(Benchmarks, AllSpecsExportTlsf) {
-  for (const BenchmarkSpec &B : allBenchmarks()) {
-    Context Ctx;
-    auto Spec = parseSpecification(B.Source, Ctx);
-    ASSERT_TRUE(Spec.ok()) << B.Name;
-    Alphabet AB = Alphabet::build(*Spec, Ctx);
-    std::string Tlsf = exportTlsf(*Spec, AB, Ctx);
-    EXPECT_NE(Tlsf.find("INFO {"), std::string::npos) << B.Name;
-    EXPECT_NE(Tlsf.find("GUARANTEES {"), std::string::npos) << B.Name;
-    // Every predicate and update proposition must be declared.
-    for (size_t I = 0; I < AB.predicates().size(); ++I)
-      EXPECT_NE(Tlsf.find(tlsfInputName(AB, I)), std::string::npos)
-          << B.Name;
-    for (size_t C2 = 0; C2 < AB.cells().size(); ++C2)
-      for (size_t O = 0; O < AB.cells()[C2].Options.size(); ++O)
-        EXPECT_NE(Tlsf.find(tlsfOutputName(AB, C2, O)), std::string::npos)
-            << B.Name;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include "core/Synthesizer.h"
 
+#include "benchmarks/Benchmarks.h"
 #include "core/AssumptionCore.h"
 #include "logic/Parser.h"
 
@@ -138,6 +139,58 @@ TEST_F(SynthesizerTest, LazyModeMatchesEagerVerdict) {
   EXPECT_EQ(R.Status, Realizability::Realizable);
   // Lazy mode re-runs reactive synthesis at least once more than eager.
   EXPECT_GE(R.Stats.ReactiveRuns, 1u);
+}
+
+/// Lazy mode (Sec. 5.2's ablation) on the bundled rows whose lazy run is
+/// fast: the verdict, the number of reactive runs (one per assumption
+/// prefix tried), the size of the winning prefix and the machine size
+/// are pinned, so a change to the pipeline loop cannot silently shift
+/// where lazy mode stops.
+struct LazyPin {
+  const char *Name;
+  Realizability Status;
+  unsigned ReactiveRuns;
+  size_t AssumptionCount;
+  size_t MachineStates;
+};
+
+const LazyPin LazyPins[] = {
+    {"Vibrato", Realizability::Realizable, 3, 3, 45},
+    {"Modulation", Realizability::Realizable, 3, 3, 45},
+    {"Single-Player", Realizability::Realizable, 2, 2, 18},
+    {"Two-Player", Realizability::Realizable, 2, 2, 18},
+    {"Bouncing", Realizability::Realizable, 3, 3, 33},
+    {"Automatic", Realizability::Realizable, 2, 3, 18},
+    {"Simple", Realizability::Realizable, 1, 0, 2},
+    {"Counting", Realizability::Realizable, 1, 0, 2},
+    {"Bidirectional", Realizability::Realizable, 1, 0, 2},
+    {"Smart", Realizability::Realizable, 2, 1, 15},
+    {"Round Robin", Realizability::Realizable, 2, 2, 24},
+    {"Preemptive", Realizability::Realizable, 2, 2, 12},
+};
+
+TEST(SynthesizerLazyPin, BundledRows) {
+  for (const LazyPin &Pin : LazyPins) {
+    SCOPED_TRACE(Pin.Name);
+    const BenchmarkSpec *B = findBenchmark(Pin.Name);
+    ASSERT_NE(B, nullptr);
+    Context Ctx;
+    auto Spec = parseSpecification(B->Source, Ctx);
+    ASSERT_TRUE(Spec.ok()) << Spec.error().str();
+    Synthesizer Synth(Ctx);
+    PipelineOptions Lazy;
+    Lazy.Eager = false;
+    PipelineResult R = Synth.run(*Spec, Lazy);
+    EXPECT_EQ(R.Status, Pin.Status);
+    EXPECT_EQ(R.Stats.ReactiveRuns, Pin.ReactiveRuns);
+    EXPECT_EQ(R.Stats.AssumptionCount, Pin.AssumptionCount);
+    ASSERT_TRUE(R.Machine.has_value());
+    EXPECT_EQ(R.Machine->stateCount(), Pin.MachineStates);
+    // Lazy rounds count the SyGuS assumptions appended so far.
+    ASSERT_EQ(R.Stats.ReactiveDetail.size(), Pin.ReactiveRuns);
+    for (unsigned I = 0; I < Pin.ReactiveRuns; ++I)
+      EXPECT_EQ(R.Stats.ReactiveDetail[I].Round, I);
+  }
 }
 
 TEST_F(SynthesizerTest, StatsTimingsPopulated) {
