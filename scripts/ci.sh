@@ -22,6 +22,13 @@ TEMOS_BIN="$(cd "$BUILD_DIR" && pwd)/src/tools/temos"
   "$TEMOS_BIN" --benchmark Vibrato --repeat 2 --bench-json >/dev/null)
 python3 scripts/check_bench_json.py "$SMOKE_DIR/BENCH_Vibrato.json" \
   bench/baselines/BENCH_Vibrato.baseline.json
+# Lazy Vibrato makes three reactive runs on three distinct specs; the
+# repeat must serve every one of them from the engine's memo entries.
+LAZY_DIR="$SMOKE_DIR/lazy"
+mkdir -p "$LAZY_DIR"
+(cd "$LAZY_DIR" &&
+  "$TEMOS_BIN" --lazy --benchmark Vibrato --repeat 2 --bench-json >/dev/null)
+python3 scripts/check_bench_json.py "$LAZY_DIR/BENCH_Vibrato.json"
 
 echo "== degraded path: injected hang must trip the deadline =="
 # A planted non-terminating SyGuS search under a 2s budget: the CLI must

@@ -78,8 +78,7 @@ std::string statsBody(const PipelineStats &S, const std::string &Indent) {
   J += Indent + "\"reactive_runs\": " + std::to_string(S.ReactiveRuns) + ",\n";
   J += Indent + "\"game_states\": " + std::to_string(S.GameStates) + ",\n";
   J += Indent + "\"smt_cache\": {\"hits\": " + std::to_string(S.CacheHits) +
-       ", \"misses\": " + std::to_string(S.CacheMisses) +
-       ", \"evictions\": " + std::to_string(S.CacheEvictions) + "},\n";
+       ", \"misses\": " + std::to_string(S.CacheMisses) + "},\n";
   J += Indent + "\"nba_cache\": {\"hits\": " + std::to_string(S.NbaCacheHits) +
        ", \"misses\": " + std::to_string(S.NbaCacheMisses) + "},\n";
   J += Indent + "\"expansion_cache\": {\"hits\": " +

@@ -4,10 +4,36 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 
 using namespace temos;
 
 namespace {
+
+/// Shared store of unsatisfiable literal combinations, as bitmasks over
+/// a fixed predicate numbering. Workers publish cores as they find them
+/// and consult the store to skip supersets whose verdict is implied.
+class UnsatCoreStore {
+public:
+  void publish(uint32_t Mask) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Cores.push_back(Mask);
+  }
+
+  /// True if some published core is a subset of \p Mask (the mask's
+  /// unsatisfiability is already implied).
+  bool subsumes(uint32_t Mask) const {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    for (uint32_t Core : Cores)
+      if ((Mask & Core) == Core)
+        return true;
+    return false;
+  }
+
+private:
+  mutable std::mutex Mutex;
+  std::vector<uint32_t> Cores;
+};
 
 /// Builds the positive literal vector selected by \p Mask.
 std::vector<TheoryLiteral>

@@ -15,7 +15,7 @@
 ///
 /// The subset checks are independent SMT queries, so when a
 /// SolverService with workers is supplied they are fanned out across
-/// its pool: workers publish unsat cores to a shared UnsatCoreStore and
+/// its pool: workers publish unsat cores to a per-call UnsatCoreStore and
 /// skip supersets opportunistically, and a deterministic post-filter
 /// replays the serial acceptance order over the collected verdicts.
 /// The emitted assumption list is therefore byte-identical for every

@@ -94,22 +94,14 @@ PipelineResult Synthesizer::run(const Specification &Spec,
 
 SolverService &Synthesizer::ensureService(Theory Th,
                                           const PipelineOptions &Options) {
-  if (Service) {
-    bool Matches = Service->theory() == Th;
-    // An injected service's configuration wins; only the lazily owned
-    // one is rebuilt to track the options.
-    if (!ServiceInjected)
-      Matches = Matches &&
-                Service->config().NumThreads == Options.Parallelism.NumThreads &&
-                Service->config().CacheEnabled == Options.Parallelism.CacheEnabled;
-    if (Matches)
-      return *Service;
-  }
+  if (Service && Service->theory() == Th &&
+      Service->config().NumThreads == Options.Parallelism.NumThreads &&
+      Service->config().CacheEnabled == Options.Parallelism.CacheEnabled)
+    return *Service;
   SolverService::Config C;
   C.NumThreads = Options.Parallelism.NumThreads;
   C.CacheEnabled = Options.Parallelism.CacheEnabled;
   Service = std::make_shared<SolverService>(Th, C);
-  ServiceInjected = false;
   return *Service;
 }
 
@@ -330,7 +322,15 @@ void Synthesizer::generateAssumptions(const Specification &Spec,
 }
 
 void Synthesizer::recordReactiveRun(PipelineResult &Result, unsigned Round,
-                                    const SynthesisResult &Reactive) {
+                                    const SynthesisResult &Reactive,
+                                    bool Incremental) {
+  PipelineStats &PS = Result.Stats;
+  if (Reactive.Stats.NbaCacheHit)
+    ++PS.NbaCacheHits;
+  else if (Incremental)
+    ++PS.NbaCacheMisses;
+  PS.ExpansionCacheHits += Reactive.Stats.ExpansionCacheHits;
+  PS.ExpansionCacheMisses += Reactive.Stats.ExpansionCacheMisses;
   ReactiveRunStats RS;
   RS.Round = Round;
   RS.Status = Reactive.Status;
@@ -340,7 +340,7 @@ void Synthesizer::recordReactiveRun(PipelineResult &Result, unsigned Round,
   RS.BoundUsed = Reactive.Stats.BoundUsed;
   RS.NbaSeconds = Reactive.Stats.NbaSeconds;
   RS.GameSeconds = Reactive.Stats.GameSeconds;
-  Result.Stats.ReactiveDetail.push_back(RS);
+  PS.ReactiveDetail.push_back(RS);
 }
 
 PipelineResult Synthesizer::runPipeline(const Specification &Spec,
@@ -352,11 +352,6 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
   SolverService &Svc = ensureService(Spec.Th, Options);
   const size_t Hits0 = Svc.cache().hits();
   const size_t Misses0 = Svc.cache().misses();
-  const size_t Evictions0 = Svc.cache().evictions();
-  const size_t NbaHits0 = Engine.nbaCacheHits();
-  const size_t NbaMisses0 = Engine.nbaCacheMisses();
-  const size_t ExpHits0 = Engine.expansionCacheHits();
-  const size_t ExpMisses0 = Engine.expansionCacheMisses();
   Timer PsiTimer;
   CpuTimer PsiCpu;
 
@@ -406,7 +401,7 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
     ++Result.Stats.ReactiveRuns;
     SynthesisResult Reactive =
         Engine.synthesize(Phi, Ctx, Result.AB, ReactiveOpts, &Svc.pool());
-    recordReactiveRun(Result, Round, Reactive);
+    recordReactiveRun(Result, Round, Reactive, ReactiveOpts.Incremental);
     Result.Stats.GameStates =
         std::max(Result.Stats.GameStates, Reactive.Stats.GameStates);
     Result.Status = Reactive.Status;
@@ -434,11 +429,5 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
   Result.Stats.SynthesisCpuSeconds = SynthCpu.seconds();
   Result.Stats.CacheHits = Svc.cache().hits() - Hits0;
   Result.Stats.CacheMisses = Svc.cache().misses() - Misses0;
-  Result.Stats.CacheEvictions = Svc.cache().evictions() - Evictions0;
-  Result.Stats.NbaCacheHits = Engine.nbaCacheHits() - NbaHits0;
-  Result.Stats.NbaCacheMisses = Engine.nbaCacheMisses() - NbaMisses0;
-  Result.Stats.ExpansionCacheHits = Engine.expansionCacheHits() - ExpHits0;
-  Result.Stats.ExpansionCacheMisses =
-      Engine.expansionCacheMisses() - ExpMisses0;
   return Result;
 }

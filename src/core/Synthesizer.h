@@ -135,15 +135,15 @@ struct PipelineStats {
   unsigned ReactiveRuns = 0;
   size_t GameStates = 0;
   size_t ConsistencyQueries = 0;
-  /// Query-cache hits/misses/evictions attributable to this run (the
-  /// cache itself persists across runs on the same Synthesizer, which
-  /// is where repeated-run hits come from).
+  /// Query-cache hits/misses attributable to this run (the cache itself
+  /// persists across runs on the same Synthesizer, which is where
+  /// repeated-run hits come from).
   size_t CacheHits = 0;
   size_t CacheMisses = 0;
-  size_t CacheEvictions = 0;
-  /// Incremental reactive-engine cache traffic for this run. Hits mean
-  /// a refinement round (or repeated run) skipped UCW construction /
-  /// replayed tableau expansions instead of re-deriving them.
+  /// Incremental reactive-engine cache traffic for this run, summed over
+  /// its reactive invocations. Hits mean a refinement round (or repeated
+  /// run) skipped UCW construction / replayed tableau expansions instead
+  /// of re-deriving them.
   size_t NbaCacheHits = 0;
   size_t NbaCacheMisses = 0;
   size_t ExpansionCacheHits = 0;
@@ -192,24 +192,15 @@ public:
       const Specification &Spec,
       const std::vector<const Formula *> &Assumptions);
 
-  /// Injects a solver service to use instead of the lazily created one
-  /// -- benches and tests share one cache across Synthesizer instances
-  /// this way. The injected service's configuration wins over
-  /// PipelineOptions::Parallelism.
-  void setSolverService(std::shared_ptr<SolverService> S) {
-    Service = std::move(S);
-    ServiceInjected = Service != nullptr;
-  }
-
-  /// The service the pipeline is using (null until the first run unless
-  /// one was injected). Its cache persists across run() calls, which is
-  /// what makes repeated runs report cache hits.
+  /// The service the pipeline is using (null until the first run). Its
+  /// cache persists across run() calls, which is what makes repeated
+  /// runs report cache hits.
   std::shared_ptr<SolverService> solverService() const { return Service; }
 
   /// The reactive-synthesis engine. Like the solver service's query
-  /// cache, its NBA/arena caches persist across run() calls on this
-  /// Synthesizer, so repeated runs of the same benchmark serve the UCW
-  /// and the explored game from cache.
+  /// cache, its memo entries (UCW + game arena) persist across run()
+  /// calls on this Synthesizer, so repeated runs of the same benchmark
+  /// serve the UCW and the explored game from cache.
   SynthesisEngine &engine() { return Engine; }
 
 private:
@@ -222,17 +213,18 @@ private:
   void generateAssumptions(const Specification &Spec,
                            const PipelineOptions &Options,
                            PipelineResult &Result, const Deadline &Global);
-  /// Returns the service to use for this run, (re)creating the lazily
-  /// owned one when the theory or parallelism configuration changed.
+  /// Returns the service to use for this run, (re)creating it when the
+  /// theory or parallelism configuration changed.
   SolverService &ensureService(Theory Th, const PipelineOptions &Options);
 
-  /// Records one reactive invocation into Result's stats.
+  /// Records one reactive invocation into Result's stats, including
+  /// its engine cache traffic (NBA misses count only when \p Incremental).
   static void recordReactiveRun(PipelineResult &Result, unsigned Round,
-                                const SynthesisResult &Reactive);
+                                const SynthesisResult &Reactive,
+                                bool Incremental);
 
   Context &Ctx;
   std::shared_ptr<SolverService> Service;
-  bool ServiceInjected = false;
   SynthesisEngine Engine;
 };
 

@@ -181,6 +181,7 @@ public:
   }
 
   size_t stateCount() const { return States.size(); }
+  size_t stateBudget() const { return StateBudget; }
   bool exhausted() const { return Exhausted; }
 
   /// True if serving \p Schedule would need a bound this exhausted
@@ -605,27 +606,26 @@ std::string limitsKey(const TableauLimits &Limits) {
 } // namespace
 
 struct SynthesisEngine::Impl {
-  struct NbaEntry {
+  /// The memo for one (alphabet, tableau limits, negated specification):
+  /// its UCW, the tableau stats of building it, and the counting-game
+  /// arena explored over it.
+  struct Entry {
     std::shared_ptr<const Nba> Ucw;
     TableauStats Stats;
+    std::unique_ptr<GameArena> Arena;
   };
 
-  /// Caps chosen for a pipeline run's working set: a refinement loop
-  /// touches a handful of distinct specifications, each with one arena
-  /// per budget. Overflow drops everything (deterministic; entries are
-  /// re-derivable).
-  static constexpr size_t MaxNbas = 32;
-  static constexpr size_t MaxArenas = 8;
+  /// Cap chosen for a pipeline run's working set: a refinement loop
+  /// touches a handful of distinct specifications. Overflow drops
+  /// everything (deterministic; entries are re-derivable).
+  static constexpr size_t MaxEntries = 8;
 
   /// Cache keys render formulas and use Context-interned ids; an engine
   /// is bound to the first Context it sees.
   const Context *BoundCtx = nullptr;
 
   TableauCache ExpCache;
-  std::unordered_map<std::string, NbaEntry> NbaCache;
-  std::unordered_map<std::string, std::unique_ptr<GameArena>> Arenas;
-  size_t NbaHits = 0;
-  size_t NbaMisses = 0;
+  std::unordered_map<std::string, Entry> Entries;
 
   SynthesisResult synthesize(const Formula *Spec, Context &Ctx,
                              const Alphabet &AB,
@@ -642,8 +642,7 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
 
   if (BoundCtx && BoundCtx != &Ctx) {
     // A different Context invalidates every formula-id-based key.
-    NbaCache.clear();
-    Arenas.clear();
+    Entries.clear();
     ExpCache.clear();
     BoundCtx = nullptr;
   }
@@ -667,19 +666,18 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
   // UCW = NBA of the negated specification.
   const Formula *Negated = Ctx.Formulas.notF(Spec);
   std::shared_ptr<const Nba> Ucw;
-  std::string NbaKey;
+  Entry *Memo = nullptr;
   if (Incremental) {
     const Formula *Nnf = Ctx.Formulas.toNNF(Negated);
-    NbaKey = AB.signatureKey() + "|" + limitsKey(Options.Tableau) + "|" +
-             Nnf->str();
-    auto It = NbaCache.find(NbaKey);
-    if (It != NbaCache.end()) {
-      ++NbaHits;
+    std::string Key = AB.signatureKey() + "|" + limitsKey(Options.Tableau) +
+                      "|" + Nnf->str();
+    auto It = Entries.find(Key);
+    if (It != Entries.end()) {
+      Memo = &It->second;
       Result.Stats.NbaCacheHit = true;
-      Result.Stats.Tableau = It->second.Stats;
-      Ucw = It->second.Ucw;
+      Result.Stats.Tableau = Memo->Stats;
+      Ucw = Memo->Ucw;
     } else {
-      ++NbaMisses;
       size_t Hits0 = ExpCache.hits(), Misses0 = ExpCache.misses();
       TableauStats TS;
       Nba Built = buildNba(Negated, Ctx, AB, &TS, TabLimits, &ExpCache);
@@ -689,9 +687,10 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
       Ucw = std::make_shared<const Nba>(std::move(Built));
       // Budget-exceeded automata are unusable artifacts: never cache.
       if (!TS.BudgetExceeded) {
-        if (NbaCache.size() >= MaxNbas)
-          NbaCache.clear();
-        NbaCache.emplace(NbaKey, NbaEntry{Ucw, TS});
+        if (Entries.size() >= MaxEntries)
+          Entries.clear();
+        Memo = &Entries.emplace(std::move(Key), Entry{Ucw, TS, nullptr})
+                    .first->second;
       }
     }
   } else {
@@ -712,20 +711,13 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
   GameArena *Arena = nullptr;
   std::unique_ptr<GameArena> Local;
   if (Incremental) {
-    std::string ArenaKey = NbaKey + "|b" + std::to_string(Options.StateBudget);
-    auto It = Arenas.find(ArenaKey);
-    if (It != Arenas.end() &&
-        It->second->needsRebuildFor(Options.BoundSchedule))
-      Arenas.erase(It), It = Arenas.end();
-    if (It == Arenas.end()) {
-      if (Arenas.size() >= MaxArenas)
-        Arenas.clear();
-      It = Arenas
-               .emplace(ArenaKey, std::make_unique<GameArena>(
-                                      Ucw, AB, Options.StateBudget))
-               .first;
-    }
-    Arena = It->second.get();
+    // The entry's arena is rebuilt in place for a different state
+    // budget, or when this schedule needs a bound it cannot serve.
+    std::unique_ptr<GameArena> &Kept = Memo->Arena;
+    if (!Kept || Kept->stateBudget() != Options.StateBudget ||
+        Kept->needsRebuildFor(Options.BoundSchedule))
+      Kept = std::make_unique<GameArena>(Ucw, AB, Options.StateBudget);
+    Arena = Kept.get();
     // The fresh arena holds just the interned initial state; anything
     // beyond one state is reuse from an earlier call.
     Result.Stats.ArenaStatesReused =
@@ -779,23 +771,6 @@ SynthesisResult SynthesisEngine::synthesize(const Formula *Spec, Context &Ctx,
                                             const SynthesisOptions &Options,
                                             SolverPool *Pool) {
   return I->synthesize(Spec, Ctx, AB, Options, Pool);
-}
-
-size_t SynthesisEngine::nbaCacheHits() const { return I->NbaHits; }
-size_t SynthesisEngine::nbaCacheMisses() const { return I->NbaMisses; }
-size_t SynthesisEngine::expansionCacheHits() const {
-  return I->ExpCache.hits();
-}
-size_t SynthesisEngine::expansionCacheMisses() const {
-  return I->ExpCache.misses();
-}
-
-void SynthesisEngine::clearCaches() {
-  I->NbaCache.clear();
-  I->Arenas.clear();
-  I->ExpCache.clear();
-  I->NbaHits = I->NbaMisses = 0;
-  I->BoundCtx = nullptr;
 }
 
 SynthesisResult temos::synthesizeLtl(const Formula *Spec, Context &Ctx,

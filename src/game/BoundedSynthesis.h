@@ -13,16 +13,18 @@
 /// The engine is *incremental* along three axes (see
 /// docs/ARCHITECTURE.md):
 ///
-///  * NBA construction is memoized per (alphabet, NNF rendering), so the
-///    refinement loop's repeated invocations on an unchanged negated
-///    specification skip the tableau entirely, and the tableau's
-///    per-state expansions are shared across builds via TableauCache.
-///  * One counting-game arena (state interning tables, weighted move
-///    lists) is kept alive across the whole bound schedule and across
-///    calls: the counting transition relation does not depend on k, only
-///    the overflow cutoff does, so escalating the bound merely
-///    re-examines previously overflowing moves instead of re-deriving
-///    the reachable graph.
+///  * One memo entry per (alphabet, tableau limits, NNF rendering of the
+///    negated specification) holds the UCW, so repeated invocations on
+///    an unchanged negated specification skip the tableau entirely. A
+///    TableauCache also records per-state expansions across builds, but
+///    no bundled row, eager or lazy, has measured a hit in it: the
+///    states of a grown formula differ from the earlier ones.
+///  * The same entry holds one counting-game arena (state interning
+///    tables, weighted move lists), kept alive across the whole bound
+///    schedule and across calls: the counting transition relation does
+///    not depend on k, only the overflow cutoff does, so escalating the
+///    bound merely re-examines previously overflowing moves instead of
+///    re-deriving the reachable graph.
 ///  * Solving bound k' >= k is seeded with the winning-region
 ///    certificate of bound k. Winning transfers upward (a bound-k
 ///    strategy also keeps counters <= k'), so certified states are
@@ -119,10 +121,12 @@ struct SynthesisResult {
   SynthesisStats Stats;
 };
 
-/// The incremental reactive-synthesis engine. Owns the NBA cache, the
-/// tableau expansion cache, and the live game arenas; one instance
-/// serves every reactive invocation of a pipeline run (the Synthesizer
-/// keeps one per instance).
+/// The incremental reactive-synthesis engine. Owns one memo map (per
+/// negated specification: its UCW and its live game arena, at most 8
+/// entries, all dropped when an insert finds it full) and the tableau
+/// expansion cache; one instance serves every reactive invocation of a
+/// pipeline run (the Synthesizer keeps one per instance). Cache traffic
+/// is reported per call in SynthesisStats.
 ///
 /// All cache keys involve formula renderings and formula ids, so an
 /// engine must only ever be used with a single Context (checked). Not
@@ -144,15 +148,6 @@ public:
                              const Alphabet &AB,
                              const SynthesisOptions &Options = {},
                              SolverPool *Pool = nullptr);
-
-  /// Cumulative cache counters across every call on this engine.
-  size_t nbaCacheHits() const;
-  size_t nbaCacheMisses() const;
-  size_t expansionCacheHits() const;
-  size_t expansionCacheMisses() const;
-
-  /// Drops every cached NBA and arena (counters reset too).
-  void clearCaches();
 
 private:
   struct Impl;

@@ -33,31 +33,20 @@ QueryCache::canonicalKey(const std::string &TheoryTag,
 
 std::optional<int> QueryCache::lookup(const std::string &Key) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Index.find(Key);
-  if (It == Index.end()) {
+  auto It = Entries.find(Key);
+  if (It == Entries.end()) {
     ++Misses;
     return std::nullopt;
   }
   ++Hits;
-  Order.splice(Order.begin(), Order, It->second);
-  return It->second->Verdict;
+  return It->second;
 }
 
 void QueryCache::insert(const std::string &Key, int Verdict) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Index.find(Key);
-  if (It != Index.end()) {
-    It->second->Verdict = Verdict;
-    Order.splice(Order.begin(), Order, It->second);
-    return;
-  }
-  if (Capacity != 0 && Order.size() >= Capacity) {
-    Index.erase(Order.back().Key);
-    Order.pop_back();
-    ++Evictions;
-  }
-  Order.push_front(Entry{Key, Verdict});
-  Index.emplace(Order.front().Key, Order.begin());
+  if (Entries.size() >= Capacity && !Entries.count(Key))
+    Entries.clear();
+  Entries[Key] = Verdict;
 }
 
 size_t QueryCache::hits() const {
@@ -70,19 +59,13 @@ size_t QueryCache::misses() const {
   return Misses;
 }
 
-size_t QueryCache::evictions() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Evictions;
-}
-
 size_t QueryCache::size() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return Order.size();
+  return Entries.size();
 }
 
 void QueryCache::clear() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  Order.clear();
-  Index.clear();
-  Hits = Misses = Evictions = 0;
+  Entries.clear();
+  Hits = Misses = 0;
 }

@@ -13,9 +13,9 @@
 /// serve a repeated run from a fresh Context, which is where the
 /// repeated-run cache hits reported in PipelineStats come from.
 ///
-/// The table is capacity-bounded with least-recently-used eviction so a
-/// long-lived service cannot grow without limit; evicting an entry only
-/// costs a future recomputation, never a verdict change.
+/// The table is bounded like every other memo in the pipeline: when an
+/// insert finds it full, it drops every entry. Dropping only costs
+/// future recomputation, never a verdict change.
 ///
 /// Verdicts are stored as int so this lowest-layer component does not
 /// depend on the theory layer's SatResult; the solver service casts.
@@ -25,7 +25,6 @@
 #ifndef TEMOS_SUPPORT_QUERYCACHE_H
 #define TEMOS_SUPPORT_QUERYCACHE_H
 
-#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -35,17 +34,16 @@
 
 namespace temos {
 
-/// Thread-safe string-keyed verdict memo with hit/miss/eviction
-/// accounting and an LRU size cap.
+/// Thread-safe string-keyed verdict memo with hit/miss accounting and a
+/// drop-everything size cap.
 class QueryCache {
 public:
   /// Default entry cap. Far above any bundled workload's working set
   /// (the whole 16-benchmark suite interns a few hundred keys), so
-  /// default-configured runs never evict; it exists to bound a
+  /// default-configured runs never drop; it exists to bound a
   /// long-lived service under open-ended traffic.
   static constexpr size_t DefaultCapacity = 1 << 16;
 
-  /// \p Capacity == 0 means unbounded (no eviction).
   explicit QueryCache(size_t Capacity = DefaultCapacity)
       : Capacity(Capacity) {}
 
@@ -59,38 +57,27 @@ public:
                std::vector<std::pair<std::string, bool>> Literals);
 
   /// Returns the stored verdict, or nullopt on a miss. Counts a hit or
-  /// a miss; a hit marks the entry most recently used.
+  /// a miss.
   std::optional<int> lookup(const std::string &Key);
 
-  /// Stores \p Verdict under \p Key, evicting the least recently used
-  /// entry if the cache is full. Last writer wins; concurrent writers
-  /// for the same key necessarily computed the same verdict, so the
-  /// race is benign.
+  /// Stores \p Verdict under \p Key, first dropping every entry if the
+  /// cache is full. Last writer wins; concurrent writers for the same
+  /// key necessarily computed the same verdict, so the race is benign.
   void insert(const std::string &Key, int Verdict);
 
+  /// Lookups served / missed since construction or clear(); a drop at
+  /// the cap does not reset them.
   size_t hits() const;
   size_t misses() const;
-  /// Number of entries dropped by the LRU cap since construction/clear.
-  size_t evictions() const;
   size_t size() const;
-  size_t capacity() const { return Capacity; }
   void clear();
 
 private:
-  struct Entry {
-    std::string Key;
-    int Verdict;
-  };
-
   mutable std::mutex Mutex;
-  /// Recency list, most recently used at the front. Entries own the key
-  /// storage; the index map points into the list.
-  std::list<Entry> Order;
-  std::unordered_map<std::string, std::list<Entry>::iterator> Index;
+  std::unordered_map<std::string, int> Entries;
   const size_t Capacity;
   size_t Hits = 0;
   size_t Misses = 0;
-  size_t Evictions = 0;
 };
 
 } // namespace temos

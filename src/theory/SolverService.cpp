@@ -5,7 +5,7 @@
 using namespace temos;
 
 SolverService::SolverService(Theory Th, Config C)
-    : Cfg(C), Prototype(Th), Pool(C.NumThreads), Cache(C.CacheCapacity) {}
+    : Cfg(C), Prototype(Th), Pool(C.NumThreads) {}
 
 SatResult SolverService::cached(const std::string &Key,
                                 const std::function<SatResult()> &Compute) {
@@ -21,11 +21,9 @@ SatResult SolverService::cached(const std::string &Key,
   return R;
 }
 
-SatResult SolverService::checkLiterals(const std::vector<TheoryLiteral> &Literals,
-                                       Assignment *Model) {
+SatResult
+SolverService::checkLiterals(const std::vector<TheoryLiteral> &Literals) {
   SmtSolver Solver = Prototype.clone();
-  if (Model)
-    return Solver.checkLiterals(Literals, Model);
   std::vector<std::pair<std::string, bool>> Rendered;
   Rendered.reserve(Literals.size());
   for (const TheoryLiteral &L : Literals)
@@ -36,18 +34,9 @@ SatResult SolverService::checkLiterals(const std::vector<TheoryLiteral> &Literal
   return cached(Key, [&] { return Solver.checkLiterals(Literals); });
 }
 
-SatResult SolverService::checkFormula(const Formula *F, Assignment *Model) {
+SatResult SolverService::checkFormula(const Formula *F) {
   SmtSolver Solver = Prototype.clone();
-  if (Model)
-    return Solver.checkFormula(F, Model);
   std::string Key = std::string("formula/") + theoryName(theory()) + "|" +
                     F->str();
   return cached(Key, [&] { return Solver.checkFormula(F); });
-}
-
-SatResult SolverService::checkValid(const Formula *F, Context &Ctx) {
-  SmtSolver Solver = Prototype.clone();
-  std::string Key = std::string("valid/") + theoryName(theory()) + "|" +
-                    F->str();
-  return cached(Key, [&] { return Solver.checkValid(F, Ctx); });
 }

@@ -6,16 +6,12 @@
 ///
 ///  * a SolverPool of workers, each running its own SmtSolver clone
 ///    (SmtSolver::clone() is cheap because the solver keeps no state
-///    between queries),
+///    between queries), and
 ///  * a QueryCache memoizing verdicts under canonical structural keys
-///    (theory tag + sorted literal renderings), and
-///  * an UnsatCoreStore that consistency-check workers publish cores to
-///    so concurrent workers can skip supersets (best-effort pruning; the
-///    deterministic post-filter in the consistency checker makes the
-///    emitted assumption set independent of the pruning races).
+///    (theory tag + sorted literal renderings).
 ///
-/// Model-producing queries bypass the cache: the cache stores verdicts
-/// only, and callers that need a model need the actual solver run.
+/// The cache stores verdicts only; a caller that needs a model runs an
+/// SmtSolver of its own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,41 +22,10 @@
 #include "support/SolverPool.h"
 #include "theory/SmtSolver.h"
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 
 namespace temos {
-
-/// Shared store of unsatisfiable literal combinations, as bitmasks over
-/// a fixed predicate numbering. Workers publish cores as they find them
-/// and consult the store to skip supersets whose verdict is implied.
-class UnsatCoreStore {
-public:
-  void publish(uint32_t Mask) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Cores.push_back(Mask);
-  }
-
-  /// True if some published core is a subset of \p Mask (the mask's
-  /// unsatisfiability is already implied).
-  bool subsumes(uint32_t Mask) const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    for (uint32_t Core : Cores)
-      if ((Mask & Core) == Core)
-        return true;
-    return false;
-  }
-
-  std::vector<uint32_t> snapshot() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return Cores;
-  }
-
-private:
-  mutable std::mutex Mutex;
-  std::vector<uint32_t> Cores;
-};
 
 /// Parallel, memoizing satisfiability service over one theory.
 class SolverService {
@@ -70,9 +35,6 @@ public:
     unsigned NumThreads = 1;
     /// Memoize verdicts in the query cache.
     bool CacheEnabled = true;
-    /// Entry cap for the query cache (LRU eviction past it); 0 means
-    /// unbounded.
-    size_t CacheCapacity = QueryCache::DefaultCapacity;
   };
 
   explicit SolverService(Theory Th) : SolverService(Th, Config()) {}
@@ -82,16 +44,11 @@ public:
   const Config &config() const { return Cfg; }
 
   /// Satisfiability of a literal conjunction, served from the cache
-  /// when possible. Pass \p Model to obtain a satisfying assignment;
-  /// model queries always run the solver.
-  SatResult checkLiterals(const std::vector<TheoryLiteral> &Literals,
-                          Assignment *Model = nullptr);
+  /// when possible.
+  SatResult checkLiterals(const std::vector<TheoryLiteral> &Literals);
 
   /// Satisfiability of a boolean-structure formula (cached).
-  SatResult checkFormula(const Formula *F, Assignment *Model = nullptr);
-
-  /// Validity of \p F (cached). NNF construction happens in \p Ctx.
-  SatResult checkValid(const Formula *F, Context &Ctx);
+  SatResult checkFormula(const Formula *F);
 
   /// The worker pool, for phases that fan out their own task structure
   /// (the consistency checker's subset sweep, per-obligation SyGuS).
@@ -101,7 +58,6 @@ public:
   /// per-query clone inherits the shared token, so one call bounds all
   /// in-flight and future queries. Default Deadline detaches.
   void setDeadline(const Deadline &D) { Prototype.setDeadline(D); }
-  const Deadline &deadline() const { return Prototype.deadline(); }
 
   QueryCache &cache() { return Cache; }
   const QueryCache &cache() const { return Cache; }

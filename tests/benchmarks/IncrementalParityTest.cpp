@@ -7,8 +7,9 @@
 /// the same verdict, the same generated assumptions, and byte-identical
 /// emitted JavaScript and C++. A second group pins jobs=4 to jobs=1
 /// under the incremental engine, and a third runs one Synthesizer twice
-/// to check the cross-run reuse counters (NBA cache hit, arena states
-/// kept alive) actually fire without changing the output.
+/// (eager Counting, lazy Vibrato) to pin the per-call reuse counters
+/// (NBA cache hits, arena states kept alive) without changing the
+/// output.
 ///
 /// The three slowest benchmarks (Multi-effect, Load Balancer, CFS) only
 /// run when TEMOS_GOLDEN_SLOW is set, mirroring the golden-file suite.
@@ -141,31 +142,51 @@ TEST(IncrementalParity, JobsFourMatchesJobsOne) {
   }
 }
 
-/// Two runs on one Synthesizer: the second must hit the NBA cache and
-/// reuse the live arena, and still produce byte-identical output.
+/// Two runs on one Synthesizer: the second must hit the NBA cache on
+/// every reactive invocation and reuse the live arena, and still produce
+/// byte-identical output. Counting is eager with one reactive run;
+/// lazy Vibrato makes three reactive runs on three distinct specs, so
+/// the engine keeps one memo entry per spec across the two runs.
 TEST(IncrementalParity, SecondRunReusesEngineState) {
-  const BenchmarkSpec *B = findBenchmark("Counting");
-  ASSERT_NE(B, nullptr);
+  struct Row {
+    const char *Name;
+    bool Eager;
+    unsigned ReactiveRuns;
+  };
+  const Row Rows[] = {{"Counting", true, 1}, {"Vibrato", false, 3}};
+  for (const Row &R : Rows) {
+    SCOPED_TRACE(R.Name);
+    const BenchmarkSpec *B = findBenchmark(R.Name);
+    ASSERT_NE(B, nullptr);
 
-  Context Ctx;
-  auto Spec = parseSpecification(B->Source, Ctx);
-  ASSERT_TRUE(Spec.ok()) << Spec.error().str();
-  Synthesizer Synth(Ctx);
+    Context Ctx;
+    auto Spec = parseSpecification(B->Source, Ctx);
+    ASSERT_TRUE(Spec.ok()) << Spec.error().str();
+    Synthesizer Synth(Ctx);
+    PipelineOptions Options;
+    Options.Eager = R.Eager;
 
-  PipelineResult First = Synth.run(*Spec, {});
-  ASSERT_EQ(First.Status, Realizability::Realizable);
-  ASSERT_TRUE(First.Machine.has_value());
-  std::string FirstJs = emitJavaScript(*First.Machine, First.AB, *Spec);
+    PipelineResult First = Synth.run(*Spec, Options);
+    ASSERT_EQ(First.Status, Realizability::Realizable);
+    ASSERT_TRUE(First.Machine.has_value());
+    EXPECT_EQ(First.Stats.ReactiveRuns, R.ReactiveRuns);
+    EXPECT_EQ(First.Stats.NbaCacheMisses, R.ReactiveRuns);
+    std::string FirstJs = emitJavaScript(*First.Machine, First.AB, *Spec);
 
-  PipelineResult Second = Synth.run(*Spec, {});
-  ASSERT_EQ(Second.Status, Realizability::Realizable);
-  ASSERT_TRUE(Second.Machine.has_value());
-
-  EXPECT_EQ(emitJavaScript(*Second.Machine, Second.AB, *Spec), FirstJs);
-  EXPECT_GT(Second.Stats.NbaCacheHits, 0u);
-  ASSERT_FALSE(Second.Stats.ReactiveDetail.empty());
-  EXPECT_TRUE(Second.Stats.ReactiveDetail.front().NbaCacheHit);
-  EXPECT_GT(Second.Stats.ReactiveDetail.front().ArenaStatesReused, 0u);
+    PipelineResult Second = Synth.run(*Spec, Options);
+    ASSERT_EQ(Second.Status, Realizability::Realizable);
+    ASSERT_TRUE(Second.Machine.has_value());
+    EXPECT_EQ(emitJavaScript(*Second.Machine, Second.AB, *Spec), FirstJs);
+    EXPECT_EQ(Second.Stats.ReactiveRuns, R.ReactiveRuns);
+    EXPECT_EQ(Second.Stats.NbaCacheHits, R.ReactiveRuns);
+    EXPECT_EQ(Second.Stats.NbaCacheMisses, 0u);
+    EXPECT_EQ(Second.Stats.CacheMisses, 0u);
+    ASSERT_EQ(Second.Stats.ReactiveDetail.size(), R.ReactiveRuns);
+    for (const ReactiveRunStats &Run : Second.Stats.ReactiveDetail) {
+      EXPECT_TRUE(Run.NbaCacheHit) << "round " << Run.Round;
+      EXPECT_GT(Run.ArenaStatesReused, 0u) << "round " << Run.Round;
+    }
+  }
 }
 
 } // namespace

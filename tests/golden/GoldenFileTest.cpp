@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <ostream>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -51,6 +52,11 @@ const GoldenBenchmark Benchmarks[] = {
     {"Preemptive", "preemptive", false},
     {"CFS", "cfs", true},
 };
+
+/// Prints a row as its benchmark name. gtest's fallback prints the
+/// struct's raw bytes, pointers included, and those addresses would leak
+/// into the registered test names and change with every build.
+void PrintTo(const GoldenBenchmark &B, std::ostream *OS) { *OS << B.Name; }
 
 std::pair<int, std::string> runCli(const std::string &Args) {
   std::string Command =

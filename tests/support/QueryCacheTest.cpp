@@ -90,56 +90,28 @@ TEST(QueryCache, CanonicalKeyResistsConcatenationCollisions) {
   EXPECT_NE(AbC, ABc);
 }
 
-TEST(QueryCache, EvictsLeastRecentlyUsedAtCapacity) {
-  QueryCache Cache(2);
-  EXPECT_EQ(Cache.capacity(), 2u);
-  Cache.insert("a", 1);
-  Cache.insert("b", 2);
-  // Touch "a" so "b" becomes the LRU entry.
-  EXPECT_TRUE(Cache.lookup("a").has_value());
-  Cache.insert("c", 3);
-  EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_EQ(Cache.evictions(), 1u);
-  EXPECT_TRUE(Cache.lookup("a").has_value());
-  EXPECT_TRUE(Cache.lookup("c").has_value());
-  EXPECT_FALSE(Cache.lookup("b").has_value());
-}
-
-TEST(QueryCache, ReinsertRefreshesRecencyWithoutEvicting) {
+TEST(QueryCache, DropsEverythingAtCapacity) {
   QueryCache Cache(2);
   Cache.insert("a", 1);
   Cache.insert("b", 2);
-  // Overwriting "a" must not evict anything and must move "a" to the
-  // front, so the next insert evicts "b".
+  // Overwriting a present key never drops.
   Cache.insert("a", 9);
-  EXPECT_EQ(Cache.evictions(), 0u);
+  EXPECT_EQ(Cache.size(), 2u);
+  EXPECT_EQ(Cache.lookup("a"), 9);
+  // A new key on a full cache drops every entry first.
   Cache.insert("c", 3);
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_EQ(Cache.lookup("c"), 3);
+  EXPECT_FALSE(Cache.lookup("a").has_value());
   EXPECT_FALSE(Cache.lookup("b").has_value());
-  std::optional<int> A = Cache.lookup("a");
-  ASSERT_TRUE(A.has_value());
-  EXPECT_EQ(*A, 9);
-}
-
-TEST(QueryCache, ZeroCapacityMeansUnbounded) {
-  QueryCache Cache(0);
-  for (int I = 0; I < 1000; ++I)
-    Cache.insert("k" + std::to_string(I), I);
-  EXPECT_EQ(Cache.size(), 1000u);
-  EXPECT_EQ(Cache.evictions(), 0u);
-}
-
-TEST(QueryCache, ClearResetsEvictions) {
-  QueryCache Cache(1);
-  Cache.insert("a", 1);
-  Cache.insert("b", 2);
-  EXPECT_EQ(Cache.evictions(), 1u);
-  Cache.clear();
-  EXPECT_EQ(Cache.evictions(), 0u);
-  EXPECT_EQ(Cache.size(), 0u);
+  // Traffic counts survive the drop: the pipeline's per-run deltas
+  // subtract snapshots of them.
+  EXPECT_EQ(Cache.hits(), 2u);
+  EXPECT_EQ(Cache.misses(), 2u);
 }
 
 TEST(QueryCache, ConcurrentUseUnderCapacityPressureStaysCoherent) {
-  // Eviction under contention: counts stay coherent and every lookup
+  // Drops under contention: counts stay coherent and every lookup
   // that hits returns the verdict originally stored for that key.
   QueryCache Cache(4);
   SolverPool Pool(4);
