@@ -61,6 +61,12 @@ if [ "$REPLAY_EXIT" -ne 1 ]; then
   exit 1
 fi
 
+echo "== perfbench: the benchmark still builds against src/ and self-tests =="
+# perfbench compiles against src/ headers (buildNba, checkConsistency,
+# SynthesisEngine::synthesize, the PipelineStats fields); a signature
+# change there would otherwise break only the benchmark.
+python3 perfbench/run.py --self-test
+
 echo "== tier 5: ThreadSanitizer on the solver-service tests =="
 scripts/run_tsan.sh
 

@@ -11,6 +11,11 @@ using namespace temos;
 
 namespace {
 
+/// Transition budget of one construction (exceeded -> BudgetExceeded),
+/// checked on the generalized automaton and again on the degeneralized
+/// one.
+constexpr size_t MaxTransitions = 2000000;
+
 /// A set of formulas ordered by stable id (deterministic across runs).
 using FormulaSet = std::vector<const Formula *>;
 
@@ -310,7 +315,7 @@ void TableauCache::clear() {
 
 Nba temos::buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
                     TableauStats *Stats, const TableauLimits &Limits,
-                    TableauCache *Cache) {
+                    TableauCache *Cache, const Deadline &Dl) {
   const Formula *Nnf = Ctx.Formulas.toNNF(F);
 
   std::vector<const Formula *> AcceptanceFormulas;
@@ -409,12 +414,12 @@ Nba temos::buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
   size_t TotalTransitions = 0;
   for (uint32_t S = 0; S < StateSets.size(); ++S) {
     if (StateSets.size() > Limits.MaxGeneralizedStates ||
-        TotalTransitions > Limits.MaxTransitions) {
+        TotalTransitions > MaxTransitions) {
       if (Stats)
         Stats->BudgetExceeded = true;
       return Nba();
     }
-    if (Limits.Dl.expired()) {
+    if (Dl.expired()) {
       if (Stats) {
         Stats->BudgetExceeded = true;
         Stats->TimedOut = true;
@@ -462,7 +467,7 @@ Nba temos::buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
   Result.setInitial(InitialNba);
   size_t TransitionCount = 0;
   while (!Pending.empty()) {
-    if (Limits.Dl.expired()) {
+    if (Dl.expired()) {
       if (Stats) {
         Stats->BudgetExceeded = true;
         Stats->TimedOut = true;
@@ -484,7 +489,7 @@ Nba temos::buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
       uint32_t To = GetNbaState(T.Target, NewLevel);
       Result.addTransition(From, {T.Guard, To, Accepting});
       ++TransitionCount;
-      if (TransitionCount > Limits.MaxTransitions) {
+      if (TransitionCount > MaxTransitions) {
         if (Stats)
           Stats->BudgetExceeded = true;
         return Nba();
@@ -499,7 +504,12 @@ Nba temos::buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
   return Result;
 }
 
-bool temos::isSatisfiable(const Formula *F, Context &Ctx, const Alphabet &AB) {
-  Nba A = buildNba(F, Ctx, AB);
+std::optional<bool> temos::isSatisfiable(const Formula *F, Context &Ctx,
+                                         const Alphabet &AB,
+                                         const Deadline &Dl) {
+  TableauStats Stats;
+  Nba A = buildNba(F, Ctx, AB, &Stats, {}, nullptr, Dl);
+  if (Stats.BudgetExceeded)
+    return std::nullopt;
   return A.isNonEmpty(AB);
 }

@@ -23,6 +23,7 @@
 #include "support/Deadline.h"
 
 #include <memory>
+#include <optional>
 
 namespace temos {
 
@@ -40,16 +41,9 @@ struct TableauStats {
   bool TimedOut = false;
 };
 
-/// Resource budgets for the construction (exceeded -> BudgetExceeded).
+/// Resource budget for the construction (exceeded -> BudgetExceeded).
 struct TableauLimits {
   size_t MaxGeneralizedStates = 20000;
-  size_t MaxTransitions = 2000000;
-  /// Cooperative deadline polled once per expanded state and per
-  /// degeneralization wave. NOT part of the construction's identity:
-  /// cache keys (the engine's limitsKey) cover only the numeric budgets
-  /// above, which is sound because a deadline can only abort a build
-  /// (never-cached) -- it cannot change a completed automaton.
-  Deadline Dl;
 };
 
 class TableauCache;
@@ -57,11 +51,13 @@ class TableauCache;
 /// Builds the NBA of \p F (converted to NNF internally) over \p AB.
 /// Every predicate and update atom of \p F must be registered in the
 /// alphabet. With a non-null \p Cache, per-state expansions are served
-/// from / recorded into the cache (see TableauCache).
+/// from / recorded into the cache (see TableauCache). \p Dl is polled
+/// once per expanded state and per degeneralization wave; expiry aborts
+/// the build (BudgetExceeded and TimedOut).
 Nba buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
              TableauStats *Stats = nullptr,
              const TableauLimits &Limits = {},
-             TableauCache *Cache = nullptr);
+             TableauCache *Cache = nullptr, const Deadline &Dl = {});
 
 /// Cross-build memo for the tableau's per-state expansion work.
 ///
@@ -96,15 +92,19 @@ public:
 
 private:
   friend Nba buildNba(const Formula *, Context &, const Alphabet &,
-                      TableauStats *, const TableauLimits &, TableauCache *);
+                      TableauStats *, const TableauLimits &, TableauCache *,
+                      const Deadline &);
   struct Impl;
   std::unique_ptr<Impl> I;
 };
 
 /// LTL satisfiability of \p F under the underapproximation: does some
 /// trace (sequence of letters) satisfy it? Used by the refinement loop's
-/// CHECK-SAT (Alg. 4) and by tests.
-bool isSatisfiable(const Formula *F, Context &Ctx, const Alphabet &AB);
+/// CHECK-SAT (Alg. 4) and by tests. nullopt when the construction was
+/// cut off (tableau budget or \p Dl): the question stays undecided.
+std::optional<bool> isSatisfiable(const Formula *F, Context &Ctx,
+                                  const Alphabet &AB,
+                                  const Deadline &Dl = {});
 
 } // namespace temos
 

@@ -2,7 +2,8 @@
 
 #include "benchmarks/BenchJson.h"
 
-#include <cctype>
+#include "support/StringUtils.h"
+
 #include <cstdio>
 #include <fstream>
 
@@ -142,13 +143,7 @@ std::string temos::benchJson(const std::string &Name, Realizability Status,
 }
 
 std::string temos::benchJsonFileName(const std::string &Name) {
-  std::string Safe;
-  for (char C : Name)
-    Safe += (std::isalnum(static_cast<unsigned char>(C)) || C == '_' ||
-             C == '-')
-                ? C
-                : '_';
-  return "BENCH_" + Safe + ".json";
+  return "BENCH_" + fileSafeName(Name) + ".json";
 }
 
 std::string temos::writeBenchJson(const std::string &Dir,

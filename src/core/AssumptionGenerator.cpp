@@ -164,7 +164,6 @@ std::optional<GeneratedAssumption> AssumptionGenerator::generate(
   if (auto Program =
           Solver.synthesizeSequentialUpTo(Query, ExcludedSeq, Stats))
     return encodeSequential(Ob, *Program);
-  Solver.Opts.MaxBodySteps = 1; // Only 1-step bodies are encodable.
   if (auto Program = Solver.synthesizeLoop(Query, ExcludedLoop, Stats))
     return encodeLoop(Ob, *Program);
   return std::nullopt;

@@ -80,10 +80,10 @@ std::vector<uint32_t> candidateMasks(size_t N, unsigned MaxSize) {
 ConsistencyResult checkSerial(const std::vector<const Term *> &Predicates,
                               Theory Th, Context &Ctx,
                               const ConsistencyOptions &Options,
-                              SolverService *Service) {
+                              SolverService *Service, const Deadline &Dl) {
   ConsistencyResult Result;
   SmtSolver Solver(Th);
-  Solver.setDeadline(Options.Dl);
+  Solver.setDeadline(Dl);
   const size_t N = Predicates.size();
 
   // Combinations already found unsatisfiable (as bitmasks), used to skip
@@ -107,7 +107,7 @@ ConsistencyResult checkSerial(const std::vector<const Term *> &Predicates,
     // Degrade gracefully on deadline expiry: skip the remaining
     // combinations but keep everything found so far (each emitted
     // assumption is individually valid).
-    if (Options.Dl.expired()) {
+    if (Dl.expired()) {
       ++Result.DeadlineSkipped;
       continue;
     }
@@ -147,7 +147,7 @@ ConsistencyResult checkSerial(const std::vector<const Term *> &Predicates,
 ConsistencyResult checkParallel(const std::vector<const Term *> &Predicates,
                                 Context &Ctx,
                                 const ConsistencyOptions &Options,
-                                SolverService &Service) {
+                                SolverService &Service, const Deadline &Dl) {
   ConsistencyResult Result;
   const std::vector<uint32_t> Masks =
       candidateMasks(Predicates.size(), Options.MaxSubsetSize);
@@ -164,7 +164,7 @@ ConsistencyResult checkParallel(const std::vector<const Term *> &Predicates,
       return; // Verdict stays Skipped.
     // Degraded mode: past the deadline, tasks become no-ops and the
     // post-filter emits whatever the completed checks establish.
-    if (Options.Dl.expired()) {
+    if (Dl.expired()) {
       DeadlineSkipped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -217,12 +217,12 @@ ConsistencyResult
 temos::checkConsistency(const std::vector<const Term *> &Predicates,
                         Theory Th, Context &Ctx,
                         const ConsistencyOptions &Options,
-                        SolverService *Service) {
+                        SolverService *Service, const Deadline &Dl) {
   if (Predicates.empty())
     return ConsistencyResult();
   assert(Predicates.size() <= 24 &&
          "too many predicates for powerset consistency checking");
   if (Service && Service->pool().workerCount() > 0)
-    return checkParallel(Predicates, Ctx, Options, *Service);
-  return checkSerial(Predicates, Th, Ctx, Options, Service);
+    return checkParallel(Predicates, Ctx, Options, *Service, Dl);
+  return checkSerial(Predicates, Th, Ctx, Options, Service, Dl);
 }

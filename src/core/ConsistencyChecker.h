@@ -44,12 +44,6 @@ struct ConsistencyOptions {
   /// already-unsat set are skipped). Off reproduces the paper's plain
   /// powerset enumeration.
   bool MinimalCoresOnly = true;
-  /// Cooperative deadline, polled once per candidate combination. On
-  /// expiry the sweep degrades gracefully: remaining combinations are
-  /// skipped (counted in ConsistencyResult::DeadlineSkipped) and the
-  /// assumptions found so far are still emitted -- each one is valid on
-  /// its own, so a partial sweep only under-constrains the environment.
-  Deadline Dl;
 };
 
 /// Result of a consistency-checking run.
@@ -72,10 +66,17 @@ struct ConsistencyResult {
 /// With a null \p Service (or a single-threaded one) the checks run
 /// serially on the calling thread; a service with workers fans them out
 /// across its pool and serves repeats from its query cache.
+///
+/// \p Dl is polled once per candidate combination. On expiry the sweep
+/// degrades gracefully: remaining combinations are skipped (counted in
+/// ConsistencyResult::DeadlineSkipped) and the assumptions found so far
+/// are still emitted -- each one is valid on its own, so a partial sweep
+/// only under-constrains the environment.
 ConsistencyResult checkConsistency(const std::vector<const Term *> &Predicates,
                                    Theory Th, Context &Ctx,
                                    const ConsistencyOptions &Options = {},
-                                   SolverService *Service = nullptr);
+                                   SolverService *Service = nullptr,
+                                   const Deadline &Dl = {});
 
 } // namespace temos
 

@@ -28,6 +28,10 @@ std::string Obligation::str() const {
 
 namespace {
 
+bool sameLiteral(const TheoryLiteral &A, const TheoryLiteral &B) {
+  return A.Atom == B.Atom && A.Positive == B.Positive;
+}
+
 /// A post-condition candidate discovered by the AST traversal.
 struct PostCandidate {
   TheoryLiteral Literal;
@@ -40,8 +44,7 @@ struct PostCandidate {
   bool FromTraversal = true;
 
   bool operator==(const PostCandidate &RHS) const {
-    return Literal.Atom == RHS.Literal.Atom &&
-           Literal.Positive == RHS.Literal.Positive && K == RHS.K &&
+    return sameLiteral(Literal, RHS.Literal) && K == RHS.K &&
            Steps == RHS.Steps;
   }
 };
@@ -170,88 +173,53 @@ Decomposition temos::decompose(const Specification &Spec, Context &Ctx,
   Scan(Spec.Guarantees);
 
   // The "powerset of post-conditions": every literal is a reachability
-  // target (traversal-derived posts keep priority by coming first).
-  if (Options.AllLiteralsAsEventualPosts) {
-    for (const Term *P : Result.PredicateLiterals) {
-      PostCandidate C;
-      C.Literal = {P, true};
-      C.K = Obligation::Kind::Eventually;
-      C.FromTraversal = false;
-      if (std::find(Posts.begin(), Posts.end(), C) == Posts.end())
-        Posts.push_back(C);
-    }
-  }
-
-  // Pre-condition combinations: literal singletons (both polarities when
-  // enabled) and, if requested, positive conjunctions up to the cap.
-  std::vector<std::vector<TheoryLiteral>> Pres;
+  // target (traversal-derived posts keep priority by coming first). This
+  // is what derives the CFS vruntime-flip properties of Sec. 2, which
+  // appear under no temporal operator in Fig. 2.
   for (const Term *P : Result.PredicateLiterals) {
-    Pres.push_back({TheoryLiteral{P, true}});
-    if (Options.NegatedPreLiterals)
-      Pres.push_back({TheoryLiteral{P, false}});
-  }
-  if (Options.MaxPreConjuncts >= 2) {
-    for (size_t I = 0; I < Result.PredicateLiterals.size(); ++I)
-      for (size_t J = I + 1; J < Result.PredicateLiterals.size(); ++J)
-        Pres.push_back({TheoryLiteral{Result.PredicateLiterals[I], true},
-                        TheoryLiteral{Result.PredicateLiterals[J], true}});
+    PostCandidate C;
+    C.Literal = {P, true};
+    C.K = Obligation::Kind::Eventually;
+    C.FromTraversal = false;
+    if (std::find(Posts.begin(), Posts.end(), C) == Posts.end())
+      Posts.push_back(C);
   }
 
   // Canonicalize literals modulo the theory and deduplicate.
-  auto CanonList = [&](std::vector<PostCandidate> &List) {
-    std::vector<PostCandidate> Out;
-    for (PostCandidate &C : List) {
-      C.Literal = Canon.canonical(C.Literal);
-      if (std::find(Out.begin(), Out.end(), C) == Out.end())
-        Out.push_back(C);
-    }
-    List = std::move(Out);
-  };
-  CanonList(Posts);
-  {
-    std::vector<std::vector<TheoryLiteral>> Out;
-    for (auto &Pre : Pres) {
-      for (TheoryLiteral &L : Pre)
-        L = Canon.canonical(L);
-      bool Duplicate = false;
-      for (const auto &Existing : Out) {
-        if (Existing.size() != Pre.size())
-          continue;
-        bool Same = true;
-        for (size_t I = 0; I < Pre.size(); ++I)
-          Same &= Existing[I].Atom == Pre[I].Atom &&
-                  Existing[I].Positive == Pre[I].Positive;
-        if (Same) {
-          Duplicate = true;
-          break;
-        }
-      }
-      if (!Duplicate)
-        Out.push_back(Pre);
-    }
-    Pres = std::move(Out);
+  std::vector<PostCandidate> CanonPosts;
+  for (PostCandidate &C : Posts) {
+    C.Literal = Canon.canonical(C.Literal);
+    if (std::find(CanonPosts.begin(), CanonPosts.end(), C) ==
+        CanonPosts.end())
+      CanonPosts.push_back(C);
   }
 
-  // Cross pre-combinations with post-candidates (Alg. 1 lines 26-30).
-  for (const PostCandidate &Post : Posts) {
-    for (const auto &Pre : Pres) {
+  // Pre-conditions are single literals of both polarities, where the
+  // paper takes the powerset (see EXPERIMENTS.md).
+  std::vector<TheoryLiteral> Pres;
+  for (const Term *P : Result.PredicateLiterals)
+    for (bool Positive : {true, false}) {
+      TheoryLiteral L = Canon.canonical({P, Positive});
+      if (std::none_of(Pres.begin(), Pres.end(), [&](const TheoryLiteral &E) {
+            return sameLiteral(E, L);
+          }))
+        Pres.push_back(L);
+    }
+
+  // Cross pre-conditions with post-candidates (Alg. 1 lines 26-30).
+  for (const PostCandidate &Post : CanonPosts) {
+    for (const TheoryLiteral &Pre : Pres) {
       if (Result.Obligations.size() >= Options.MaxObligations)
         return Result;
       // F p given p as pre-condition is trivially fulfilled: skip.
-      if (Post.K == Obligation::Kind::Eventually && Pre.size() == 1 &&
-          Pre[0].Atom == Post.Literal.Atom &&
-          Pre[0].Positive == Post.Literal.Positive)
+      if (Post.K == Obligation::Kind::Eventually &&
+          sameLiteral(Pre, Post.Literal))
         continue;
       // Synthetic posts pair only with positive pre-conditions.
-      if (!Post.FromTraversal) {
-        bool AnyNegative = false;
-        for (const TheoryLiteral &L : Pre)
-          AnyNegative |= !L.Positive;
-        if (AnyNegative)
-          continue;
-      }
+      if (!Post.FromTraversal && !Pre.Positive)
+        continue;
       Obligation Ob;
-      Ob.Pre = Pre;
+      Ob.Pre = {Pre};
       Ob.Post = {Post.Literal};
       Ob.K = Post.K;
       Ob.Steps = Post.Steps;

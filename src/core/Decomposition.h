@@ -12,9 +12,10 @@
 ///  * an U left-hand side  ->  reachability obligation (the paper notes
 ///    G(p -> F p) collapses to F p since F F p = F p).
 ///
-/// Pre- and post-conditions are combined from the literal sets
-/// ("powerset" in the paper); the combination breadth is configurable
-/// because the full powerset is exponential.
+/// Post-conditions are the traversal's literals plus every predicate
+/// literal as a reachability target; pre-conditions are single literals
+/// of both polarities. The paper takes the powerset of both; the full
+/// powerset of pre-conditions is exponential.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,18 +48,6 @@ struct Obligation {
 
 /// Decomposition tunables.
 struct DecompositionOptions {
-  /// Maximum number of literals conjoined in a pre-condition (the paper
-  /// uses the full powerset; size caps keep obligation counts sane).
-  unsigned MaxPreConjuncts = 1;
-  /// Also try negated pre-condition literals.
-  bool NegatedPreLiterals = true;
-  /// Treat every predicate literal (both polarities) as a reachability
-  /// post-condition candidate in addition to the ones discovered by the
-  /// AST traversal. This realizes the paper's "powerset of
-  /// post-conditions" and is what derives the CFS vruntime-flip
-  /// properties of Sec. 2, which appear under no temporal operator in
-  /// Fig. 2.
-  bool AllLiteralsAsEventualPosts = true;
   /// Hard cap on emitted obligations.
   size_t MaxObligations = 256;
 };

@@ -10,25 +10,28 @@
 
 using namespace temos;
 
+namespace {
+
+/// Cap on W-encoded loop assumptions (Alg. 3), within the SyGuS cap:
+/// each one adds an Until and an Eventually acceptance set to the
+/// underlying automaton, which the explicit tableau pays for
+/// exponentially.
+constexpr size_t MaxLoopAssumptions = 3;
+
+} // namespace
+
 std::string PipelineOptions::validate() const {
   if (Parallelism.NumThreads == 0)
     return "Parallelism.NumThreads must be at least 1 (0 would leave the "
            "solver pool with no thread to run queries)";
-  if (MaxLoopAssumptions > MaxSygusAssumptions)
-    return "MaxLoopAssumptions (" + std::to_string(MaxLoopAssumptions) +
-           ") exceeds MaxSygusAssumptions (" +
-           std::to_string(MaxSygusAssumptions) +
-           "): loop assumptions count against the SyGuS cap, so the "
-           "surplus budget can never be used";
   // Zero is a meaningful "phase disabled" setting for MaxObligations /
-  // MaxSubsetSize / the assumption caps, so those are not rejected; only
+  // MaxSubsetSize / the assumption cap, so those are not rejected; only
   // combinations no configuration could ever want are.
   if (MaxRefinements > 0 && MaxSygusAssumptions == 0)
     return "MaxRefinements > 0 with MaxSygusAssumptions == 0: the "
            "refinement loop (Alg. 4) only ever replaces SyGuS-generated "
            "assumptions, so there is nothing it could refine";
-  if (Budget.TotalSeconds < 0 || Budget.ConsistencySeconds < 0 ||
-      Budget.SygusSeconds < 0 || Budget.ReactiveSeconds < 0)
+  if (Budget.TotalSeconds < 0 || Budget.SygusSeconds < 0)
     return "time budgets must be non-negative (0 means unlimited)";
   if (InjectSpinHang && Budget.TotalSeconds == 0 && Budget.SygusSeconds == 0)
     return "InjectSpinHang without a total or SyGuS time budget would spin "
@@ -119,14 +122,6 @@ size_t specSize(const Specification &Spec) {
   return Total;
 }
 
-/// Deadline for a phase: the phase budget starts ticking now, and the
-/// run-global deadline caps it from above.
-Deadline phaseDeadline(const Deadline &Global, double PhaseSeconds) {
-  Deadline Phase =
-      PhaseSeconds > 0 ? Deadline::after(PhaseSeconds) : Deadline();
-  return Deadline::earlier(Global, Phase);
-}
-
 /// Classifies a reactive-synthesis Unknown into the failure taxonomy:
 /// deadline expiry is a Timeout, the state/transition budgets are
 /// StateBudget.
@@ -155,11 +150,12 @@ struct Exclusions {
 
 /// One refinement step of Alg. 4 after an unrealizable eager round:
 /// replaces (or drops) the first unhelpful SyGuS assumption. Returns
-/// false when every assumption is executable.
+/// false when every assumption is executable, or when \p Dl cut a
+/// CHECK-SAT off (the run then ends Unknown with a Timeout record).
 bool refineUnhelpful(const Specification &Spec, Context &Ctx,
                      AssumptionGenerator &Generator, PipelineResult &Result,
                      const std::vector<const Formula *> &ForAlphabet,
-                     std::vector<Exclusions> &Excluded) {
+                     std::vector<Exclusions> &Excluded, const Deadline &Dl) {
   // Look for an "unhelpful" assumption (Alg. 4) -- one whose update
   // chain can never be executed when its pre-condition holds, detected
   // by the unsatisfiability of phi && G(pre -> upd) && F pre. The F pre
@@ -185,7 +181,21 @@ bool refineUnhelpful(const Specification &Spec, Context &Ctx,
     std::vector<const Formula *> CheckExtra = ForAlphabet;
     CheckExtra.push_back(Check);
     Alphabet CheckAB = Alphabet::build(Spec, Ctx, CheckExtra);
-    if (isSatisfiable(Check, Ctx, CheckAB))
+    std::optional<bool> Sat = isSatisfiable(Check, Ctx, CheckAB, Dl);
+    if (!Sat) {
+      if (Dl.expired()) {
+        Result.Status = Realizability::Unknown;
+        Result.Stats.Failures.push_back({FailureKind::Timeout, "refinement",
+                                         "deadline expired during CHECK-SAT"});
+        return false;
+      }
+      // Undecided: without evidence that it is unhelpful, keep it.
+      Result.Stats.Failures.push_back(
+          {FailureKind::StateBudget, "refinement",
+           "CHECK-SAT tableau budget exceeded; assumption kept"});
+      continue;
+    }
+    if (*Sat)
       continue; // Helpful (executable) assumption: keep it.
 
     // Re-run SyGuS, excluding the unhelpful program.
@@ -229,15 +239,13 @@ void Synthesizer::generateAssumptions(const Specification &Spec,
   Result.Stats.UpdateTermCount = Decomp.UpdateTerms.size();
 
   SolverService &Svc = ensureService(Spec.Th, Options);
-  ConsistencyOptions ConsOpts = Options.Consistency;
-  if (!ConsOpts.Dl.armed())
-    ConsOpts.Dl = phaseDeadline(Global, Options.Budget.ConsistencySeconds);
   // The service deadline is (re)set at the start of every phase, so a
   // deadline left over from a previous phase or run can never leak into
   // this one's queries.
-  Svc.setDeadline(ConsOpts.Dl);
-  ConsistencyResult Consistency = checkConsistency(
-      Decomp.PredicateLiterals, Spec.Th, Ctx, ConsOpts, &Svc);
+  Svc.setDeadline(Global);
+  ConsistencyResult Consistency =
+      checkConsistency(Decomp.PredicateLiterals, Spec.Th, Ctx,
+                       Options.Consistency, &Svc, Global);
   Result.ConsistencyAssumptions = Consistency.Assumptions;
   Result.Stats.ConsistencyQueries = Consistency.SolverQueries;
   if (Consistency.DeadlineSkipped > 0)
@@ -258,8 +266,11 @@ void Synthesizer::generateAssumptions(const Specification &Spec,
   // is therefore identical for every NumThreads value, and a one-thread
   // run generates one obligation at a time and none past the cap.
   const std::vector<Obligation> &Obs = Decomp.Obligations;
-  const Deadline SygusDl =
-      phaseDeadline(Global, Options.Budget.SygusSeconds);
+  // The SyGuS budget starts ticking now; the total budget caps it.
+  const Deadline SygusDl = Deadline::earlier(
+      Global, Options.Budget.SygusSeconds > 0
+                  ? Deadline::after(Options.Budget.SygusSeconds)
+                  : Deadline());
   Svc.setDeadline(SygusDl);
   struct Outcome {
     std::optional<GeneratedAssumption> G;
@@ -298,7 +309,7 @@ void Synthesizer::generateAssumptions(const Specification &Spec,
       std::optional<GeneratedAssumption> &G = Batch[I].G;
       if (!G)
         continue;
-      if (G->IsLoop && LoopCount >= Options.MaxLoopAssumptions)
+      if (G->IsLoop && LoopCount >= MaxLoopAssumptions)
         continue;
       if (std::find(SeenAssumptions.begin(), SeenAssumptions.end(),
                     G->Assumption) != SeenAssumptions.end())
@@ -363,18 +374,13 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
   // --- Reactive synthesis + refinement loop (Sec. 4.4, Alg. 4). ----------
   Timer SynthTimer;
   CpuTimer SynthCpu;
-  // One deadline covers the whole phase: every reactive invocation and
-  // every refinement re-synthesis shares it.
-  const Deadline SynthDl =
-      phaseDeadline(Global, Options.Budget.ReactiveSeconds);
-  Svc.setDeadline(SynthDl);
+  // The total budget covers the whole phase: every reactive invocation,
+  // every CHECK-SAT and every refinement re-synthesis.
+  Svc.setDeadline(Global);
   AssumptionGenerator Generator(Spec, Ctx);
   Generator.Opts = Options.Sygus;
   Generator.setService(&Svc);
-  Generator.setDeadline(SynthDl);
-  SynthesisOptions ReactiveOpts = Options.Reactive;
-  if (!ReactiveOpts.Dl.armed())
-    ReactiveOpts.Dl = SynthDl;
+  Generator.setDeadline(Global);
   std::vector<Exclusions> Excluded(Result.SygusAssumptions.size());
 
   // Eager mode (the paper's approach) synthesizes with every SyGuS
@@ -399,9 +405,9 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
     Result.AB = Alphabet::build(Spec, Ctx, ForAlphabet);
 
     ++Result.Stats.ReactiveRuns;
-    SynthesisResult Reactive =
-        Engine.synthesize(Phi, Ctx, Result.AB, ReactiveOpts, &Svc.pool());
-    recordReactiveRun(Result, Round, Reactive, ReactiveOpts.Incremental);
+    SynthesisResult Reactive = Engine.synthesize(
+        Phi, Ctx, Result.AB, Options.Reactive, &Svc.pool(), Global);
+    recordReactiveRun(Result, Round, Reactive, Options.Reactive.Incremental);
     Result.Stats.GameStates =
         std::max(Result.Stats.GameStates, Reactive.Stats.GameStates);
     Result.Status = Reactive.Status;
@@ -417,7 +423,7 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
     // round's refinement step still runs and counts.
     if (Options.Eager) {
       if (!refineUnhelpful(Spec, Ctx, Generator, Result, ForAlphabet,
-                           Excluded) ||
+                           Excluded, Global) ||
           Round >= Options.MaxRefinements)
         break;
     } else if (SygusUsed == Result.SygusAssumptions.size()) {

@@ -43,19 +43,17 @@ struct ParallelismOptions {
 };
 
 /// Wall-clock budgets for one pipeline run, in seconds; 0 = unlimited.
-/// Each per-phase budget starts ticking when its phase starts and is
-/// additionally capped by the global budget (whichever deadline falls
+/// The SyGuS budget starts ticking when its phase starts and is
+/// additionally capped by the total budget (whichever deadline falls
 /// earlier wins). Expiry never aborts the process: the affected phase
 /// degrades -- consistency checking emits the (individually valid)
 /// assumptions found so far, SyGuS marks the obligation unresolved,
-/// reactive synthesis reports Unknown -- and every degradation is
-/// recorded as a Timeout entry in PipelineStats::Failures.
+/// reactive synthesis and the Alg. 4 CHECK-SAT report Unknown -- and
+/// every degradation is recorded as a Timeout entry in
+/// PipelineStats::Failures.
 struct TimeBudget {
   double TotalSeconds = 0;
-  double ConsistencySeconds = 0;
   double SygusSeconds = 0;
-  /// Covers reactive synthesis plus the Alg. 4 refinement loop.
-  double ReactiveSeconds = 0;
 };
 
 /// Pipeline tunables.
@@ -72,11 +70,6 @@ struct PipelineOptions {
   /// not generated (obligation order gives traversal-derived posts
   /// priority). Keeps the assumption automaton tractable.
   size_t MaxSygusAssumptions = 16;
-  /// Separate, tighter cap on W-encoded loop assumptions (Alg. 3): each
-  /// one adds an Until and an Eventually acceptance set to the
-  /// underlying automaton, which the explicit tableau pays for
-  /// exponentially.
-  size_t MaxLoopAssumptions = 3;
   /// Apply the equivalence-preserving formula simplifier to the final
   /// TSL-with-assumptions formula before automaton construction.
   bool SimplifyBeforeSynthesis = true;
@@ -93,10 +86,9 @@ struct PipelineOptions {
   bool InjectSpinHang = false;
 
   /// Checks the option combination for contradictions the pipeline
-  /// cannot honor (zero worker threads, a loop-assumption cap above the
-  /// total SyGuS cap, refinement with SyGuS disabled, ...). Zero-valued
-  /// phase budgets mean "phase disabled" and are accepted. Returns an
-  /// empty string when the options are coherent, otherwise a
+  /// cannot honor (zero worker threads, refinement with SyGuS disabled,
+  /// ...). Zero-valued budgets mean "unlimited" and are accepted.
+  /// Returns an empty string when the options are coherent, otherwise a
   /// human-readable diagnostic. Synthesizer::run calls this up front
   /// and refuses to run on a non-empty answer.
   std::string validate() const;

@@ -599,8 +599,7 @@ MealyMachine GameArena::extract(unsigned B,
 }
 
 std::string limitsKey(const TableauLimits &Limits) {
-  return "g" + std::to_string(Limits.MaxGeneralizedStates) + "t" +
-         std::to_string(Limits.MaxTransitions);
+  return "g" + std::to_string(Limits.MaxGeneralizedStates);
 }
 
 } // namespace
@@ -630,14 +629,15 @@ struct SynthesisEngine::Impl {
   SynthesisResult synthesize(const Formula *Spec, Context &Ctx,
                              const Alphabet &AB,
                              const SynthesisOptions &Options,
-                             SolverPool *Pool);
+                             SolverPool *Pool, const Deadline &Dl);
 };
 
 SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
                                                   Context &Ctx,
                                                   const Alphabet &AB,
                                                   const SynthesisOptions &Options,
-                                                  SolverPool *Pool) {
+                                                  SolverPool *Pool,
+                                                  const Deadline &Dl) {
   SynthesisResult Result;
 
   if (BoundCtx && BoundCtx != &Ctx) {
@@ -656,13 +656,6 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
   SolverPool &Explore = Pool ? *Pool : Inline.emplace(1);
   Timer NbaTimer;
 
-  // The tableau inherits the phase deadline unless it carries its own.
-  // The deadline never enters limitsKey (it cannot change a completed
-  // automaton, and aborted builds are never cached).
-  TableauLimits TabLimits = Options.Tableau;
-  if (!TabLimits.Dl.armed())
-    TabLimits.Dl = Options.Dl;
-
   // UCW = NBA of the negated specification.
   const Formula *Negated = Ctx.Formulas.notF(Spec);
   std::shared_ptr<const Nba> Ucw;
@@ -680,7 +673,8 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
     } else {
       size_t Hits0 = ExpCache.hits(), Misses0 = ExpCache.misses();
       TableauStats TS;
-      Nba Built = buildNba(Negated, Ctx, AB, &TS, TabLimits, &ExpCache);
+      Nba Built =
+          buildNba(Negated, Ctx, AB, &TS, Options.Tableau, &ExpCache, Dl);
       Result.Stats.ExpansionCacheHits = ExpCache.hits() - Hits0;
       Result.Stats.ExpansionCacheMisses = ExpCache.misses() - Misses0;
       Result.Stats.Tableau = TS;
@@ -695,7 +689,7 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
     }
   } else {
     TableauStats TS;
-    Nba Built = buildNba(Negated, Ctx, AB, &TS, TabLimits);
+    Nba Built = buildNba(Negated, Ctx, AB, &TS, Options.Tableau, nullptr, Dl);
     Result.Stats.Tableau = TS;
     Ucw = std::make_shared<const Nba>(std::move(Built));
   }
@@ -730,7 +724,7 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
       Local = std::make_unique<GameArena>(Ucw, AB, Options.StateBudget);
       Arena = Local.get();
     }
-    if (!Arena->extendTo(Bound, Explore, Options.Dl)) {
+    if (!Arena->extendTo(Bound, Explore, Dl)) {
       Result.Status = Realizability::Unknown;
       Result.Stats.TimedOut = Arena->timedOut();
       Result.Stats.GameStates =
@@ -738,7 +732,7 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
       Result.Stats.GameSeconds = GameTimer.seconds();
       return Result;
     }
-    const std::vector<char> *Winning = Arena->solve(Bound, Options.Dl);
+    const std::vector<char> *Winning = Arena->solve(Bound, Dl);
     if (!Winning) {
       Result.Status = Realizability::Unknown;
       Result.Stats.TimedOut = true;
@@ -769,8 +763,9 @@ SynthesisEngine::~SynthesisEngine() = default;
 SynthesisResult SynthesisEngine::synthesize(const Formula *Spec, Context &Ctx,
                                             const Alphabet &AB,
                                             const SynthesisOptions &Options,
-                                            SolverPool *Pool) {
-  return I->synthesize(Spec, Ctx, AB, Options, Pool);
+                                            SolverPool *Pool,
+                                            const Deadline &Dl) {
+  return I->synthesize(Spec, Ctx, AB, Options, Pool, Dl);
 }
 
 SynthesisResult temos::synthesizeLtl(const Formula *Spec, Context &Ctx,

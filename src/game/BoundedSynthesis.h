@@ -81,16 +81,8 @@ struct SynthesisOptions {
   /// pre-incremental behavior; kept selectable for the parity suite and
   /// the differential fuzzer).
   bool Incremental = true;
-  /// Budgets for the tableau construction of the UCW.
+  /// Budget for the tableau construction of the UCW.
   TableauLimits Tableau;
-  /// Cooperative deadline for the whole reactive phase, polled at wave
-  /// boundaries of arena exploration and per gfp iteration (also copy
-  /// it into Tableau.Dl to bound the UCW construction). Expiry degrades
-  /// to Unknown with Stats.TimedOut set. NOT part of any cache key: an
-  /// interrupted extension leaves the arena at a consistent
-  /// sequential-prefix state and never records certificates, so reuse
-  /// stays byte-identical.
-  Deadline Dl;
 };
 
 /// Statistics of one synthesis run.
@@ -143,11 +135,18 @@ public:
 
   /// Synthesizes a Mealy machine realizing \p Spec over \p AB, or
   /// reports (bounded) unrealizability. With Options.Incremental, work
-  /// is served from / recorded into the engine's caches.
+  /// is served from / recorded into the engine's caches. \p Dl bounds
+  /// the UCW construction and is polled at wave boundaries of arena
+  /// exploration and per gfp iteration; expiry degrades to Unknown with
+  /// Stats.TimedOut set. An interrupted build is never cached, and an
+  /// interrupted extension leaves the arena at a consistent
+  /// sequential-prefix state without certificates, so reuse stays
+  /// byte-identical.
   SynthesisResult synthesize(const Formula *Spec, Context &Ctx,
                              const Alphabet &AB,
                              const SynthesisOptions &Options = {},
-                             SolverPool *Pool = nullptr);
+                             SolverPool *Pool = nullptr,
+                             const Deadline &Dl = {});
 
 private:
   struct Impl;

@@ -62,10 +62,6 @@ public:
     return K == Kind::Pred || K == Kind::Update || K == Kind::True ||
            K == Kind::False;
   }
-  /// An NNF literal: an atom or the negation of an atom.
-  bool isLiteral() const {
-    return isAtom() || (K == Kind::Not && Kids[0]->isAtom());
-  }
   bool isTemporal() const {
     return K == Kind::Next || K == Kind::Globally || K == Kind::Finally ||
            K == Kind::Until || K == Kind::WeakUntil || K == Kind::Release;

@@ -48,16 +48,6 @@ const Formula *Specification::guaranteeFormula(Context &Ctx) const {
   return Ctx.Formulas.andF(std::move(Parts));
 }
 
-const Formula *Specification::toFormula(Context &Ctx) const {
-  const Formula *Guar = guaranteeFormula(Ctx);
-  if (Assumptions.empty())
-    return Guar;
-  std::vector<const Formula *> Assume;
-  for (const Formula *A : Assumptions)
-    Assume.push_back(Ctx.Formulas.globally(A));
-  return Ctx.Formulas.implies(Ctx.Formulas.andF(std::move(Assume)), Guar);
-}
-
 std::string Specification::str() const {
   std::string Out = "#" + std::string(theoryName(Th)) + "#\n";
   if (Name != "spec")

@@ -78,10 +78,6 @@ public:
   /// True if \p Name is a cell or output (an updatable signal).
   bool isUpdatable(const std::string &Name) const;
 
-  /// The single formula phi = (G assume_1 && ...) ->
-  ///   (G alwaysGuarantee_1 && ... && guarantee_1 && ...), built in \p Ctx.
-  const Formula *toFormula(Context &Ctx) const;
-
   /// The conjunction of guarantees only (G-wrapped as appropriate).
   const Formula *guaranteeFormula(Context &Ctx) const;
 

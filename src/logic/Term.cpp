@@ -109,33 +109,6 @@ const Term *TermFactory::numeral(const Rational &Value, Sort S) {
   return intern(Term::Kind::Numeral, "", S, {}, Value);
 }
 
-const Term *TermFactory::substitute(const Term *T,
-                                    const std::string &SignalName,
-                                    const Term *Replacement) {
-  switch (T->kind()) {
-  case Term::Kind::Signal:
-    if (T->name() == SignalName)
-      return Replacement;
-    return T;
-  case Term::Kind::Numeral:
-    return T;
-  case Term::Kind::Apply: {
-    bool Changed = false;
-    std::vector<const Term *> NewArgs;
-    NewArgs.reserve(T->arity());
-    for (const Term *Arg : T->args()) {
-      const Term *NewArg = substitute(Arg, SignalName, Replacement);
-      Changed |= NewArg != Arg;
-      NewArgs.push_back(NewArg);
-    }
-    if (!Changed)
-      return T;
-    return apply(T->name(), T->sort(), NewArgs);
-  }
-  }
-  return T;
-}
-
 const Term *TermFactory::substituteAll(
     const Term *T, const std::unordered_map<std::string, const Term *> &Map) {
   switch (T->kind()) {

@@ -113,11 +113,6 @@ public:
   const Term *numeral(const Rational &Value, Sort S);
   const Term *numeral(int64_t Value) { return numeral(Rational(Value), Sort::Int); }
 
-  /// Replaces every occurrence of signal \p SignalName in \p T by \p
-  /// Replacement. Sorts must agree.
-  const Term *substitute(const Term *T, const std::string &SignalName,
-                         const Term *Replacement);
-
   /// Simultaneous substitution: every signal with an entry in \p Map is
   /// replaced by its image in one pass (needed for parallel updates such
   /// as swaps, where sequential substitution would capture).

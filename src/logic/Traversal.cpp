@@ -69,19 +69,3 @@ temos::collectUpdateTerms(const Specification &Spec) {
     return collectUpdateTerms(F);
   });
 }
-
-std::unordered_map<const Formula *, std::vector<const Formula *>>
-temos::buildParentMap(const Formula *Root) {
-  std::unordered_map<const Formula *, std::vector<const Formula *>> Parents;
-  std::unordered_set<const Formula *> Visited;
-  std::function<void(const Formula *)> Walk = [&](const Formula *Node) {
-    if (!Visited.insert(Node).second)
-      return;
-    for (const Formula *Kid : Node->children()) {
-      Parents[Kid].push_back(Node);
-      Walk(Kid);
-    }
-  };
-  Walk(Root);
-  return Parents;
-}

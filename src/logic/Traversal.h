@@ -3,8 +3,7 @@
 /// \file
 /// Traversal helpers over formulas: collecting predicate literals and
 /// update terms (the |P| and |F| columns of Table 1 and the inputs to the
-/// syntactic decomposition of Alg. 1), and walking subformulas with
-/// parent links.
+/// syntactic decomposition of Alg. 1), and walking subformulas.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +14,6 @@
 #include "logic/Specification.h"
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 namespace temos {
@@ -37,13 +35,6 @@ std::vector<const Term *> collectPredicateTerms(const Specification &Spec);
 
 /// Distinct update atoms across a whole specification.
 std::vector<const Formula *> collectUpdateTerms(const Specification &Spec);
-
-/// Parent map of the formula DAG rooted at \p Root. Because formulas are
-/// hash-consed a node can have several parents; the decomposition
-/// traversal (Alg. 1) visits each (child, parent) edge, so the map is
-/// multi-valued.
-std::unordered_map<const Formula *, std::vector<const Formula *>>
-buildParentMap(const Formula *Root);
 
 } // namespace temos
 

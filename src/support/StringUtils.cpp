@@ -40,25 +40,12 @@ std::string temos::join(const std::vector<std::string> &Pieces,
   return Result;
 }
 
-bool temos::isIdentifier(const std::string &Text) {
-  if (Text.empty())
-    return false;
-  if (!std::isalpha(static_cast<unsigned char>(Text[0])) && Text[0] != '_')
-    return false;
-  for (char C : Text)
-    if (!std::isalnum(static_cast<unsigned char>(C)) && C != '_' && C != '\'')
-      return false;
-  return true;
-}
-
-std::string temos::replaceAll(std::string Text, const std::string &From,
-                              const std::string &To) {
-  if (From.empty())
-    return Text;
-  size_t Pos = 0;
-  while ((Pos = Text.find(From, Pos)) != std::string::npos) {
-    Text.replace(Pos, From.size(), To);
-    Pos += To.size();
-  }
-  return Text;
+std::string temos::fileSafeName(const std::string &Name) {
+  std::string Safe;
+  for (char C : Name)
+    Safe += (std::isalnum(static_cast<unsigned char>(C)) || C == '_' ||
+             C == '-')
+                ? C
+                : '_';
+  return Safe;
 }

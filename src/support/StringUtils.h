@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Minimal string helpers used across the project (trim/split/join and
-/// identifier checks for the TSL parser and code emitters).
+/// the file-name sanitizer for the files the tools write).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,12 +24,9 @@ std::vector<std::string> split(const std::string &Text, char Separator);
 std::string join(const std::vector<std::string> &Pieces,
                  const std::string &Separator);
 
-/// True if \p Text is a valid identifier: [A-Za-z_][A-Za-z0-9_']*.
-bool isIdentifier(const std::string &Text);
-
-/// Replaces every occurrence of \p From in \p Text with \p To.
-std::string replaceAll(std::string Text, const std::string &From,
-                       const std::string &To);
+/// \p Name with every character outside [A-Za-z0-9_-] replaced by '_',
+/// safe to embed in a file name.
+std::string fileSafeName(const std::string &Name);
 
 } // namespace temos
 

@@ -22,13 +22,10 @@ class Timer {
 public:
   Timer() : Start(Clock::now()) {}
 
-  /// Seconds elapsed since construction or the last restart().
+  /// Seconds elapsed since construction.
   double seconds() const {
     return std::chrono::duration<double>(Clock::now() - Start).count();
   }
-
-  /// Resets the stopwatch to zero.
-  void restart() { Start = Clock::now(); }
 
 private:
   using Clock = std::chrono::steady_clock;
@@ -42,7 +39,6 @@ public:
   CpuTimer() : Start(now()) {}
 
   double seconds() const { return now() - Start; }
-  void restart() { Start = now(); }
 
 private:
   static double now() {

@@ -32,6 +32,11 @@ void collectQuerySignals(const SygusQuery &Query,
       FromTerm(U);
 }
 
+/// Pre-condition samples used for screening and the loop wrapper.
+constexpr size_t MaxSamples = 4;
+/// Iteration budget when validating loop bodies on samples.
+constexpr unsigned MaxLoopIterations = 64;
+
 Value defaultValue(Sort S) {
   switch (S) {
   case Sort::Bool:
@@ -110,7 +115,7 @@ std::vector<Assignment> SygusSolver::samplePreModels(const SygusQuery &Query) {
   // pre-condition (cheap model diversity without extra solver calls).
   static const int64_t Offsets[] = {1, -1, 3, 7, -5};
   for (int64_t Offset : Offsets) {
-    if (Samples.size() >= Opts.SampleCount)
+    if (Samples.size() >= MaxSamples)
       break;
     Assignment Variant = Base;
     for (auto &[Name, V] : Variant)
@@ -326,40 +331,15 @@ SygusSolver::synthesizeLoop(const SygusQuery &Query,
   if (Samples.empty())
     return std::nullopt;
 
-  std::vector<StepChoice> Choices = stepChoices(Query);
-
-  // Candidate bodies: all step sequences of length 1..MaxBodySteps.
-  std::vector<std::vector<StepChoice>> Bodies;
-  std::function<void(std::vector<StepChoice> &)> Extend =
-      [&](std::vector<StepChoice> &Prefix) {
-        if (!Prefix.empty())
-          Bodies.push_back(Prefix);
-        if (Prefix.size() >= Opts.MaxBodySteps)
-          return;
-        for (const StepChoice &Choice : Choices) {
-          Prefix.push_back(Choice);
-          Extend(Prefix);
-          Prefix.pop_back();
-        }
-      };
-  std::vector<StepChoice> Empty;
-  Extend(Empty);
-  // Shortest bodies first.
-  std::stable_sort(Bodies.begin(), Bodies.end(),
-                   [](const auto &A, const auto &B) {
-                     return A.size() < B.size();
-                   });
-
-  for (const std::vector<StepChoice> &Body : Bodies) {
+  // Candidate bodies: single steps, the only bodies Alg. 3's W
+  // encoding can express.
+  for (const StepChoice &Choice : stepChoices(Query)) {
     Dl.check(); // One poll per candidate body.
-    LoopProgram Candidate{Body};
-    bool IsExcluded = false;
-    for (const LoopProgram &Ex : Excluded)
-      if (Ex.Body == Body) {
-        IsExcluded = true;
-        break;
-      }
-    if (IsExcluded)
+    LoopProgram Candidate{{Choice}};
+    if (std::any_of(Excluded.begin(), Excluded.end(),
+                    [&](const LoopProgram &Ex) {
+                      return Ex.Body == Candidate.Body;
+                    }))
       continue;
     if (Stats)
       ++Stats->CandidatesTried;
@@ -369,15 +349,8 @@ SygusSolver::synthesizeLoop(const SygusQuery &Query,
       Assignment State = Sample;
       bool Reached = postHoldsConcrete(Query, State) ==
                      std::optional<bool>(true);
-      for (unsigned Iter = 0;
-           !Reached && Iter < Opts.MaxLoopIterations; ++Iter) {
-        bool Ok = true;
-        for (const StepChoice &Step : Body)
-          if (!applyStepConcrete(Eval, State, Step)) {
-            Ok = false;
-            break;
-          }
-        if (!Ok)
+      for (unsigned Iter = 0; !Reached && Iter < MaxLoopIterations; ++Iter) {
+        if (!applyStepConcrete(Eval, State, Choice))
           break;
         Reached = postHoldsConcrete(Query, State) ==
                   std::optional<bool>(true);
@@ -387,7 +360,7 @@ SygusSolver::synthesizeLoop(const SygusQuery &Query,
         break;
       }
     }
-    if (AllSamplesReach && verifyLoopRanking(Query, Body))
+    if (AllSamplesReach && verifyLoopRanking(Query, Candidate.Body))
       return Candidate;
   }
   return std::nullopt;

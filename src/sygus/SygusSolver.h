@@ -78,13 +78,6 @@ public:
     /// Maximum sequential chain length when the obligation does not fix
     /// one.
     unsigned MaxSteps = 4;
-    /// Samples of the pre-condition used for screening and the loop
-    /// wrapper.
-    unsigned SampleCount = 4;
-    /// Iteration budget when validating loop bodies on samples.
-    unsigned MaxLoopIterations = 64;
-    /// Maximum loop body length (in steps).
-    unsigned MaxBodySteps = 2;
     /// Fault injection (temos --inject-fault=spin-hang): the sequential
     /// enumeration never terminates -- verified candidates are withheld
     /// and the odometer wraps around forever -- so only a cooperative

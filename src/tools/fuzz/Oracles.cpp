@@ -1190,12 +1190,8 @@ std::string fuzz::replayPipelineArtifact(const std::string &Source,
         PO.Eager = Val != "on";
       else if (Key == "time-budget")
         PO.Budget.TotalSeconds = std::strtod(Val.c_str(), nullptr);
-      else if (Key == "consistency-budget")
-        PO.Budget.ConsistencySeconds = std::strtod(Val.c_str(), nullptr);
       else if (Key == "sygus-budget")
         PO.Budget.SygusSeconds = std::strtod(Val.c_str(), nullptr);
-      else if (Key == "reactive-budget")
-        PO.Budget.ReactiveSeconds = std::strtod(Val.c_str(), nullptr);
       else if (Key == "inject-fault")
         PO.InjectSpinHang = Val == "spin-hang";
     }

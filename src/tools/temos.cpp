@@ -56,8 +56,8 @@
 #include "codegen/Interpreter.h"
 #include "core/Synthesizer.h"
 #include "logic/Parser.h"
+#include "support/StringUtils.h"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -167,13 +167,8 @@ std::string writeArtifactFile(const std::string &Dir,
   std::filesystem::create_directories(Dir, EC);
   if (EC)
     return "";
-  std::string Safe;
-  for (char C : SpecName)
-    Safe += (std::isalnum(static_cast<unsigned char>(C)) || C == '_' ||
-             C == '-')
-                ? C
-                : '_';
-  std::string Path = Dir + "/temos-artifact-" + Safe + ".tslmt";
+  std::string Path =
+      Dir + "/temos-artifact-" + fileSafeName(SpecName) + ".tslmt";
   std::ofstream Out(Path);
   if (!Out)
     return "";
@@ -258,7 +253,14 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(argv[I], "--lazy") == 0) {
       Lazy = true;
     } else if (std::strcmp(argv[I], "--simulate") == 0 && I + 1 < argc) {
-      SimulateSteps = std::strtol(argv[++I], nullptr, 10);
+      char *End = nullptr;
+      long N = std::strtol(argv[++I], &End, 10);
+      if (N < 0 || End == argv[I] || *End != '\0') {
+        std::fprintf(stderr,
+                     "error: --simulate needs a non-negative step count\n");
+        return usage(argv[0]);
+      }
+      SimulateSteps = N;
     } else if (argv[I][0] == '-') {
       return usage(argv[0]);
     } else {

@@ -140,22 +140,3 @@ std::string Alphabet::signatureKey() const {
   }
   return Key;
 }
-
-std::string Alphabet::letterStr(const Letter &L) const {
-  std::string Out = "{";
-  for (size_t I = 0; I < Predicates.size(); ++I) {
-    if (!((L.InputBits >> I) & 1))
-      continue;
-    if (Out.size() > 1)
-      Out += ", ";
-    Out += Predicates[I]->str();
-  }
-  Out += " | ";
-  std::vector<unsigned> Choices = decodeOutput(L.OutputIndex);
-  for (size_t C = 0; C < Cells.size(); ++C) {
-    if (C != 0)
-      Out += ", ";
-    Out += Cells[C].Options[Choices[C]]->str();
-  }
-  return Out + "}";
-}

@@ -83,9 +83,6 @@ public:
   /// registered in this alphabet.
   bool holds(const Formula *Atom, const Letter &L) const;
 
-  /// Human-readable rendering of a letter (for traces and tests).
-  std::string letterStr(const Letter &L) const;
-
   /// A structural key identifying this alphabet: the predicate renderings
   /// in index order plus every cell's update options in option order.
   /// Two alphabets with equal keys assign identical meanings to input

@@ -39,7 +39,7 @@ protected:
   bool sat(const std::string &Source) {
     const Formula *F = formula(Source);
     Alphabet A = Alphabet::build(Spec, Ctx, {F});
-    return isSatisfiable(F, Ctx, A);
+    return isSatisfiable(F, Ctx, A).value();
   }
 
   Context Ctx;
@@ -131,6 +131,14 @@ TEST_F(TableauTest, StatsAreReported) {
   EXPECT_GT(Stats.NbaStates, 0u);
   EXPECT_GT(Stats.NbaTransitions, 0u);
   EXPECT_EQ(Stats.AcceptanceSets, 1u);
+}
+
+TEST_F(TableauTest, ExpiredDeadlineLeavesSatisfiabilityUndecided) {
+  // "p && ! p" is unsat; a build cut off by the deadline must not say so.
+  const Formula *F = formula("p && ! p");
+  Alphabet A = Alphabet::build(Spec, Ctx, {F});
+  EXPECT_EQ(isSatisfiable(F, Ctx, A, Deadline::after(0)), std::nullopt);
+  EXPECT_EQ(isSatisfiable(F, Ctx, A), std::optional<bool>(false));
 }
 
 TEST_F(TableauTest, NoAcceptanceSetsForSafety) {

@@ -129,22 +129,6 @@ TEST_F(DecompositionTest, ObligationCapRespected) {
   EXPECT_LE(D.Obligations.size(), 7u);
 }
 
-TEST_F(DecompositionTest, PairwisePreconditionsWhenEnabled) {
-  Specification Spec = parse(R"(
-    #LIA#
-    inputs { int a; }
-    cells { int x = 0; }
-    always guarantee { a < x -> F (x < a); }
-  )");
-  DecompositionOptions Options;
-  Options.MaxPreConjuncts = 2;
-  Decomposition D = decompose(Spec, Ctx, Options);
-  bool FoundPair = false;
-  for (const Obligation &Ob : D.Obligations)
-    FoundPair |= Ob.Pre.size() == 2;
-  EXPECT_TRUE(FoundPair);
-}
-
 TEST_F(DecompositionTest, GloballyIsTransparentForNextCounting) {
   Specification Spec = parse(R"(
     #LIA#
@@ -200,11 +184,6 @@ TEST_F(DecompositionTest, AllLiteralsBecomeEventualPosts) {
   Decomposition D = decompose(Spec, Ctx);
   EXPECT_TRUE(hasObligation(D, "(vr1 < vr2)", "(vr2 < vr1)",
                             Obligation::Kind::Eventually));
-  // Disabled: no eventual posts at all (no temporal operators in spec).
-  DecompositionOptions Off;
-  Off.AllLiteralsAsEventualPosts = false;
-  Decomposition D2 = decompose(Spec, Ctx, Off);
-  EXPECT_TRUE(D2.Obligations.empty());
 }
 
 TEST_F(DecompositionTest, RelatedPreObligationsComeFirst) {

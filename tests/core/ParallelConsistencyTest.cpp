@@ -127,13 +127,6 @@ TEST(PipelineValidate, RejectsZeroThreads) {
   EXPECT_FALSE(Options.validate().empty());
 }
 
-TEST(PipelineValidate, RejectsLoopCapAboveSygusCap) {
-  PipelineOptions Options;
-  Options.MaxLoopAssumptions = 20;
-  Options.MaxSygusAssumptions = 10;
-  EXPECT_FALSE(Options.validate().empty());
-}
-
 TEST(PipelineValidate, AcceptsDefaults) {
   PipelineOptions Options;
   EXPECT_EQ(Options.validate(), "");

@@ -153,16 +153,4 @@ TEST_F(FormulaTest, CollectUpdateTerms) {
   EXPECT_EQ(Updates[1], U2);
 }
 
-TEST_F(FormulaTest, BuildParentMap) {
-  const Formula *A = atom("a");
-  const Formula *G = FF.globally(A);
-  const Formula *Root = FF.andF(G, atom("b"));
-  auto Parents = buildParentMap(Root);
-  ASSERT_EQ(Parents[A].size(), 1u);
-  EXPECT_EQ(Parents[A][0], G);
-  ASSERT_EQ(Parents[G].size(), 1u);
-  EXPECT_EQ(Parents[G][0], Root);
-  EXPECT_TRUE(Parents[Root].empty());
-}
-
 } // namespace

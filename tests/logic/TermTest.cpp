@@ -60,10 +60,10 @@ TEST_F(TermTest, Substitute) {
   const Term *X = F.signal("x", Sort::Int);
   const Term *Y = F.signal("y", Sort::Int);
   const Term *Sum = F.apply("+", Sort::Int, {X, F.numeral(1)});
-  const Term *Substituted = F.substitute(Sum, "x", Y);
+  const Term *Substituted = F.substituteAll(Sum, {{"x", Y}});
   EXPECT_EQ(Substituted->str(), "(y + 1)");
   // No occurrence: structurally identical result (same pointer).
-  EXPECT_EQ(F.substitute(Sum, "z", Y), Sum);
+  EXPECT_EQ(F.substituteAll(Sum, {{"z", Y}}), Sum);
 }
 
 TEST_F(TermTest, SubstituteNested) {
@@ -71,7 +71,7 @@ TEST_F(TermTest, SubstituteNested) {
   const Term *Inner = F.apply("+", Sort::Int, {X, F.numeral(1)});
   const Term *Outer = F.apply("+", Sort::Int, {Inner, X});
   const Term *Val = F.numeral(5);
-  const Term *Result = F.substitute(Outer, "x", Val);
+  const Term *Result = F.substituteAll(Outer, {{"x", Val}});
   EXPECT_EQ(Result->str(), "((5 + 1) + 5)");
 }
 

@@ -256,6 +256,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SmtProperties,
 // Tableau logical laws.
 //===----------------------------------------------------------------------===//
 
+/// Satisfiability of \p F; these small formulas are always decided.
+bool satisfiable(const Formula *F, Context &Ctx, const Alphabet &AB) {
+  return isSatisfiable(F, Ctx, AB).value();
+}
+
 class TableauProperties : public ::testing::TestWithParam<int> {
 protected:
   const Formula *randomLtl(Rng &R, FormulaFactory &FF,
@@ -301,22 +306,24 @@ TEST_P(TableauProperties, LogicalLaws) {
     // Register both atoms regardless of which ones F mentions: the law
     // checks below combine F with them.
     Alphabet AB = Alphabet::build(*Spec, Ctx, {F, Atoms[0], Atoms[1]});
-    bool SatF = isSatisfiable(F, Ctx, AB);
-    bool SatNotF = isSatisfiable(Ctx.Formulas.notF(F), Ctx, AB);
+    bool SatF = satisfiable(F, Ctx, AB);
+    bool SatNotF = satisfiable(Ctx.Formulas.notF(F), Ctx, AB);
     // Excluded middle at the trace level.
     EXPECT_TRUE(SatF || SatNotF) << F->str();
     // Contradiction law.
     EXPECT_FALSE(
-        isSatisfiable(Ctx.Formulas.andF(F, Ctx.Formulas.notF(F)), Ctx, AB))
+        satisfiable(Ctx.Formulas.andF(F, Ctx.Formulas.notF(F)), Ctx, AB))
         << F->str();
     // Monotonicity: F satisfiable implies F || anything satisfiable.
-    if (SatF)
-      EXPECT_TRUE(isSatisfiable(Ctx.Formulas.orF(F, Atoms[0]), Ctx, AB));
+    if (SatF) {
+      EXPECT_TRUE(satisfiable(Ctx.Formulas.orF(F, Atoms[0]), Ctx, AB));
+    }
     // G F idempotence: sat(G f) implies sat(f).
-    EXPECT_EQ(isSatisfiable(Ctx.Formulas.globally(F), Ctx, AB) && true,
-              isSatisfiable(Ctx.Formulas.globally(F), Ctx, AB));
-    if (isSatisfiable(Ctx.Formulas.globally(F), Ctx, AB))
+    EXPECT_EQ(satisfiable(Ctx.Formulas.globally(F), Ctx, AB) && true,
+              satisfiable(Ctx.Formulas.globally(F), Ctx, AB));
+    if (satisfiable(Ctx.Formulas.globally(F), Ctx, AB)) {
       EXPECT_TRUE(SatF) << "G " << F->str();
+    }
   }
 }
 
@@ -393,10 +400,10 @@ TEST_P(SimplifyProperties, SimplifyPreservesSatisfiability) {
     const Formula *S = simplify(F, Ctx.Formulas);
     Alphabet AB = Alphabet::build(*Spec, Ctx, {F, S, Atoms[0], Atoms[1]});
     // Equivalence: F && !S and !F && S must both be unsatisfiable.
-    EXPECT_FALSE(isSatisfiable(
+    EXPECT_FALSE(satisfiable(
         Ctx.Formulas.andF(F, Ctx.Formulas.notF(S)), Ctx, AB))
         << F->str() << "  vs  " << S->str();
-    EXPECT_FALSE(isSatisfiable(
+    EXPECT_FALSE(satisfiable(
         Ctx.Formulas.andF(Ctx.Formulas.notF(F), S), Ctx, AB))
         << F->str() << "  vs  " << S->str();
     // Note: no size assertion -- distribution rules (G over &&, F over

@@ -38,19 +38,7 @@ TEST(StringUtils, SplitJoinRoundTrip) {
   EXPECT_EQ(join(split(Text, '|'), "|"), Text);
 }
 
-TEST(StringUtils, IsIdentifier) {
-  EXPECT_TRUE(isIdentifier("task1"));
-  EXPECT_TRUE(isIdentifier("_private"));
-  EXPECT_TRUE(isIdentifier("x'"));
-  EXPECT_FALSE(isIdentifier(""));
-  EXPECT_FALSE(isIdentifier("1abc"));
-  EXPECT_FALSE(isIdentifier("a b"));
-  EXPECT_FALSE(isIdentifier("a-b"));
-}
-
-TEST(StringUtils, ReplaceAll) {
-  EXPECT_EQ(replaceAll("aaa", "a", "bb"), "bbbbbb");
-  EXPECT_EQ(replaceAll("hello world", "o", "0"), "hell0 w0rld");
-  EXPECT_EQ(replaceAll("nothing", "zz", "x"), "nothing");
-  EXPECT_EQ(replaceAll("abc", "", "x"), "abc");
+TEST(StringUtils, FileSafeName) {
+  EXPECT_EQ(fileSafeName("Round Robin"), "Round_Robin");
+  EXPECT_EQ(fileSafeName("a-b_c.d/e"), "a-b_c_d_e");
 }

@@ -254,6 +254,16 @@ TEST(Cli, BadBudgetFlagsAreUsageErrors) {
   EXPECT_EQ(runCli("--inject-fault=spin-hang " + Path).first, 2);
 }
 
+TEST(Cli, BadSimulateCountsAreUsageErrors) {
+  std::string Path = writeSpec("cli_counter.tslmt", CounterSpec);
+  for (const char *Value : {"abc", "-3", "2x"}) {
+    auto [Code, Err] =
+        runCliStderr(std::string("--simulate ") + Value + " " + Path);
+    EXPECT_EQ(Code, 2) << Value;
+    EXPECT_NE(Err.find("usage:"), std::string::npos) << Value;
+  }
+}
+
 TEST(Cli, UnfiredTimeBudgetKeepsOutputByteIdentical) {
   std::string Path = writeSpec("cli_counter.tslmt", CounterSpec);
   auto [RefCode, RefOut] = runCli("--emit=js " + Path);

@@ -135,17 +135,4 @@ TEST_F(AlphabetTest, ExtraFormulasContributeAtoms) {
   EXPECT_EQ(AB.predicates().size(), 1u);
 }
 
-TEST_F(AlphabetTest, LetterStr) {
-  Specification Spec = parse(R"(
-    inputs { int a; }
-    cells { int x = 0; }
-    always guarantee { G (a < x -> [x <- a]); }
-  )");
-  Alphabet AB = Alphabet::build(Spec, Ctx);
-  Letter L{1, 0};
-  std::string S = AB.letterStr(L);
-  EXPECT_NE(S.find("(a < x)"), std::string::npos);
-  EXPECT_NE(S.find("[x <- a]"), std::string::npos);
-}
-
 } // namespace
