@@ -13,35 +13,23 @@
 #ifndef TEMOS_BENCH_FIG4COMMON_H
 #define TEMOS_BENCH_FIG4COMMON_H
 
-#include "benchmarks/BenchJson.h"
 #include "benchmarks/Runner.h"
 #include "core/AssumptionCore.h"
 #include "support/Timer.h"
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 namespace temos {
 
-/// Runs the Fig. 4 panel for \p Family. The argv vector (forwarded from
-/// main) may carry --bench-json[=DIR] to also write one temos-bench-v1
-/// record per benchmark. Returns the process exit code.
-inline int runFig4Family(const std::string &Family, int argc = 0,
-                         char **argv = nullptr) {
-  bool BenchJsonWanted = false;
-  std::string BenchJsonDir;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--bench-json") == 0) {
-      BenchJsonWanted = true;
-    } else if (std::strncmp(argv[I], "--bench-json=", 13) == 0) {
-      BenchJsonWanted = true;
-      BenchJsonDir = argv[I] + 13;
-    } else {
-      std::fprintf(stderr, "usage: %s [--bench-json[=DIR]]\n", argv[0]);
-      return 2;
-    }
+/// Runs the Fig. 4 panel for \p Family. The panel takes no arguments
+/// (argc/argv are forwarded from main to reject any). Returns the
+/// process exit code.
+inline int runFig4Family(const std::string &Family, int argc, char **argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s\n", argv[0]);
+    return 2;
   }
 
   std::printf("=== Fig. 4 (%s): synthesis times vs oracle ===\n\n",
@@ -55,17 +43,8 @@ inline int runFig4Family(const std::string &Family, int argc = 0,
     if (Family != B.Family)
       continue;
     BenchmarkRun Run = runBenchmark(B);
-    if (BenchJsonWanted) {
-      size_t States =
-          Run.Result.Machine ? Run.Result.Machine->stateCount() : 0;
-      std::string Json =
-          benchJson(B.Name, Run.Result.Status, 1, true, Run.Result.Stats,
-                    States, Run.Row.SynthesizedLoc);
-      if (writeBenchJson(BenchJsonDir, B.Name, Json).empty())
-        std::fprintf(stderr, "warning: cannot write bench JSON for %s\n",
-                     B.Name);
-    }
-    if (Run.Row.Status != Realizability::Realizable) {
+    const PipelineStats &Stats = Run.Result.Stats;
+    if (Run.Result.Status != Realizability::Realizable) {
       std::printf("%-14s synthesis FAILED\n", B.Name);
       ++Failures;
       continue;
@@ -77,7 +56,7 @@ inline int runFig4Family(const std::string &Family, int argc = 0,
     // lower bound -- stated in the output).
     const double SkipMinimizationAboveSeconds = 45.0;
     bool SkipMinimization =
-        Run.Row.SynthesisSeconds > SkipMinimizationAboveSeconds;
+        Stats.SynthesisSeconds > SkipMinimizationAboveSeconds;
     OracleResult Oracle;
     if (SkipMinimization) {
       Timer OracleTimer;
@@ -94,7 +73,7 @@ inline int runFig4Family(const std::string &Family, int argc = 0,
     } else {
       Oracle = computeOracle(Run.Spec, Run.Result.Assumptions, *Run.Ctx);
     }
-    double Total = Run.Row.SumSeconds;
+    double Total = Run.seconds();
     double OracleTime = Oracle.OracleSynthesisSeconds;
     double Ratio = OracleTime > 0 ? Total / OracleTime : 0;
     // Sub-millisecond rows make the ratio meaningless; the shape claim
@@ -103,7 +82,7 @@ inline int runFig4Family(const std::string &Family, int argc = 0,
     if (Total - OracleTime > 2.0)
       WorstRatio = std::max(WorstRatio, Ratio);
     std::printf("%-14s %10.3f %10.3f %10.3f %12.3f %6.2fx\n", B.Name,
-                Run.Row.PsiGenSeconds, Run.Row.SynthesisSeconds, Total,
+                Stats.PsiGenSeconds, Stats.SynthesisSeconds, Total,
                 OracleTime, Ratio);
     if (SkipMinimization)
       std::printf("               (core minimization skipped above %.0fs; "

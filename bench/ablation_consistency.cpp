@@ -185,7 +185,7 @@ int main() {
     Minimal.Consistency.MinimalCoresOnly = true;
     BenchmarkRun MinRun = runBenchmark(B, Minimal);
 
-    bool Agree = FullRun.Row.Status == MinRun.Row.Status;
+    bool Agree = FullRun.Result.Status == MinRun.Result.Status;
     Agreements += Agree;
     ++Count;
     FullQueries += FullRun.Result.Stats.ConsistencyQueries;

@@ -40,14 +40,14 @@ int main() {
     Lazy.Eager = false;
     BenchmarkRun LazyRun = runBenchmark(B, Lazy);
 
-    double EagerTime = EagerRun.Row.SumSeconds;
-    double LazyTime = LazyRun.Row.SumSeconds;
+    double EagerTime = EagerRun.seconds();
+    double LazyTime = LazyRun.seconds();
     EagerTotal += EagerTime;
     LazyTotal += LazyTime;
-    bool Agree = EagerRun.Row.Status == LazyRun.Row.Status;
+    bool Agree = EagerRun.Result.Status == LazyRun.Result.Status;
     Agreements += Agree;
     ++Count;
-    bool EagerOk = EagerRun.Row.Status == Realizability::Realizable;
+    bool EagerOk = EagerRun.Result.Status == Realizability::Realizable;
     Failures += EagerOk ? 0 : 1;
 
     std::printf("%-16s | %9.3f %5u | %9.3f %5u | %s\n", B.Name, EagerTime,

@@ -68,13 +68,13 @@ int main(int argc, char **argv) {
   }
 
   std::printf("=== Table 1: Experimental Results (measured) ===\n\n");
-  std::vector<BenchmarkRow> Rows;
+  std::vector<BenchmarkRun> Rows;
   for (const BenchmarkSpec &B : allBenchmarks()) {
     // With --bench-json the pipeline runs twice on one Synthesizer so
     // the record includes the cross-run reuse the incremental engine
     // delivers (the Table-1 row still reports the first, cold run).
-    BenchmarkRun Run = runBenchmark(B, {}, BenchJsonWanted ? 2u : 1u);
-    Rows.push_back(Run.Row);
+    BenchmarkRun &Run =
+        Rows.emplace_back(runBenchmark(B, {}, BenchJsonWanted ? 2u : 1u));
     if (BenchJsonWanted) {
       size_t States =
           Run.Result.Machine ? Run.Result.Machine->stateCount() : 0;
@@ -82,7 +82,7 @@ int main(int argc, char **argv) {
           Run.RepeatStats.empty() ? nullptr : &Run.RepeatStats.back();
       std::string Json =
           benchJson(B.Name, Run.Result.Status, 1, true, Run.Result.Stats,
-                    States, Run.Row.SynthesizedLoc, Repeat);
+                    States, Run.SynthesizedLoc, Repeat);
       std::string Written = writeBenchJson(BenchJsonDir, B.Name, Json);
       if (Written.empty())
         std::fprintf(stderr, "warning: cannot write bench JSON for %s\n",
@@ -108,33 +108,34 @@ int main(int argc, char **argv) {
   };
 
   bool AllRealizable = true;
-  for (const BenchmarkRow &R : Rows)
-    AllRealizable &= R.Status == Realizability::Realizable;
+  for (const BenchmarkRun &R : Rows)
+    AllRealizable &= R.Result.Status == Realizability::Realizable;
   Check(AllRealizable, "all 16 benchmarks synthesize");
 
   size_t SynthDominates = 0;
-  for (const BenchmarkRow &R : Rows)
-    SynthDominates += R.SynthesisSeconds >= R.PsiGenSeconds;
+  for (const BenchmarkRun &R : Rows)
+    SynthDominates +=
+        R.Result.Stats.SynthesisSeconds >= R.Result.Stats.PsiGenSeconds;
   Check(SynthDominates * 2 >= Rows.size(),
         "reactive synthesis time dominates psi generation on most rows");
 
   double MusicMax = 0;
   std::string MusicSlowest;
-  for (const BenchmarkRow &R : Rows)
-    if (R.Family == std::string("Music Synthesizer") &&
-        R.SumSeconds > MusicMax) {
-      MusicMax = R.SumSeconds;
-      MusicSlowest = R.Name;
+  for (const BenchmarkRun &R : Rows)
+    if (R.Bench->Family == std::string("Music Synthesizer") &&
+        R.seconds() > MusicMax) {
+      MusicMax = R.seconds();
+      MusicSlowest = R.Bench->Name;
     }
   Check(MusicSlowest == "Multi-effect",
         "Multi-effect is the slowest music benchmark");
 
   size_t MaxLoc = 0;
   std::string Biggest;
-  for (const BenchmarkRow &R : Rows)
+  for (const BenchmarkRun &R : Rows)
     if (R.SynthesizedLoc > MaxLoc) {
       MaxLoc = R.SynthesizedLoc;
-      Biggest = R.Name;
+      Biggest = R.Bench->Name;
     }
   Check(Biggest == "CFS", "CFS produces the largest synthesized program");
 

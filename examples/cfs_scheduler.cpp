@@ -25,14 +25,14 @@ int main() {
   std::printf("=== CFS specification (Fig. 2) ===\n%s\n", B->Source);
 
   BenchmarkRun Run = runBenchmark(*B);
-  if (Run.Row.Status != Realizability::Realizable) {
+  if (Run.Result.Status != Realizability::Realizable) {
     std::fprintf(stderr, "CFS synthesis failed\n");
     return 1;
   }
   std::printf("synthesized in %.3fs (|psi| = %zu, %zu machine states, "
               "%zu LoC of generated code)\n\n",
-              Run.Row.SumSeconds, Run.Row.AssumptionCount,
-              Run.Result.Machine->stateCount(), Run.Row.SynthesizedLoc);
+              Run.seconds(), Run.Result.Stats.AssumptionCount,
+              Run.Result.Machine->stateCount(), Run.SynthesizedLoc);
 
   Controller C(*Run.Result.Machine, Run.Result.AB, Run.Spec);
 

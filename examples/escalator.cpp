@@ -24,14 +24,14 @@ int main() {
     return 1;
 
   BenchmarkRun Run = runBenchmark(*B);
-  if (Run.Row.Status != Realizability::Realizable) {
+  if (Run.Result.Status != Realizability::Realizable) {
     std::fprintf(stderr, "escalator synthesis failed\n");
     return 1;
   }
   std::printf("Smart escalator synthesized in %.3fs "
               "(%zu machine states, |psi| = %zu)\n\n",
-              Run.Row.SumSeconds, Run.Result.Machine->stateCount(),
-              Run.Row.AssumptionCount);
+              Run.seconds(), Run.Result.Machine->stateCount(),
+              Run.Result.Stats.AssumptionCount);
 
   Controller C(*Run.Result.Machine, Run.Result.AB, Run.Spec);
   Trace T;

@@ -38,13 +38,13 @@ int main() {
   std::printf("=== Vibrato specification (Fig. 5) ===\n%s\n", B->Source);
 
   BenchmarkRun Run = runBenchmark(*B);
-  if (Run.Row.Status != Realizability::Realizable) {
+  if (Run.Result.Status != Realizability::Realizable) {
     std::fprintf(stderr, "vibrato synthesis failed\n");
     return 1;
   }
   std::printf("synthesized in %.3fs (psi: %zu assumptions, %zu machine "
               "states)\n\n",
-              Run.Row.SumSeconds, Run.Row.AssumptionCount,
+              Run.seconds(), Run.Result.Stats.AssumptionCount,
               Run.Result.Machine->stateCount());
 
   // Play the tune: one controller step per note tick. The controller

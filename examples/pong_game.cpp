@@ -24,12 +24,12 @@ int main() {
     return 1;
 
   BenchmarkRun Run = runBenchmark(*B);
-  if (Run.Row.Status != Realizability::Realizable) {
+  if (Run.Result.Status != Realizability::Realizable) {
     std::fprintf(stderr, "pong synthesis failed\n");
     return 1;
   }
   std::printf("Pong paddle synthesized in %.3fs (%zu machine states)\n\n",
-              Run.Row.SumSeconds, Run.Result.Machine->stateCount());
+              Run.seconds(), Run.Result.Machine->stateCount());
 
   Controller C(*Run.Result.Machine, Run.Result.AB, Run.Spec);
   Trace T;

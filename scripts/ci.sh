@@ -61,6 +61,14 @@ if [ "$REPLAY_EXIT" -ne 1 ]; then
   exit 1
 fi
 
+echo "== programs: examples and Fig. 4 panels run to completion =="
+# Each exits non-zero when its synthesis or case-study check fails; they
+# read BenchmarkRun and PipelineStats, which no unit test drives whole.
+for prog in examples/quickstart examples/escalator examples/pong_game \
+  examples/music_synthesizer bench/fig4_escalator bench/fig4_pong; do
+  "$BUILD_DIR/$prog" >/dev/null
+done
+
 echo "== perfbench: the benchmark still builds against src/ and self-tests =="
 # perfbench compiles against src/ headers (buildNba, checkConsistency,
 # SynthesisEngine::synthesize, the PipelineStats fields); a signature

@@ -89,7 +89,7 @@ std::string statsBody(const PipelineStats &S, const std::string &Indent) {
   for (size_t I = 0; I < S.ReactiveDetail.size(); ++I) {
     const ReactiveRunStats &R = S.ReactiveDetail[I];
     J += I == 0 ? "\n" : ",\n";
-    J += Indent + "  {\"round\": " + std::to_string(R.Round) +
+    J += Indent + "  {\"round\": " + std::to_string(I) +
          ", \"status\": " + jsonStr(statusStr(R.Status)) +
          ", \"bound\": " + std::to_string(R.BoundUsed) +
          ", \"nba_cache_hit\": " + (R.NbaCacheHit ? "true" : "false") +

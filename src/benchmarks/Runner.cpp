@@ -13,15 +13,14 @@ BenchmarkRun temos::runBenchmark(const BenchmarkSpec &B,
                                  const PipelineOptions &Options,
                                  unsigned Repeats) {
   BenchmarkRun Run;
+  Run.Bench = &B;
   Run.Ctx = std::make_shared<Context>();
-  Run.Row.Family = B.Family;
-  Run.Row.Name = B.Name;
 
   auto Spec = parseSpecification(B.Source, *Run.Ctx);
   if (!Spec)
     return Run;
   Run.Spec = *Spec;
-  Run.Row.Parsed = true;
+  Run.Parsed = true;
 
   Synthesizer Synth(*Run.Ctx);
   Run.Result = Synth.run(Run.Spec, Options);
@@ -30,25 +29,13 @@ BenchmarkRun temos::runBenchmark(const BenchmarkSpec &B,
     Run.RepeatStats.push_back(Again.Stats);
   }
 
-  const PipelineStats &S = Run.Result.Stats;
-  Run.Row.Status = Run.Result.Status;
-  Run.Row.SpecSize = S.SpecSize;
-  Run.Row.PredicateCount = S.PredicateCount;
-  Run.Row.UpdateTermCount = S.UpdateTermCount;
-  Run.Row.AssumptionCount = S.AssumptionCount;
-  Run.Row.PsiGenSeconds = S.PsiGenSeconds;
-  Run.Row.SynthesisSeconds = S.SynthesisSeconds;
-  Run.Row.SumSeconds = S.PsiGenSeconds + S.SynthesisSeconds;
-  Run.Row.Refinements = S.Refinements;
-  if (Run.Result.Machine) {
-    std::string Js =
-        emitJavaScript(*Run.Result.Machine, Run.Result.AB, Run.Spec);
-    Run.Row.SynthesizedLoc = countLines(Js);
-  }
+  if (Run.Result.Machine)
+    Run.SynthesizedLoc = countLines(
+        emitJavaScript(*Run.Result.Machine, Run.Result.AB, Run.Spec));
   return Run;
 }
 
-std::string temos::formatTable(const std::vector<BenchmarkRow> &Rows) {
+std::string temos::formatTable(const std::vector<BenchmarkRun> &Runs) {
   std::string Out;
   char Line[256];
   std::snprintf(Line, sizeof(Line), "%-18s %-14s %5s %4s %4s %5s %10s %9s %8s %6s %s\n",
@@ -57,22 +44,24 @@ std::string temos::formatTable(const std::vector<BenchmarkRow> &Rows) {
   Out += Line;
   Out += std::string(110, '-') + "\n";
   std::string LastFamily;
-  for (const BenchmarkRow &R : Rows) {
-    if (R.Family != LastFamily) {
-      Out += R.Family + "\n";
-      LastFamily = R.Family;
+  for (const BenchmarkRun &R : Runs) {
+    if (R.Bench->Family != LastFamily) {
+      Out += R.Bench->Family + std::string("\n");
+      LastFamily = R.Bench->Family;
     }
+    const Realizability Verdict = R.Result.Status;
     const char *Status = !R.Parsed ? "PARSE-ERROR"
-                         : R.Status == Realizability::Realizable
+                         : Verdict == Realizability::Realizable
                              ? "ok"
-                             : (R.Status == Realizability::Unrealizable
+                             : (Verdict == Realizability::Unrealizable
                                     ? "UNREALIZABLE"
                                     : "UNKNOWN");
+    const PipelineStats &S = R.Result.Stats;
     std::snprintf(Line, sizeof(Line),
                   "%-18s %-14s %5zu %4zu %4zu %5zu %10.3f %9.3f %8.3f %6zu %s\n",
-                  "", R.Name.c_str(), R.SpecSize, R.PredicateCount,
-                  R.UpdateTermCount, R.AssumptionCount, R.PsiGenSeconds,
-                  R.SynthesisSeconds, R.SumSeconds, R.SynthesizedLoc, Status);
+                  "", R.Bench->Name, S.SpecSize, S.PredicateCount,
+                  S.UpdateTermCount, S.AssumptionCount, S.PsiGenSeconds,
+                  S.SynthesisSeconds, R.seconds(), R.SynthesizedLoc, Status);
     Out += Line;
   }
   return Out;

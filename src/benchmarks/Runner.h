@@ -17,35 +17,27 @@
 
 namespace temos {
 
-/// One Table-1 row as measured on this machine.
-struct BenchmarkRow {
-  std::string Family;
-  std::string Name;
-  bool Parsed = false;
-  Realizability Status = Realizability::Unknown;
-  size_t SpecSize = 0;        // |phi|
-  size_t PredicateCount = 0;  // |P|
-  size_t UpdateTermCount = 0; // |F|
-  size_t AssumptionCount = 0; // |psi|
-  double PsiGenSeconds = 0;
-  double SynthesisSeconds = 0;
-  double SumSeconds = 0;
-  size_t SynthesizedLoc = 0;
-  unsigned Refinements = 0;
-};
-
-/// Full result of one run, keeping the context alive for callers that
+/// One Table-1 row as measured on this machine. The row's columns are
+/// read from Result.Stats; the context stays alive for callers that
 /// want the machine/alphabet (examples, Fig. 4 oracle).
 struct BenchmarkRun {
-  BenchmarkRow Row;
+  const BenchmarkSpec *Bench = nullptr;
+  bool Parsed = false;
   std::shared_ptr<Context> Ctx;
   Specification Spec;
   /// First pipeline run (the Table-1 measurement).
   PipelineResult Result;
+  /// Lines of the emitted JavaScript controller (0 without a machine).
+  size_t SynthesizedLoc = 0;
   /// Stats of runs 2..Repeats on the same Synthesizer; with the
   /// incremental engine these show the cross-run NBA/arena reuse the
   /// BENCH_*.json records carry.
   std::vector<PipelineStats> RepeatStats;
+
+  /// Table 1's sum column: psi generation plus TSL synthesis.
+  double seconds() const {
+    return Result.Stats.PsiGenSeconds + Result.Stats.SynthesisSeconds;
+  }
 };
 
 /// Parses and synthesizes benchmark \p B. \p Options tweaks the
@@ -55,8 +47,8 @@ BenchmarkRun runBenchmark(const BenchmarkSpec &B,
                           const PipelineOptions &Options = {},
                           unsigned Repeats = 1);
 
-/// Formats rows as the Table 1 layout.
-std::string formatTable(const std::vector<BenchmarkRow> &Rows);
+/// Formats runs as the Table 1 layout.
+std::string formatTable(const std::vector<BenchmarkRun> &Runs);
 
 } // namespace temos
 

@@ -19,7 +19,7 @@ temos::computeOracle(const Specification &Spec,
     ForAlphabet.push_back(Phi);
     Alphabet AB = Alphabet::build(Spec, Ctx, ForAlphabet);
     ++Result.RealizabilityChecks;
-    return checkRealizable(Phi, Ctx, AB, Options) ==
+    return synthesizeLtl(Phi, Ctx, AB, Options).Status ==
            Realizability::Realizable;
   };
 

@@ -332,26 +332,20 @@ void Synthesizer::generateAssumptions(const Specification &Spec,
              " obligations unresolved (deadline expired mid-search)"});
 }
 
-void Synthesizer::recordReactiveRun(PipelineResult &Result, unsigned Round,
+void Synthesizer::recordReactiveRun(PipelineResult &Result,
                                     const SynthesisResult &Reactive,
                                     bool Incremental) {
   PipelineStats &PS = Result.Stats;
-  if (Reactive.Stats.NbaCacheHit)
+  const SynthesisStats &S = Reactive.Stats;
+  ++PS.ReactiveRuns;
+  PS.GameStates = std::max(PS.GameStates, S.GameStates);
+  if (S.NbaCacheHit)
     ++PS.NbaCacheHits;
   else if (Incremental)
     ++PS.NbaCacheMisses;
-  PS.ExpansionCacheHits += Reactive.Stats.ExpansionCacheHits;
-  PS.ExpansionCacheMisses += Reactive.Stats.ExpansionCacheMisses;
-  ReactiveRunStats RS;
-  RS.Round = Round;
-  RS.Status = Reactive.Status;
-  RS.NbaCacheHit = Reactive.Stats.NbaCacheHit;
-  RS.ArenaStatesReused = Reactive.Stats.ArenaStatesReused;
-  RS.GameStates = Reactive.Stats.GameStates;
-  RS.BoundUsed = Reactive.Stats.BoundUsed;
-  RS.NbaSeconds = Reactive.Stats.NbaSeconds;
-  RS.GameSeconds = Reactive.Stats.GameSeconds;
-  PS.ReactiveDetail.push_back(RS);
+  PS.ExpansionCacheHits += S.ExpansionCacheHits;
+  PS.ExpansionCacheMisses += S.ExpansionCacheMisses;
+  PS.ReactiveDetail.push_back({S, Reactive.Status});
 }
 
 PipelineResult Synthesizer::runPipeline(const Specification &Spec,
@@ -364,16 +358,14 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
   const size_t Hits0 = Svc.cache().hits();
   const size_t Misses0 = Svc.cache().misses();
   Timer PsiTimer;
-  CpuTimer PsiCpu;
 
   // --- Decomposition, consistency checking, SyGuS (Secs. 4.1-4.3). -------
   generateAssumptions(Spec, Options, Result, Global);
   Result.Stats.PsiGenSeconds = PsiTimer.seconds();
-  Result.Stats.PsiGenCpuSeconds = PsiCpu.seconds();
+  Result.Stats.PsiGenCpuSeconds = PsiTimer.cpuSeconds();
 
   // --- Reactive synthesis + refinement loop (Sec. 4.4, Alg. 4). ----------
   Timer SynthTimer;
-  CpuTimer SynthCpu;
   // The total budget covers the whole phase: every reactive invocation,
   // every CHECK-SAT and every refinement re-synthesis.
   Svc.setDeadline(Global);
@@ -404,12 +396,9 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
     ForAlphabet.push_back(Phi);
     Result.AB = Alphabet::build(Spec, Ctx, ForAlphabet);
 
-    ++Result.Stats.ReactiveRuns;
     SynthesisResult Reactive = Engine.synthesize(
         Phi, Ctx, Result.AB, Options.Reactive, &Svc.pool(), Global);
-    recordReactiveRun(Result, Round, Reactive, Options.Reactive.Incremental);
-    Result.Stats.GameStates =
-        std::max(Result.Stats.GameStates, Reactive.Stats.GameStates);
+    recordReactiveRun(Result, Reactive, Options.Reactive.Incremental);
     Result.Status = Reactive.Status;
     if (Reactive.Status == Realizability::Realizable) {
       Result.Machine = std::move(Reactive.Machine);
@@ -432,7 +421,7 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
   }
 
   Result.Stats.SynthesisSeconds = SynthTimer.seconds();
-  Result.Stats.SynthesisCpuSeconds = SynthCpu.seconds();
+  Result.Stats.SynthesisCpuSeconds = SynthTimer.cpuSeconds();
   Result.Stats.CacheHits = Svc.cache().hits() - Hits0;
   Result.Stats.CacheMisses = Svc.cache().misses() - Misses0;
   return Result;

@@ -95,19 +95,12 @@ struct PipelineOptions {
 };
 
 /// One reactive-synthesis invocation of a pipeline run, as recorded for
-/// the --bench-json emitter: which refinement round it served, whether
-/// the incremental engine reused cached work, and the phase split.
-struct ReactiveRunStats {
-  /// Refinement round (eager) or assumption-prefix length (lazy).
-  unsigned Round = 0;
+/// the --bench-json emitter: the engine's own stats (cache reuse, bound,
+/// phase split) and its verdict. The entry's index in
+/// PipelineStats::ReactiveDetail is the refinement round (eager) or the
+/// assumption-prefix length (lazy): each round runs the engine once.
+struct ReactiveRunStats : SynthesisStats {
   Realizability Status = Realizability::Unknown;
-  bool NbaCacheHit = false;
-  size_t ArenaStatesReused = 0;
-  size_t GameStates = 0;
-  /// Bound that produced the strategy (0 unless Realizable).
-  unsigned BoundUsed = 0;
-  double NbaSeconds = 0;
-  double GameSeconds = 0;
 };
 
 /// Table 1's per-benchmark columns, plus solver-service accounting.
@@ -124,6 +117,8 @@ struct PipelineStats {
   double PsiGenCpuSeconds = 0;
   double SynthesisCpuSeconds = 0;
   unsigned Refinements = 0;
+  /// Per-run aggregates over ReactiveDetail, written only by
+  /// Synthesizer::recordReactiveRun: the entry count, the largest game.
   unsigned ReactiveRuns = 0;
   size_t GameStates = 0;
   size_t ConsistencyQueries = 0;
@@ -209,9 +204,10 @@ private:
   /// theory or parallelism configuration changed.
   SolverService &ensureService(Theory Th, const PipelineOptions &Options);
 
-  /// Records one reactive invocation into Result's stats, including
-  /// its engine cache traffic (NBA misses count only when \p Incremental).
-  static void recordReactiveRun(PipelineResult &Result, unsigned Round,
+  /// Records one reactive invocation into Result's stats: its
+  /// ReactiveDetail entry and the per-run aggregates (NBA misses count
+  /// only when \p Incremental).
+  static void recordReactiveRun(PipelineResult &Result,
                                 const SynthesisResult &Reactive,
                                 bool Incremental);
 

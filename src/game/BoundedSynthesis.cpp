@@ -718,41 +718,35 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
         Arena->stateCount() > 1 ? Arena->stateCount() : 0;
   }
 
-  for (unsigned Bound : Options.BoundSchedule) {
-    if (!Incremental) {
-      // Pre-incremental behavior: a fresh game per bound.
-      Local = std::make_unique<GameArena>(Ucw, AB, Options.StateBudget);
-      Arena = Local.get();
-    }
-    if (!Arena->extendTo(Bound, Explore, Dl)) {
-      Result.Status = Realizability::Unknown;
-      Result.Stats.TimedOut = Arena->timedOut();
+  // The bound schedule: explore, solve and (on a win) extract per bound.
+  auto SolveSchedule = [&]() -> Realizability {
+    for (unsigned Bound : Options.BoundSchedule) {
+      if (!Incremental) {
+        // Pre-incremental behavior: a fresh game per bound.
+        Local = std::make_unique<GameArena>(Ucw, AB, Options.StateBudget);
+        Arena = Local.get();
+      }
+      const bool Explored = Arena->extendTo(Bound, Explore, Dl);
+      const std::vector<char> *Winning =
+          Explored ? Arena->solve(Bound, Dl) : nullptr;
+      if (Winning && Arena->initialWinning(*Winning)) {
+        Result.Stats.BoundUsed = Bound;
+        Result.Stats.GameStates = Arena->stateCount();
+        Result.Machine = Arena->extract(Bound, *Winning);
+        return Realizability::Realizable;
+      }
       Result.Stats.GameStates =
           std::max(Result.Stats.GameStates, Arena->stateCount());
-      Result.Stats.GameSeconds = GameTimer.seconds();
-      return Result;
+      if (!Winning) {
+        // Exploration stops on the state budget or the deadline;
+        // solving stops only on the deadline.
+        Result.Stats.TimedOut = Explored || Arena->timedOut();
+        return Realizability::Unknown;
+      }
     }
-    const std::vector<char> *Winning = Arena->solve(Bound, Dl);
-    if (!Winning) {
-      Result.Status = Realizability::Unknown;
-      Result.Stats.TimedOut = true;
-      Result.Stats.GameStates =
-          std::max(Result.Stats.GameStates, Arena->stateCount());
-      Result.Stats.GameSeconds = GameTimer.seconds();
-      return Result;
-    }
-    if (Arena->initialWinning(*Winning)) {
-      Result.Status = Realizability::Realizable;
-      Result.Stats.BoundUsed = Bound;
-      Result.Stats.GameStates = Arena->stateCount();
-      Result.Machine = Arena->extract(Bound, *Winning);
-      Result.Stats.GameSeconds = GameTimer.seconds();
-      return Result;
-    }
-    Result.Stats.GameStates =
-        std::max(Result.Stats.GameStates, Arena->stateCount());
-  }
-  Result.Status = Realizability::Unrealizable;
+    return Realizability::Unrealizable;
+  };
+  Result.Status = SolveSchedule();
   Result.Stats.GameSeconds = GameTimer.seconds();
   return Result;
 }
@@ -773,10 +767,4 @@ SynthesisResult temos::synthesizeLtl(const Formula *Spec, Context &Ctx,
                                      const SynthesisOptions &Options) {
   SynthesisEngine Engine;
   return Engine.synthesize(Spec, Ctx, AB, Options, nullptr);
-}
-
-Realizability temos::checkRealizable(const Formula *Spec, Context &Ctx,
-                                     const Alphabet &AB,
-                                     const SynthesisOptions &Options) {
-  return synthesizeLtl(Spec, Ctx, AB, Options).Status;
 }

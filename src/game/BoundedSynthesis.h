@@ -161,12 +161,6 @@ SynthesisResult synthesizeLtl(const Formula *Spec, Context &Ctx,
                               const Alphabet &AB,
                               const SynthesisOptions &Options = {});
 
-/// Realizability only (no strategy extraction); used by the Fig. 4
-/// oracle's minimization loop.
-Realizability checkRealizable(const Formula *Spec, Context &Ctx,
-                              const Alphabet &AB,
-                              const SynthesisOptions &Options = {});
-
 } // namespace temos
 
 #endif // TEMOS_GAME_BOUNDEDSYNTHESIS_H

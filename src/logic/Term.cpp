@@ -144,12 +144,3 @@ void temos::collectSignals(const Term *T, std::vector<std::string> &Out) {
   for (const Term *Arg : T->args())
     collectSignals(Arg, Out);
 }
-
-bool temos::mentionsSignal(const Term *T, const std::string &SignalName) {
-  if (T->isSignal())
-    return T->name() == SignalName;
-  for (const Term *Arg : T->args())
-    if (mentionsSignal(Arg, SignalName))
-      return true;
-  return false;
-}

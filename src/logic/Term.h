@@ -139,9 +139,6 @@ private:
 /// (deduplicated, in first-occurrence order).
 void collectSignals(const Term *T, std::vector<std::string> &Out);
 
-/// True if signal \p SignalName occurs in \p T.
-bool mentionsSignal(const Term *T, const std::string &SignalName);
-
 } // namespace temos
 
 #endif // TEMOS_LOGIC_TERM_H

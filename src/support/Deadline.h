@@ -20,7 +20,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -48,12 +47,23 @@ public:
   Deadline() = default;
 
   /// A deadline \p Seconds from now on the monotonic clock.
-  /// Non-positive budgets produce an already-expired deadline.
+  /// Non-positive (and NaN) budgets produce an already-expired deadline.
+  /// Budgets past half the clock's remaining range (centuries; also
+  /// +inf) saturate to a deadline that never expires, so the cast to
+  /// the clock's integer ticks can never overflow.
   static Deadline after(double Seconds) {
     Deadline D;
     D.S = std::make_shared<State>();
-    D.S->Due = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(Seconds));
+    const Clock::time_point Now = Clock::now();
+    const double Room =
+        std::chrono::duration<double>(Clock::time_point::max() - Now).count();
+    if (!(Seconds > 0))
+      D.S->Due = Now;
+    else if (Seconds >= Room / 2)
+      D.S->Due = Clock::time_point::max();
+    else
+      D.S->Due = Now + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(Seconds));
     return D;
   }
 
@@ -66,9 +76,6 @@ public:
       return A;
     return A.S->Due <= B.S->Due ? A : B;
   }
-
-  /// Whether any budget is attached at all.
-  bool armed() const { return S != nullptr; }
 
   /// Polls the token. Cheap: a null test when unarmed, one relaxed
   /// atomic load when already tripped, one clock read otherwise.
@@ -94,15 +101,6 @@ public:
   void cancel() const {
     if (S)
       S->Cancelled.store(true, std::memory_order_relaxed);
-  }
-
-  /// Seconds until expiry (<= 0 when expired; +inf when unarmed).
-  double remainingSeconds() const {
-    if (!S)
-      return std::numeric_limits<double>::infinity();
-    if (S->Cancelled.load(std::memory_order_relaxed))
-      return 0.0;
-    return std::chrono::duration<double>(S->Due - Clock::now()).count();
   }
 
 private:

@@ -1,11 +1,11 @@
-//===- support/Timer.h - Wall-clock timing ---------------------*- C++ -*-===//
+//===- support/Timer.h - Wall-clock and CPU timing -------------*- C++ -*-===//
 ///
 /// \file
-/// A tiny wall-clock stopwatch used by the synthesis pipeline to report
-/// the per-phase timings that Table 1 and Figure 4 of the paper record,
-/// plus a process-CPU stopwatch: with the solver service fanning work
-/// out across threads, wall and CPU time diverge, and the pipeline
-/// reports both per phase (CPU/wall ~ utilized parallelism).
+/// The stopwatch behind every timing the pipeline reports (the per-phase
+/// timings of Table 1 and Figure 4 of the paper). It reads two clocks:
+/// with the solver service fanning work out across threads, wall and
+/// process-CPU time diverge, and the pipeline reports both per phase
+/// (CPU/wall ~ utilized parallelism).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,31 +17,25 @@
 
 namespace temos {
 
-/// Wall-clock stopwatch. Construction starts the clock.
+/// Wall-clock and process-CPU stopwatch. Construction starts both
+/// clocks.
 class Timer {
 public:
-  Timer() : Start(Clock::now()) {}
+  Timer() : Start(Clock::now()), CpuStart(cpuNow()) {}
 
-  /// Seconds elapsed since construction.
+  /// Wall-clock seconds elapsed since construction.
   double seconds() const {
     return std::chrono::duration<double>(Clock::now() - Start).count();
   }
 
+  /// Seconds of CPU consumed by every thread of the process since
+  /// construction.
+  double cpuSeconds() const { return cpuNow() - CpuStart; }
+
 private:
   using Clock = std::chrono::steady_clock;
-  Clock::time_point Start;
-};
 
-/// Process-CPU stopwatch: seconds of CPU consumed by every thread of
-/// the process since construction. Construction starts the clock.
-class CpuTimer {
-public:
-  CpuTimer() : Start(now()) {}
-
-  double seconds() const { return now() - Start; }
-
-private:
-  static double now() {
+  static double cpuNow() {
 #if defined(CLOCK_PROCESS_CPUTIME_ID)
     timespec Ts;
     if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &Ts) == 0)
@@ -50,7 +44,8 @@ private:
     return double(std::clock()) / CLOCKS_PER_SEC;
   }
 
-  double Start;
+  Clock::time_point Start;
+  double CpuStart;
 };
 
 } // namespace temos

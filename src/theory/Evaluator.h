@@ -3,8 +3,8 @@
 /// \file
 /// Evaluates ground TSL-MT terms under a concrete assignment of signal
 /// values. This is the semantic backbone shared by:
-///  * the SyGuS enumerator (observational-equivalence pruning and
-///    example-based candidate rejection),
+///  * the SyGuS solver (diversifying sampled pre-condition models and
+///    rejecting candidates whose run misses the post-condition on them),
 ///  * the code-generation Interpreter (executing synthesized systems),
 ///  * tests (differential checking against the SMT solver).
 ///

@@ -150,7 +150,6 @@ void Simplex::updateNonbasic(VarId X, const DeltaRational &NewValue) {
 }
 
 void Simplex::pivot(VarId Basic, VarId Nonbasic) {
-  ++Pivots;
   std::map<VarId, Rational> Row = Rows[Basic];
   Rows.erase(Basic);
   Rational A = Row[Nonbasic];

@@ -33,11 +33,6 @@ public:
   /// Returns the variable for \p Name, creating it on first use.
   VarId getVariable(const std::string &Name, bool IsInt);
 
-  /// True if \p Name has been introduced.
-  bool hasVariable(const std::string &Name) const {
-    return VarIds.count(Name) != 0;
-  }
-
   /// Asserts \p Atom (over named variables; variables are created with
   /// \p IntByDefault integrality when unseen). Returns false on an
   /// immediately detected bound conflict.
@@ -63,9 +58,6 @@ public:
   /// choosing a small enough epsilon > 0. Only valid after a successful
   /// check().
   std::map<std::string, Rational> concreteModel() const;
-
-  size_t variableCount() const { return Vars.size(); }
-  size_t pivotCount() const { return Pivots; }
 
   /// Attaches a cooperative deadline polled once per pivot iteration;
   /// check() throws DeadlineExpired when it trips. Copies (the
@@ -93,7 +85,6 @@ private:
   std::map<std::string, VarId> VarIds;
   /// Rows of basic variables: Basic -> (Nonbasic -> coefficient).
   std::map<VarId, std::map<VarId, Rational>> Rows;
-  size_t Pivots = 0;
   int SlackCounter = 0;
   Deadline Dl;
 };

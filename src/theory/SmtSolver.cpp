@@ -268,15 +268,6 @@ SatResult SmtSolver::checkFormula(const Formula *F, Assignment *Model) {
   }
 }
 
-SatResult SmtSolver::checkValid(const Formula *F, Context &Ctx) {
-  SatResult R = checkFormula(Ctx.Formulas.toNNF(Ctx.Formulas.notF(F)));
-  if (R == SatResult::Unsat)
-    return SatResult::Sat; // Negation unsatisfiable: valid.
-  if (R == SatResult::Sat)
-    return SatResult::Unsat;
-  return SatResult::Unknown;
-}
-
 SatResult SmtSolver::dpll(const Formula *F, std::vector<const Term *> &Atoms,
                           size_t Index, std::vector<TheoryLiteral> &Trail,
                           Assignment *Model) {

@@ -92,10 +92,6 @@ public:
   /// predicate terms (no temporal operators, no update terms).
   SatResult checkFormula(const Formula *F, Assignment *Model = nullptr);
 
-  /// Validity of \p F (all atoms predicate terms): Sat means "valid".
-  /// Implemented as Unsat(!F) with the NNF built in \p Ctx.
-  SatResult checkValid(const Formula *F, Context &Ctx);
-
 private:
   SatResult dpll(const Formula *F, std::vector<const Term *> &Atoms,
                  size_t Index, std::vector<TheoryLiteral> &Trail,

@@ -58,6 +58,7 @@
 #include "logic/Parser.h"
 #include "support/StringUtils.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -233,9 +234,10 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(argv[I], "--time-budget") == 0 && I + 1 < argc) {
       char *End = nullptr;
       double S = std::strtod(argv[++I], &End);
-      if (End == argv[I] || *End != '\0' || S <= 0) {
-        std::fprintf(stderr,
-                     "error: --time-budget needs a positive second count\n");
+      if (End == argv[I] || *End != '\0' || !std::isfinite(S) || S <= 0) {
+        std::fprintf(
+            stderr,
+            "error: --time-budget needs a positive, finite second count\n");
         return usage(argv[0]);
       }
       TimeBudget = S;

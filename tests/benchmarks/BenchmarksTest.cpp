@@ -58,9 +58,9 @@ TEST_P(FastBenchmark, SynthesizesEndToEnd) {
   const BenchmarkSpec *B = findBenchmark(GetParam());
   ASSERT_NE(B, nullptr);
   BenchmarkRun Run = runBenchmark(*B);
-  EXPECT_EQ(Run.Row.Status, Realizability::Realizable) << B->Name;
-  EXPECT_GT(Run.Row.SynthesizedLoc, 0u);
-  EXPECT_GT(Run.Row.SpecSize, 0u);
+  EXPECT_EQ(Run.Result.Status, Realizability::Realizable) << B->Name;
+  EXPECT_GT(Run.SynthesizedLoc, 0u);
+  EXPECT_GT(Run.Result.Stats.SpecSize, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Table1, FastBenchmark,

@@ -182,9 +182,10 @@ TEST(IncrementalParity, SecondRunReusesEngineState) {
     EXPECT_EQ(Second.Stats.NbaCacheMisses, 0u);
     EXPECT_EQ(Second.Stats.CacheMisses, 0u);
     ASSERT_EQ(Second.Stats.ReactiveDetail.size(), R.ReactiveRuns);
-    for (const ReactiveRunStats &Run : Second.Stats.ReactiveDetail) {
-      EXPECT_TRUE(Run.NbaCacheHit) << "round " << Run.Round;
-      EXPECT_GT(Run.ArenaStatesReused, 0u) << "round " << Run.Round;
+    for (size_t Round = 0; Round < R.ReactiveRuns; ++Round) {
+      const ReactiveRunStats &Run = Second.Stats.ReactiveDetail[Round];
+      EXPECT_TRUE(Run.NbaCacheHit) << "round " << Round;
+      EXPECT_GT(Run.ArenaStatesReused, 0u) << "round " << Round;
     }
   }
 }

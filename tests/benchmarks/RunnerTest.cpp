@@ -9,28 +9,28 @@ using namespace temos;
 namespace {
 
 TEST(Runner, FormatTableLaysOutFamilies) {
-  std::vector<BenchmarkRow> Rows;
-  BenchmarkRow A;
-  A.Family = "Music Synthesizer";
-  A.Name = "Vibrato";
+  const BenchmarkSpec Vibrato{"Music Synthesizer", "Vibrato", ""};
+  const BenchmarkSpec Modulation{"Music Synthesizer", "Modulation", ""};
+  const BenchmarkSpec Bouncing{"Pong", "Bouncing", ""};
+  std::vector<BenchmarkRun> Rows;
+  BenchmarkRun A;
+  A.Bench = &Vibrato;
   A.Parsed = true;
-  A.Status = Realizability::Realizable;
-  A.SpecSize = 22;
-  A.PredicateCount = 2;
-  A.UpdateTermCount = 4;
-  A.AssumptionCount = 3;
-  A.PsiGenSeconds = 0.1;
-  A.SynthesisSeconds = 0.9;
-  A.SumSeconds = 1.0;
+  A.Result.Status = Realizability::Realizable;
+  A.Result.Stats.SpecSize = 22;
+  A.Result.Stats.PredicateCount = 2;
+  A.Result.Stats.UpdateTermCount = 4;
+  A.Result.Stats.AssumptionCount = 3;
+  A.Result.Stats.PsiGenSeconds = 0.1;
+  A.Result.Stats.SynthesisSeconds = 0.9;
   A.SynthesizedLoc = 206;
   Rows.push_back(A);
-  BenchmarkRow B = A;
-  B.Name = "Modulation";
+  BenchmarkRun B = A;
+  B.Bench = &Modulation;
   Rows.push_back(B);
-  BenchmarkRow C = A;
-  C.Family = "Pong";
-  C.Name = "Bouncing";
-  C.Status = Realizability::Unrealizable;
+  BenchmarkRun C = A;
+  C.Bench = &Bouncing;
+  C.Result.Status = Realizability::Unrealizable;
   Rows.push_back(C);
 
   std::string Table = formatTable(Rows);
@@ -43,13 +43,14 @@ TEST(Runner, FormatTableLaysOutFamilies) {
   EXPECT_NE(Table.find("Vibrato"), std::string::npos);
   EXPECT_NE(Table.find("UNREALIZABLE"), std::string::npos);
   EXPECT_NE(Table.find("ok"), std::string::npos);
+  // The sum column is psi generation plus TSL synthesis.
+  EXPECT_NE(Table.find("0.100     0.900    1.000"), std::string::npos);
 }
 
 TEST(Runner, FormatTableMarksParseErrors) {
-  BenchmarkRow Bad;
-  Bad.Family = "X";
-  Bad.Name = "Broken";
-  Bad.Parsed = false;
+  const BenchmarkSpec Broken{"X", "Broken", ""};
+  BenchmarkRun Bad;
+  Bad.Bench = &Broken;
   std::string Table = formatTable({Bad});
   EXPECT_NE(Table.find("PARSE-ERROR"), std::string::npos);
 }
@@ -58,11 +59,12 @@ TEST(Runner, RunBenchmarkFillsRow) {
   const BenchmarkSpec *B = findBenchmark("Simple");
   ASSERT_NE(B, nullptr);
   BenchmarkRun Run = runBenchmark(*B);
-  EXPECT_TRUE(Run.Row.Parsed);
-  EXPECT_EQ(Run.Row.Status, Realizability::Realizable);
-  EXPECT_GT(Run.Row.SpecSize, 0u);
-  EXPECT_GT(Run.Row.SynthesizedLoc, 0u);
-  EXPECT_EQ(Run.Row.Family, std::string("Escalator"));
+  EXPECT_TRUE(Run.Parsed);
+  EXPECT_EQ(Run.Bench, B);
+  EXPECT_EQ(Run.Result.Status, Realizability::Realizable);
+  EXPECT_GT(Run.Result.Stats.SpecSize, 0u);
+  EXPECT_GT(Run.SynthesizedLoc, 0u);
+  EXPECT_EQ(Run.Bench->Family, std::string("Escalator"));
   ASSERT_TRUE(Run.Result.Machine.has_value());
   EXPECT_GE(Run.Result.Machine->stateCount(), 1u);
 }
@@ -74,9 +76,9 @@ TEST(Runner, RunBenchmarkHonorsOptions) {
   NoObligations.Decomp.MaxObligations = 0;
   NoObligations.Consistency.MaxSubsetSize = 0;
   BenchmarkRun Run = runBenchmark(*B, NoObligations);
-  EXPECT_EQ(Run.Row.AssumptionCount, 0u);
+  EXPECT_EQ(Run.Result.Stats.AssumptionCount, 0u);
   // "Simple" needs no assumptions, so it still synthesizes.
-  EXPECT_EQ(Run.Row.Status, Realizability::Realizable);
+  EXPECT_EQ(Run.Result.Status, Realizability::Realizable);
 }
 
 } // namespace

@@ -99,7 +99,7 @@ TEST_F(AssumptionCoreTest, CoreIsStillRealizable) {
   std::vector<const Formula *> ForAlphabet = O.Core;
   ForAlphabet.push_back(Phi);
   Alphabet AB = Alphabet::build(Spec, Ctx, ForAlphabet);
-  EXPECT_EQ(checkRealizable(Phi, Ctx, AB), Realizability::Realizable);
+  EXPECT_EQ(synthesizeLtl(Phi, Ctx, AB).Status, Realizability::Realizable);
 }
 
 } // namespace

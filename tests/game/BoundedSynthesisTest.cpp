@@ -172,10 +172,10 @@ TEST_F(BoundedSynthesisTest, BoundZeroSafetySuffices) {
 TEST_F(BoundedSynthesisTest, CheckRealizableAgreesWithSynthesize) {
   const Formula *Good = formula("G [x <- x + 1]");
   Alphabet A1 = Alphabet::build(Spec, Ctx, {Good});
-  EXPECT_EQ(checkRealizable(Good, Ctx, A1), Realizability::Realizable);
+  EXPECT_EQ(synthesizeLtl(Good, Ctx, A1).Status, Realizability::Realizable);
   const Formula *Bad = formula("G p");
   Alphabet A2 = Alphabet::build(Spec, Ctx, {Bad});
-  EXPECT_EQ(checkRealizable(Bad, Ctx, A2), Realizability::Unrealizable);
+  EXPECT_EQ(synthesizeLtl(Bad, Ctx, A2).Status, Realizability::Unrealizable);
 }
 
 TEST_F(BoundedSynthesisTest, TinyStateBudgetReportsUnknown) {
@@ -190,7 +190,6 @@ TEST_F(BoundedSynthesisTest, TinyStateBudgetReportsUnknown) {
   EXPECT_EQ(R.Status, Realizability::Unknown);
   EXPECT_FALSE(R.Machine.has_value());
   EXPECT_LE(R.Stats.GameStates, Tiny.StateBudget);
-  EXPECT_EQ(checkRealizable(F, Ctx, AB, Tiny), Realizability::Unknown);
 }
 
 TEST_F(BoundedSynthesisTest, TinyStateBudgetUnknownThroughEngine) {

@@ -86,11 +86,4 @@ TEST_F(TermTest, CollectSignals) {
   EXPECT_EQ(Names[1], "y");
 }
 
-TEST_F(TermTest, MentionsSignal) {
-  const Term *X = F.signal("x", Sort::Int);
-  const Term *T = F.apply("f", Sort::Int, {X});
-  EXPECT_TRUE(mentionsSignal(T, "x"));
-  EXPECT_FALSE(mentionsSignal(T, "y"));
-}
-
 } // namespace

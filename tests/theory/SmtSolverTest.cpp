@@ -173,16 +173,20 @@ TEST_F(SmtSolverTest, FormulaSatWithModel) {
 }
 
 TEST_F(SmtSolverTest, ValidityChecking) {
-  // x > 5 -> x > 3 is valid; the converse is not.
+  // x > 5 -> x > 3 is valid (its negation is unsatisfiable); the
+  // converse is not.
   const Term *X = intSig("x");
   const Formula *Valid = Ctx.Formulas.implies(
       Ctx.Formulas.pred(cmp(">", X, Ctx.Terms.numeral(5))),
       Ctx.Formulas.pred(cmp(">", X, Ctx.Terms.numeral(3))));
-  EXPECT_EQ(Solver.checkValid(Valid, Ctx), SatResult::Sat);
+  EXPECT_EQ(Solver.checkFormula(Ctx.Formulas.toNNF(Ctx.Formulas.notF(Valid))),
+            SatResult::Unsat);
   const Formula *Invalid = Ctx.Formulas.implies(
       Ctx.Formulas.pred(cmp(">", X, Ctx.Terms.numeral(3))),
       Ctx.Formulas.pred(cmp(">", X, Ctx.Terms.numeral(5))));
-  EXPECT_EQ(Solver.checkValid(Invalid, Ctx), SatResult::Unsat);
+  EXPECT_EQ(
+      Solver.checkFormula(Ctx.Formulas.toNNF(Ctx.Formulas.notF(Invalid))),
+      SatResult::Sat);
 }
 
 TEST_F(SmtSolverTest, IncrementTwiceReachesTwo) {
@@ -194,7 +198,8 @@ TEST_F(SmtSolverTest, IncrementTwiceReachesTwo) {
   const Formula *F = Ctx.Formulas.implies(
       Ctx.Formulas.pred(cmp("=", X, Ctx.Terms.numeral(0))),
       Ctx.Formulas.pred(cmp("=", Inc2, Ctx.Terms.numeral(2))));
-  EXPECT_EQ(Solver.checkValid(F, Ctx), SatResult::Sat);
+  EXPECT_EQ(Solver.checkFormula(Ctx.Formulas.toNNF(Ctx.Formulas.notF(F))),
+            SatResult::Unsat);
 }
 
 TEST_F(SmtSolverTest, OpaqueEquality) {

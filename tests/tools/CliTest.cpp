@@ -254,6 +254,18 @@ TEST(Cli, BadBudgetFlagsAreUsageErrors) {
   EXPECT_EQ(runCli("--inject-fault=spin-hang " + Path).first, 2);
 }
 
+TEST(Cli, NonFiniteTimeBudgetsAreUsageErrors) {
+  // inf used to expire at once (the cast to clock ticks overflowed) and
+  // nan silently meant "unlimited"; both are refused up front.
+  std::string Path = writeSpec("cli_counter.tslmt", CounterSpec);
+  for (const char *Value : {"inf", "nan"}) {
+    auto [Code, Err] =
+        runCliStderr(std::string("--time-budget ") + Value + " " + Path);
+    EXPECT_EQ(Code, 2) << Value;
+    EXPECT_NE(Err.find("usage:"), std::string::npos) << Value;
+  }
+}
+
 TEST(Cli, BadSimulateCountsAreUsageErrors) {
   std::string Path = writeSpec("cli_counter.tslmt", CounterSpec);
   for (const char *Value : {"abc", "-3", "2x"}) {
@@ -267,10 +279,14 @@ TEST(Cli, BadSimulateCountsAreUsageErrors) {
 TEST(Cli, UnfiredTimeBudgetKeepsOutputByteIdentical) {
   std::string Path = writeSpec("cli_counter.tslmt", CounterSpec);
   auto [RefCode, RefOut] = runCli("--emit=js " + Path);
-  auto [BudCode, BudOut] = runCli("--emit=js --time-budget 3600 " + Path);
   EXPECT_EQ(RefCode, 0);
-  EXPECT_EQ(BudCode, 0);
-  EXPECT_EQ(RefOut, BudOut);
+  // 1e10 s is past the clock's tick range: it must saturate, not expire.
+  for (const char *Budget : {"3600", "1e10"}) {
+    auto [BudCode, BudOut] =
+        runCli(std::string("--emit=js --time-budget ") + Budget + " " + Path);
+    EXPECT_EQ(BudCode, 0) << Budget;
+    EXPECT_EQ(RefOut, BudOut) << Budget;
+  }
 }
 
 /// The acceptance bar for the deadline subsystem: an injected
