@@ -16,6 +16,7 @@
 
 #include "benchmarks/BenchJson.h"
 #include "benchmarks/Runner.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstring>
@@ -83,7 +84,8 @@ int main(int argc, char **argv) {
       std::string Json =
           benchJson(B.Name, Run.Result.Status, 1, true, Run.Result.Stats,
                     States, Run.SynthesizedLoc, Repeat);
-      std::string Written = writeBenchJson(BenchJsonDir, B.Name, Json);
+      std::string Written =
+          writeTextFile(BenchJsonDir, benchJsonFileName(B.Name), Json);
       if (Written.empty())
         std::fprintf(stderr, "warning: cannot write bench JSON for %s\n",
                      B.Name);

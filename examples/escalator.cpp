@@ -14,6 +14,7 @@
 #include "codegen/Interpreter.h"
 #include "codegen/TraceChecker.h"
 
+#include <cinttypes>
 #include <cstdio>
 
 using namespace temos;
@@ -67,8 +68,8 @@ int main() {
     (void)Idle;
 
     if (Tick < 14 || (Tick >= 24 && Tick < 30))
-      std::printf("  %2zu: %-7s -> motor=%lld idle=%lld\n", Tick,
-                  Request ? "request" : "quiet", Motor, Idle);
+      std::printf("  %2zu: %-7s -> motor=%" PRId64 " idle=%" PRId64 "\n",
+                  Tick, Request ? "request" : "quiet", Motor, Idle);
   }
 
   // Monitor the specification on the recorded trace.

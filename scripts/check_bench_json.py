@@ -15,10 +15,14 @@ run must instead carry at least one structured failure record (that is
 the degraded-path contract: a budget-exhausted run never comes back
 empty-handed about why).
 
-With BASELINE.json, also fails if the current synthesis wall time
+With BASELINE.json, also fails when any deterministic counter differs
+from the baseline's (the spec sizes, refinements, reactive_runs,
+game_states, machine_states, js_loc, and each reactive entry's bound and
+game_states), naming the key, and when the current synthesis wall time
 regresses by more than 25% against the baseline. Timings below a 0.25s
 floor are never compared: at that scale the noise dwarfs the signal, so
-a freshly recorded tiny baseline can't flake the gate.
+a freshly recorded tiny baseline can't flake the gate; the counters are
+exact at any scale.
 """
 
 import json
@@ -106,6 +110,31 @@ def check_repeat(doc):
              f"({warm:.3f}s vs {cold:.3f}s)")
 
 
+COUNTER_KEYS = ["refinements", "reactive_runs", "game_states",
+                "machine_states", "js_loc"]
+REACTIVE_COUNTER_KEYS = ["bound", "game_states"]
+
+
+def check_counters(doc, baseline):
+    expected = {f"spec.{key}": value
+                for key, value in baseline["spec"].items()}
+    actual = {f"spec.{key}": doc["spec"].get(key) for key in baseline["spec"]}
+    for key in COUNTER_KEYS:
+        expected[key] = baseline[key]
+        actual[key] = doc[key]
+    expected["len(reactive)"] = len(baseline["reactive"])
+    actual["len(reactive)"] = len(doc["reactive"])
+    for i, (entry, ref) in enumerate(zip(doc["reactive"],
+                                         baseline["reactive"])):
+        for key in REACTIVE_COUNTER_KEYS:
+            expected[f"reactive[{i}].{key}"] = ref[key]
+            actual[f"reactive[{i}].{key}"] = entry[key]
+    for key, value in expected.items():
+        if actual[key] != value:
+            fail(f"counter {key} is {actual[key]}, baseline has {value}")
+    print(f"check_bench_json: {len(expected)} counters match the baseline")
+
+
 def check_baseline(doc, baseline):
     current = doc["phases"]["synthesis_wall_s"]
     reference = baseline["phases"]["synthesis_wall_s"]
@@ -143,6 +172,7 @@ def main(argv):
         with open(positional[1]) as handle:
             baseline = json.load(handle)
         check_shape(baseline)
+        check_counters(doc, baseline)
         check_baseline(doc, baseline)
     print(f"check_bench_json: {doc['name']} ok")
     return 0

@@ -22,6 +22,18 @@ TEMOS_BIN="$(cd "$BUILD_DIR" && pwd)/src/tools/temos"
   "$TEMOS_BIN" --benchmark Vibrato --repeat 2 --bench-json >/dev/null)
 python3 scripts/check_bench_json.py "$SMOKE_DIR/BENCH_Vibrato.json" \
   bench/baselines/BENCH_Vibrato.baseline.json
+# The exact-counter gate must bite: the same record with one more game
+# state has to fail against the baseline.
+python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["game_states"] += 1
+json.dump(doc, open(sys.argv[2], "w"))' \
+  "$SMOKE_DIR/BENCH_Vibrato.json" "$SMOKE_DIR/doctored.json"
+if python3 scripts/check_bench_json.py "$SMOKE_DIR/doctored.json" \
+  bench/baselines/BENCH_Vibrato.baseline.json >/dev/null 2>&1; then
+  echo "a record with a doctored game_states passed the counter gate"
+  exit 1
+fi
 # Lazy Vibrato makes three reactive runs on three distinct specs; the
 # repeat must serve every one of them from the engine's memo entries.
 LAZY_DIR="$SMOKE_DIR/lazy"

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Regenerates the canonical measured outputs checked into the repo root:
-# test_output.txt (ctest), bench_output.txt (bench binaries), and
-# examples_output.txt (runnable examples).
+# Writes the measured outputs into the repo root: test_output.txt
+# (ctest) and bench_output.txt (bench binaries), which git does not
+# keep, and examples_output.txt (runnable examples), which it does.
 cd "$(dirname "$0")/.."
 cmake -B build -G Ninja && cmake --build build
 ctest --test-dir build --timeout 600 2>&1 | tee test_output.txt

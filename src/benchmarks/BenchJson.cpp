@@ -5,7 +5,6 @@
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <fstream>
 
 using namespace temos;
 
@@ -50,22 +49,6 @@ std::string jsonNum(double V) {
   return Buf;
 }
 
-const char *statusStr(Realizability S) {
-  switch (S) {
-  case Realizability::Realizable:
-    return "realizable";
-  case Realizability::Unrealizable:
-    return "unrealizable";
-  case Realizability::Unknown:
-    return "unknown";
-  }
-  return "unknown";
-}
-
-} // namespace
-
-namespace {
-
 /// The per-run stats body shared by the top-level document and the
 /// "repeat" object. \p Indent is the leading whitespace of each line;
 /// the caller wraps the lines in braces.
@@ -90,7 +73,7 @@ std::string statsBody(const PipelineStats &S, const std::string &Indent) {
     const ReactiveRunStats &R = S.ReactiveDetail[I];
     J += I == 0 ? "\n" : ",\n";
     J += Indent + "  {\"round\": " + std::to_string(I) +
-         ", \"status\": " + jsonStr(statusStr(R.Status)) +
+         ", \"status\": " + jsonStr(realizabilityName(R.Status)) +
          ", \"bound\": " + std::to_string(R.BoundUsed) +
          ", \"nba_cache_hit\": " + (R.NbaCacheHit ? "true" : "false") +
          ", \"arena_states_reused\": " + std::to_string(R.ArenaStatesReused) +
@@ -123,7 +106,7 @@ std::string temos::benchJson(const std::string &Name, Realizability Status,
   std::string J = "{\n";
   J += "  \"schema\": \"temos-bench-v1\",\n";
   J += "  \"name\": " + jsonStr(Name) + ",\n";
-  J += "  \"status\": " + jsonStr(statusStr(Status)) + ",\n";
+  J += "  \"status\": " + jsonStr(realizabilityName(Status)) + ",\n";
   J += "  \"jobs\": " + std::to_string(Jobs) + ",\n";
   J += std::string("  \"cache\": ") + (CacheEnabled ? "true" : "false") + ",\n";
   J += "  \"spec\": {\"phi\": " + std::to_string(S.SpecSize) +
@@ -144,17 +127,4 @@ std::string temos::benchJson(const std::string &Name, Realizability Status,
 
 std::string temos::benchJsonFileName(const std::string &Name) {
   return "BENCH_" + fileSafeName(Name) + ".json";
-}
-
-std::string temos::writeBenchJson(const std::string &Dir,
-                                  const std::string &Name,
-                                  const std::string &Json) {
-  std::string Path = Dir.empty() ? benchJsonFileName(Name)
-                                 : Dir + "/" + benchJsonFileName(Name);
-  std::ofstream Out(Path);
-  if (!Out)
-    return "";
-  Out << Json;
-  Out.close();
-  return Out ? Path : "";
 }

@@ -33,12 +33,6 @@ std::string benchJson(const std::string &Name, Realizability Status,
 /// "BENCH_<name>.json" with the name sanitized to [A-Za-z0-9_-].
 std::string benchJsonFileName(const std::string &Name);
 
-/// Writes \p Json to \p Dir / benchJsonFileName(\p Name) ("" = current
-/// directory). Returns the path written, or the empty string on I/O
-/// failure.
-std::string writeBenchJson(const std::string &Dir, const std::string &Name,
-                           const std::string &Json);
-
 } // namespace temos
 
 #endif // TEMOS_BENCHMARKS_BENCHJSON_H

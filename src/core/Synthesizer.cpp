@@ -25,12 +25,8 @@ std::string PipelineOptions::validate() const {
     return "Parallelism.NumThreads must be at least 1 (0 would leave the "
            "solver pool with no thread to run queries)";
   // Zero is a meaningful "phase disabled" setting for MaxObligations /
-  // MaxSubsetSize / the assumption cap, so those are not rejected; only
-  // combinations no configuration could ever want are.
-  if (MaxRefinements > 0 && MaxSygusAssumptions == 0)
-    return "MaxRefinements > 0 with MaxSygusAssumptions == 0: the "
-           "refinement loop (Alg. 4) only ever replaces SyGuS-generated "
-           "assumptions, so there is nothing it could refine";
+  // MaxSubsetSize, so those are not rejected; only combinations no
+  // configuration could ever want are.
   if (Budget.TotalSeconds < 0 || Budget.SygusSeconds < 0)
     return "time budgets must be non-negative (0 means unlimited)";
   if (InjectSpinHang && Budget.TotalSeconds == 0 && Budget.SygusSeconds == 0)
@@ -389,9 +385,8 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
       Result.Assumptions.push_back(Result.SygusAssumptions[I].Assumption);
     Result.Stats.AssumptionCount = Result.Assumptions.size();
 
-    const Formula *Phi = formulaWithAssumptions(Spec, Result.Assumptions);
-    if (Options.SimplifyBeforeSynthesis)
-      Phi = simplify(Phi, Ctx.Formulas);
+    const Formula *Phi = simplify(
+        formulaWithAssumptions(Spec, Result.Assumptions), Ctx.Formulas);
     std::vector<const Formula *> ForAlphabet = Result.Assumptions;
     ForAlphabet.push_back(Phi);
     Result.AB = Alphabet::build(Spec, Ctx, ForAlphabet);

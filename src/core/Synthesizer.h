@@ -69,10 +69,10 @@ struct PipelineOptions {
   /// Cap on SyGuS-generated assumptions: assumptions beyond the cap are
   /// not generated (obligation order gives traversal-derived posts
   /// priority). Keeps the assumption automaton tractable.
-  size_t MaxSygusAssumptions = 16;
-  /// Apply the equivalence-preserving formula simplifier to the final
-  /// TSL-with-assumptions formula before automaton construction.
-  bool SimplifyBeforeSynthesis = true;
+  static constexpr size_t MaxSygusAssumptions = 16;
+  /// The equivalence-preserving formula simplifier always runs on the
+  /// final TSL-with-assumptions formula before automaton construction.
+  static constexpr bool SimplifyBeforeSynthesis = true;
   /// Eager mode (the paper's approach) generates every assumption up
   /// front. Lazy mode adds assumptions one at a time, re-running
   /// reactive synthesis after each -- the alternative discussed in
@@ -86,8 +86,8 @@ struct PipelineOptions {
   bool InjectSpinHang = false;
 
   /// Checks the option combination for contradictions the pipeline
-  /// cannot honor (zero worker threads, refinement with SyGuS disabled,
-  /// ...). Zero-valued budgets mean "unlimited" and are accepted.
+  /// cannot honor (zero worker threads, a spin-hang fault with no budget
+  /// to end it, ...). Zero-valued budgets mean "unlimited" and are accepted.
   /// Returns an empty string when the options are coherent, otherwise a
   /// human-readable diagnostic. Synthesizer::run calls this up front
   /// and refuses to run on a non-empty answer.

@@ -65,6 +65,18 @@ enum class Realizability {
   Unknown,
 };
 
+inline const char *realizabilityName(Realizability R) {
+  switch (R) {
+  case Realizability::Realizable:
+    return "realizable";
+  case Realizability::Unrealizable:
+    return "unrealizable";
+  case Realizability::Unknown:
+    return "unknown";
+  }
+  return "unknown";
+}
+
 /// Tunables for the bounded synthesis loop.
 struct SynthesisOptions {
   /// Counter bounds tried, in order. Realizability is monotone in k, so

@@ -145,6 +145,11 @@ struct FailureRecord {
   FailureKind Kind = FailureKind::Internal;
   std::string Phase;  ///< "consistency", "sygus", "reactive", "pipeline"
   std::string Detail; ///< free-form, human-readable
+
+  /// The one-line rendering every report uses: "<kind> [<phase>] <detail>".
+  std::string str() const {
+    return std::string(failureKindName(Kind)) + " [" + Phase + "] " + Detail;
+  }
 };
 
 } // namespace temos

@@ -3,6 +3,8 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <filesystem>
+#include <fstream>
 
 using namespace temos;
 
@@ -48,4 +50,19 @@ std::string temos::fileSafeName(const std::string &Name) {
                 ? C
                 : '_';
   return Safe;
+}
+
+std::string temos::writeTextFile(const std::string &Dir,
+                                 const std::string &Name,
+                                 const std::string &Text) {
+  std::error_code EC;
+  if (!Dir.empty())
+    std::filesystem::create_directories(Dir, EC);
+  if (EC)
+    return "";
+  std::string Path = Dir.empty() ? Name : Dir + "/" + Name;
+  std::ofstream Out(Path);
+  Out << Text;
+  Out.close();
+  return Out ? Path : "";
 }

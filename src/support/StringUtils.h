@@ -1,8 +1,8 @@
 //===- support/StringUtils.h - Small string helpers ------------*- C++ -*-===//
 ///
 /// \file
-/// Minimal string helpers used across the project (trim/split/join and
-/// the file-name sanitizer for the files the tools write).
+/// Minimal string helpers used across the project (trim/split/join), the
+/// file-name sanitizer, and the one writer for the files the tools write.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +27,12 @@ std::string join(const std::vector<std::string> &Pieces,
 /// \p Name with every character outside [A-Za-z0-9_-] replaced by '_',
 /// safe to embed in a file name.
 std::string fileSafeName(const std::string &Name);
+
+/// Writes \p Text to \p Dir/\p Name, creating \p Dir on demand ("" =
+/// the current directory). Returns the path written, or "" on I/O
+/// failure.
+std::string writeTextFile(const std::string &Dir, const std::string &Name,
+                          const std::string &Text);
 
 } // namespace temos
 

@@ -51,9 +51,7 @@ struct TheoryLiteral {
 ///
 /// Instances keep no state between queries, which the solver-service
 /// layer exploits: clone() hands every pool worker its own instance for
-/// the price of copying the theory tag, and reset() is the explicit
-/// point where any future incremental state (learned lemmas, pushed
-/// scopes) must be discarded to keep that contract.
+/// the price of copying the theory tag.
 class SmtSolver {
 public:
   explicit SmtSolver(Theory Th) : Th(Th) {}
@@ -75,12 +73,6 @@ public:
   /// all poll it and throw DeadlineExpired when the budget is gone.
   /// A default Deadline (never expires) detaches.
   void setDeadline(const Deadline &D) { Dl = D; }
-  const Deadline &deadline() const { return Dl; }
-
-  /// Drops any state carried across queries. Currently a no-op (the
-  /// solver is stateless); part of the API contract so future
-  /// incremental features cannot silently leak state between workers.
-  void reset() {}
 
   /// Satisfiability of the conjunction of \p Literals. On Sat and
   /// non-null \p Model, fills values for every signal occurring in the

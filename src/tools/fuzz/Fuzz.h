@@ -21,10 +21,12 @@
 ///                 asserting byte-identical assumption sets and code.
 ///
 /// On failure a greedy shrinker minimizes the case while the oracle
-/// still fails and a standalone repro file is written to the artifacts
-/// directory. Fault injection (--inject-fault) deliberately perturbs one
-/// substrate answer so the harness's detection and shrinking paths stay
-/// themselves tested.
+/// still fails, and one repro format records it: a
+/// `// temos-fuzz repro: oracle=O seed=S iteration=I fault=K` header,
+/// the description as `// ` lines, then the shrunk case. replayRepro()
+/// re-runs the named oracle's own check on it. Fault injection
+/// (--inject-fault) deliberately perturbs one substrate answer so the
+/// harness's detection and shrinking paths stay themselves tested.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,7 +94,7 @@ struct FailureCase {
   unsigned Iteration = 0;
   /// Human-readable statement of the disagreement.
   std::string Description;
-  /// Shrunk, standalone repro text (spec syntax where possible).
+  /// The whole repro file: header line, description, shrunk case.
   std::string Repro;
   /// Path of the written artifact; empty when writing was disabled.
   std::string ArtifactPath;
@@ -118,26 +120,39 @@ OracleReport runPipelineOracle(const FuzzOptions &Options);
 /// Runs every oracle with the same options.
 std::vector<OracleReport> runAllOracles(const FuzzOptions &Options);
 
-/// Replays a theory-oracle repro file (the format written by the
-/// artifacts path): parses the spec, interprets every `always assume`
-/// conjunct as a theory literal, and re-runs solver vs. brute force.
-/// Returns a human-readable report; sets \p StillFails when the
-/// discrepancy reproduces.
-std::string replayTheoryRepro(const std::string &Source, bool &StillFails);
+/// The command line that re-runs \p Oracle up to the failing
+/// \p Iteration: `temos-fuzz --oracle O --seed S --iters I+1
+/// [--inject-fault K]`.
+std::string rerunCommand(const std::string &Oracle, uint64_t Seed,
+                         unsigned Iteration, FaultKind Fault);
 
-/// Replays a `// temos-artifact:` file (the format the temos CLI and
-/// the spin-hang probe dump on degraded runs): re-parses the option
-/// header (jobs, cache, lazy, time budgets, inject-fault), re-runs the
-/// pipeline on the embedded spec, and reports the verdict plus failure
-/// records. Sets \p StillFails when the run still degrades (non-empty
-/// failure list).
-std::string replayPipelineArtifact(const std::string &Source,
-                                   bool &StillFails);
+/// What replaying a file found.
+enum class ReplayVerdict {
+  /// The recorded failure happens again.
+  Reproduces,
+  /// The check ran and passed: the failure is gone.
+  Clean,
+  /// Nothing could be checked: no known header, a body that does not
+  /// parse, an Unknown solver verdict, or a sygus repro (which is not a
+  /// spec; the report names the command that re-runs its oracle).
+  Unchecked,
+};
 
-/// True when \p Source carries the `// temos-artifact:` header and
-/// should be replayed with replayPipelineArtifact rather than
-/// replayTheoryRepro.
-bool isPipelineArtifact(const std::string &Source);
+struct ReplayResult {
+  ReplayVerdict Verdict = ReplayVerdict::Unchecked;
+  /// Human-readable account of what was re-run and what it found.
+  std::string Report;
+};
+
+/// The one replay entry point, for every file the harness or the temos
+/// CLI writes. A `// temos-fuzz repro:` file re-runs the named oracle's
+/// check on its body under the recorded fault: theory re-checks solver
+/// vs. ground truth, roundtrip re-runs the formula or spec round trip,
+/// pipeline re-runs the cross-configuration diff. A `// temos-artifact:`
+/// file (a degraded run's dump, or the body of a spin-hang repro)
+/// re-runs the pipeline under its recorded options and reproduces when
+/// the run still degrades.
+ReplayResult replayRepro(const std::string &Text);
 
 } // namespace fuzz
 } // namespace temos

@@ -3,6 +3,7 @@
 #include "tools/fuzz/Fuzz.h"
 
 #include "codegen/CodeEmitter.h"
+#include "core/RunArtifact.h"
 #include "core/Synthesizer.h"
 #include "logic/Parser.h"
 #include "support/Rng.h"
@@ -13,9 +14,8 @@
 #include "tools/fuzz/Shrinker.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <iterator>
 #include <map>
@@ -59,6 +59,20 @@ bool fuzz::parseFaultKind(const std::string &Name, FaultKind &Out) {
   return false;
 }
 
+std::string fuzz::rerunCommand(const std::string &Oracle, uint64_t Seed,
+                               unsigned Iteration, FaultKind Fault) {
+  std::string Out = "temos-fuzz --oracle " + Oracle + " --seed " +
+                    std::to_string(Seed) + " --iters " +
+                    std::to_string(Iteration + 1);
+  if (Fault != FaultKind::None)
+    Out += std::string(" --inject-fault ") + faultName(Fault);
+  return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// The oracle loop and the repro format
+//===----------------------------------------------------------------------===//
+
 namespace {
 
 /// Per-oracle salts so every oracle explores an independent stream even
@@ -68,22 +82,98 @@ constexpr uint64_t RoundTripSalt = 0x726f756e64747200ull;
 constexpr uint64_t SygusSalt = 0x7379677573000000ull;
 constexpr uint64_t PipelineSalt = 0x706970656c696e65ull;
 
-/// Writes \p Text to ArtifactsDir/<name>; returns the path ("" when
-/// disabled or on I/O failure).
-std::string writeArtifact(const FuzzOptions &Options, const std::string &Name,
-                          const std::string &Text) {
-  if (Options.ArtifactsDir.empty())
-    return "";
-  std::error_code EC;
-  std::filesystem::create_directories(Options.ArtifactsDir, EC);
-  if (EC)
-    return "";
-  std::string Path = Options.ArtifactsDir + "/" + Name;
-  std::ofstream Out(Path);
-  if (!Out)
-    return "";
-  Out << Text;
-  return Path;
+constexpr const char *ReproHeader = "// temos-fuzz repro:";
+
+/// What an oracle's check found on one generated case.
+struct Finding {
+  /// The case fell outside the oracle's competence (an Unknown verdict,
+  /// a spec the probe cannot exercise): counted, not compared.
+  bool Skipped = false;
+  /// The disagreement; empty when the substrates agree.
+  std::string Description;
+  /// The shrunk case, written after the repro header.
+  std::string Body;
+};
+
+/// One oracle's own part of an iteration: generate a case from the
+/// iteration's context and stream, check it, and shrink a failure.
+using OracleStep =
+    std::function<Finding(Context &, Rng &, Generator &, FaultKind)>;
+
+/// The repro file: one header line naming the oracle, seed, iteration
+/// and fault, every description line as a `// ` comment, then the body.
+std::string reproText(const std::string &Oracle, uint64_t Seed,
+                      unsigned Iteration, FaultKind Fault,
+                      const std::string &Description,
+                      const std::string &Body) {
+  std::string Out = std::string(ReproHeader) + " oracle=" + Oracle +
+                    " seed=" + std::to_string(Seed) +
+                    " iteration=" + std::to_string(Iteration) +
+                    " fault=" + faultName(Fault) + "\n";
+  const std::string Lines =
+      Description.substr(0, Description.find_last_not_of('\n') + 1);
+  for (const std::string &Line : split(Lines, '\n'))
+    Out += "// " + Line + "\n";
+  Out += Body;
+  if (!Body.empty() && Body.back() != '\n')
+    Out += "\n";
+  return Out;
+}
+
+/// Runs \p Step for Options.Iterations seeded iterations, turning each
+/// finding into a FailureCase (and a repro file named
+/// <FileStem>-seed<S>-iter<I><Extension> when artifacts are on) until
+/// Options.MaxFailures are found.
+OracleReport runOracle(const FuzzOptions &Options, const std::string &Oracle,
+                       uint64_t Salt, const std::string &FileStem,
+                       const char *Extension, const OracleStep &Step) {
+  OracleReport Report;
+  Report.Oracle = Oracle;
+  for (unsigned It = 0; It < Options.Iterations; ++It) {
+    ++Report.Iterations;
+    Context Ctx;
+    Rng R(mixSeed(Options.Seed ^ Salt, It));
+    Generator Gen(Ctx, R);
+    Finding Found = Step(Ctx, R, Gen, Options.Fault);
+    if (Options.Verbose && (It + 1) % 100 == 0)
+      std::fprintf(stderr, "temos-fuzz: %s %u/%u iterations\n",
+                   Oracle.c_str(), It + 1, Options.Iterations);
+    if (Found.Skipped) {
+      ++Report.Skipped;
+      continue;
+    }
+    if (Found.Description.empty())
+      continue;
+
+    FailureCase F;
+    F.Oracle = Oracle;
+    F.Seed = Options.Seed;
+    F.Iteration = It;
+    F.Description = Found.Description;
+    F.Repro = reproText(Oracle, Options.Seed, It, Options.Fault,
+                        Found.Description, Found.Body);
+    if (!Options.ArtifactsDir.empty())
+      F.ArtifactPath = writeTextFile(
+          Options.ArtifactsDir,
+          FileStem + "-seed" + std::to_string(Options.Seed) + "-iter" +
+              std::to_string(It) + Extension,
+          F.Repro);
+    Report.Failures.push_back(std::move(F));
+    if (Report.Failures.size() >= Options.MaxFailures)
+      break;
+  }
+  return Report;
+}
+
+/// The replay outcome of a check that ran: \p Failure empty = clean.
+ReplayResult checked(const std::string &Failure) {
+  if (Failure.empty())
+    return {ReplayVerdict::Clean, "no discrepancy: the check passes"};
+  return {ReplayVerdict::Reproduces, "discrepancy reproduces: " + Failure};
+}
+
+ReplayResult unchecked(std::string Why) {
+  return {ReplayVerdict::Unchecked, std::move(Why)};
 }
 
 //===----------------------------------------------------------------------===//
@@ -249,6 +339,14 @@ applyTheoryFault(TermFactory &TF, std::vector<TheoryLiteral> Literals,
   return Literals;
 }
 
+/// True for the arithmetic and comparison operators the Evaluator
+/// interprets; every other application with arguments is uninterpreted.
+bool isBuiltinOp(const std::string &Name) {
+  static const char *const Ops[] = {"+",  "-", "*",  "/", "<",
+                                    "<=", ">", ">=", "=", "!="};
+  return std::find(std::begin(Ops), std::end(Ops), Name) != std::end(Ops);
+}
+
 /// True when every application in \p T is an interpreted builtin, so the
 /// Evaluator's verdict on a model assignment is authoritative. Atoms
 /// containing uninterpreted applications are excluded from solver-model
@@ -256,15 +354,8 @@ applyTheoryFault(TermFactory &TF, std::vector<TheoryLiteral> Literals,
 /// every EUF model (e.g. `u = f(u)` is Sat with f interpreted as the
 /// identity, but no symbol assignment makes `f(@u)` print as `@u`).
 bool modelCheckable(const Term *T) {
-  if (T->isApply() && T->arity() > 0) {
-    static const char *const Builtins[] = {"+",  "-", "*",  "/", "<",
-                                           "<=", ">", ">=", "=", "!="};
-    bool Builtin = false;
-    for (const char *Op : Builtins)
-      Builtin |= T->name() == Op;
-    if (!Builtin)
-      return false;
-  }
+  if (T->isApply() && T->arity() > 0 && !isBuiltinOp(T->name()))
+    return false;
   if (T->isApply() && T->arity() == 0 && T->name() != "True" &&
       T->name() != "False")
     return false;
@@ -352,14 +443,11 @@ std::string reproTermStr(const Term *T) {
   case Term::Kind::Numeral:
     return decimalText(T->value());
   case Term::Kind::Apply: {
-    static const char *const Infix[] = {"+",  "-", "*",  "/", "<",
-                                        "<=", ">", ">=", "=", "!="};
     if (T->args().empty())
       return T->name() + "()";
-    for (const char *Op : Infix)
-      if (T->arity() == 2 && T->name() == Op)
-        return "(" + reproTermStr(T->args()[0]) + " " + T->name() + " " +
-               reproTermStr(T->args()[1]) + ")";
+    if (T->arity() == 2 && isBuiltinOp(T->name()))
+      return "(" + reproTermStr(T->args()[0]) + " " + T->name() + " " +
+             reproTermStr(T->args()[1]) + ")";
     std::string Out = "(" + T->name();
     for (const Term *Arg : T->args())
       Out += " " + reproTermStr(Arg);
@@ -371,36 +459,25 @@ std::string reproTermStr(const Term *T) {
 
 /// Renders a theory case as a standalone, re-parseable specification:
 /// signals become `inputs`, uninterpreted functions a `functions` block,
-/// and each literal an `always assume` conjunct. replayTheoryRepro()
-/// reverses this.
+/// and each literal an `always assume` conjunct. replayTheory() reverses
+/// this.
 std::string theoryReproSource(Theory Th,
-                              const std::vector<TheoryLiteral> &Literals,
-                              const std::string &Comment) {
+                              const std::vector<TheoryLiteral> &Literals) {
   std::map<std::string, Sort> Signals;
   std::map<std::string, const Term *> Functions;
   for (const TheoryLiteral &L : Literals) {
     collectTypedSignals(L.Atom, Signals);
     // Non-builtin applications with arguments need declarations.
     std::function<void(const Term *)> Walk = [&](const Term *T) {
-      static const char *const Builtins[] = {"+",  "-", "*", "<",  "<=", ">",
-                                             ">=", "=", "!=", "True", "False"};
-      if (T->isApply() && T->arity() > 0) {
-        bool Builtin = false;
-        for (const char *B : Builtins)
-          Builtin |= T->name() == B;
-        if (!Builtin)
-          Functions.emplace(T->name(), T);
-      }
+      if (T->isApply() && T->arity() > 0 && !isBuiltinOp(T->name()))
+        Functions.emplace(T->name(), T);
       for (const Term *Arg : T->args())
         Walk(Arg);
     };
     Walk(L.Atom);
   }
 
-  std::string Out;
-  for (const std::string &Line : split(Comment, '\n'))
-    Out += "// " + Line + "\n";
-  Out += std::string("#") + theoryName(Th) + "#\n";
+  std::string Out = std::string("#") + theoryName(Th) + "#\n";
   if (!Signals.empty()) {
     Out += "inputs {";
     for (const auto &[Name, S] : Signals)
@@ -425,73 +502,34 @@ std::string theoryReproSource(Theory Th,
   return Out;
 }
 
-} // namespace
+Finding theoryStep(Context &Ctx, Rng &, Generator &Gen, FaultKind Fault) {
+  TheoryCase Case = Gen.theoryCase();
+  TheoryVerdict V = checkTheoryCase(Ctx.Terms, Case.Th, Case.Literals, Fault);
+  if (V.Kind == DiscKind::Skipped)
+    return {true, "", ""};
+  if (V.Kind == DiscKind::None)
+    return {};
 
-OracleReport fuzz::runTheoryOracle(const FuzzOptions &Options) {
-  OracleReport Report;
-  Report.Oracle = "theory";
-  for (unsigned It = 0; It < Options.Iterations; ++It) {
-    ++Report.Iterations;
-    Context Ctx;
-    Rng R(mixSeed(Options.Seed ^ TheorySalt, It));
-    Generator Gen(Ctx, R);
-    TheoryCase Case = Gen.theoryCase();
-
-    TheoryVerdict V =
-        checkTheoryCase(Ctx.Terms, Case.Th, Case.Literals, Options.Fault);
-    if (V.Kind == DiscKind::Skipped) {
-      ++Report.Skipped;
-      continue;
-    }
-    if (V.Kind == DiscKind::None)
-      continue;
-
-    // Shrink while the same kind of disagreement persists.
-    DiscKind Kind = V.Kind;
-    Theory Th = Case.Th;
-    FaultKind Fault = Options.Fault;
-    std::vector<TheoryLiteral> Shrunk = shrinkLiterals(
-        Ctx.Terms, Case.Literals,
-        [&](const std::vector<TheoryLiteral> &Candidate) {
-          return !Candidate.empty() &&
-                 checkTheoryCase(Ctx.Terms, Th, Candidate, Fault).Kind ==
-                     Kind;
-        });
-    TheoryVerdict Final = checkTheoryCase(Ctx.Terms, Th, Shrunk, Fault);
-
-    FailureCase F;
-    F.Oracle = Report.Oracle;
-    F.Seed = Options.Seed;
-    F.Iteration = It;
-    F.Description = Final.Detail.empty() ? V.Detail : Final.Detail;
-    F.Repro = theoryReproSource(
-        Th, Shrunk,
-        "temos-fuzz theory repro (replay: temos-fuzz --replay <file>)\n"
-        "seed " + std::to_string(Options.Seed) + " iteration " +
-            std::to_string(It) + (Fault != FaultKind::None
-                                      ? std::string(" injected-fault ") +
-                                            faultName(Fault)
-                                      : "") +
-            "\n" + F.Description);
-    F.ArtifactPath = writeArtifact(
-        Options,
-        "theory-seed" + std::to_string(Options.Seed) + "-iter" +
-            std::to_string(It) + ".tslmt",
-        F.Repro);
-    Report.Failures.push_back(std::move(F));
-    if (Report.Failures.size() >= Options.MaxFailures)
-      break;
-  }
-  return Report;
+  // Shrink while the same kind of disagreement persists.
+  std::vector<TheoryLiteral> Shrunk = shrinkLiterals(
+      Ctx.Terms, Case.Literals,
+      [&](const std::vector<TheoryLiteral> &Candidate) {
+        return !Candidate.empty() &&
+               checkTheoryCase(Ctx.Terms, Case.Th, Candidate, Fault).Kind ==
+                   V.Kind;
+      });
+  TheoryVerdict Final = checkTheoryCase(Ctx.Terms, Case.Th, Shrunk, Fault);
+  return {false, Final.Detail.empty() ? V.Detail : Final.Detail,
+          theoryReproSource(Case.Th, Shrunk)};
 }
 
-std::string fuzz::replayTheoryRepro(const std::string &Source,
-                                    bool &StillFails) {
-  StillFails = false;
+/// Re-checks a theory repro: every `always assume` conjunct is one
+/// theory literal, compared solver vs. ground truth under \p Fault.
+ReplayResult replayTheory(const std::string &Text, FaultKind Fault) {
   Context Ctx;
-  auto Spec = parseSpecification(Source, Ctx);
+  auto Spec = parseSpecification(Text, Ctx);
   if (!Spec)
-    return "repro does not parse: " + Spec.error().str();
+    return unchecked("repro does not parse: " + Spec.error().str());
 
   std::vector<TheoryLiteral> Literals;
   for (const Formula *F : Spec->Assumptions) {
@@ -501,30 +539,21 @@ std::string fuzz::replayTheoryRepro(const std::string &Source,
       F = F->child(0);
     }
     if (!F->is(Formula::Kind::Pred))
-      return "repro assumption is not a literal: " + F->str();
+      return unchecked("repro assumption is not a literal: " + F->str());
     Literals.push_back({F->pred(), Positive});
   }
   if (Literals.empty())
-    return "repro has no `always assume` literals";
+    return unchecked("repro has no `always assume` literals");
 
-  TheoryVerdict V =
-      checkTheoryCase(Ctx.Terms, Spec->Th, Literals, FaultKind::None);
-  switch (V.Kind) {
-  case DiscKind::None:
-    return "no discrepancy: solver and ground evaluation agree";
-  case DiscKind::Skipped:
-    return "solver verdict Unknown; nothing to compare";
-  default:
-    StillFails = true;
-    return "discrepancy reproduces: " + V.Detail;
-  }
+  TheoryVerdict V = checkTheoryCase(Ctx.Terms, Spec->Th, Literals, Fault);
+  if (V.Kind == DiscKind::Skipped)
+    return unchecked("solver verdict Unknown; nothing to compare");
+  return checked(V.Detail);
 }
 
 //===----------------------------------------------------------------------===//
 // Round-trip oracle
 //===----------------------------------------------------------------------===//
-
-namespace {
 
 /// Applies the MutatePrint fault: first "&&" becomes "||".
 std::string mutatePrinted(const std::string &Text, FaultKind Fault) {
@@ -565,93 +594,78 @@ std::string specRoundTrip(const std::string &Printed, FaultKind Fault) {
   return "";
 }
 
-} // namespace
+/// The round-trip check of a formula repro: \p Text must parse against
+/// the base spec, then its printed form goes through formulaRoundTrip.
+/// nullopt when it does not parse.
+std::optional<std::string> formulaCase(const std::string &Text,
+                                       FaultKind Fault) {
+  Context Ctx;
+  auto Spec = parseSpecification(Generator::roundTripSpecSource(), Ctx);
+  if (!Spec)
+    return std::nullopt;
+  auto First = parseFormula(Text, *Spec, Ctx);
+  if (!First)
+    return std::nullopt;
+  return formulaRoundTrip((*First)->str(), *Spec, Ctx, Fault);
+}
 
-OracleReport fuzz::runRoundTripOracle(const FuzzOptions &Options) {
-  OracleReport Report;
-  Report.Oracle = "roundtrip";
-  for (unsigned It = 0; It < Options.Iterations; ++It) {
-    ++Report.Iterations;
-    Context Ctx;
-    Rng R(mixSeed(Options.Seed ^ RoundTripSalt, It));
-    Generator Gen(Ctx, R);
+/// The round-trip check of a specification repro; nullopt when \p Text
+/// does not parse.
+std::optional<std::string> specCase(const std::string &Text,
+                                    FaultKind Fault) {
+  Context Ctx;
+  auto First = parseSpecification(Text, Ctx);
+  if (!First)
+    return std::nullopt;
+  return specRoundTrip(First->str(), Fault);
+}
 
-    std::string Failure;
-    std::string Repro;
-    if (R.chance(70)) {
-      auto Spec = parseSpecification(Generator::roundTripSpecSource(), Ctx);
-      if (!Spec) {
-        Failure = "round-trip base spec does not parse: " +
-                  Spec.error().str();
-        Repro = Generator::roundTripSpecSource();
-      } else {
-        const Formula *F =
-            Gen.temporalFormula(*Spec, static_cast<int>(R.range(2, 4)));
-        std::string Printed = F->str();
-        Failure = formulaRoundTrip(Printed, *Spec, Ctx, Options.Fault);
-        if (!Failure.empty()) {
-          // Shrink at the text level, preserving the failure.
-          const Specification &SpecRef = *Spec;
-          FaultKind Fault = Options.Fault;
-          Repro = shrinkSource(Printed, [&](const std::string &Candidate) {
-            Context ShrinkCtx;
-            auto SpecCopy =
-                parseSpecification(Generator::roundTripSpecSource(), ShrinkCtx);
-            if (!SpecCopy)
-              return false;
-            auto First = parseFormula(Candidate, *SpecCopy, ShrinkCtx);
-            if (!First)
-              return false; // Must start from a valid formula.
-            return !formulaRoundTrip((*First)->str(), *SpecCopy, ShrinkCtx,
-                                     Fault)
-                        .empty();
-          });
-          (void)SpecRef;
-        }
-      }
-    } else {
-      Specification Spec = Gen.randomSpec();
-      std::string Printed = Spec.str();
-      Failure = specRoundTrip(Printed, Options.Fault);
-      if (!Failure.empty()) {
-        FaultKind Fault = Options.Fault;
-        Repro = shrinkSource(Printed, [&](const std::string &Candidate) {
-          Context ShrinkCtx;
-          auto First = parseSpecification(Candidate, ShrinkCtx);
-          if (!First)
-            return false;
-          return !specRoundTrip(First->str(), Fault).empty();
-        });
-      }
-    }
-
+Finding roundTripStep(Context &Ctx, Rng &R, Generator &Gen, FaultKind Fault) {
+  if (R.chance(70)) {
+    auto Spec = parseSpecification(Generator::roundTripSpecSource(), Ctx);
+    if (!Spec)
+      return {false,
+              "round-trip base spec does not parse: " + Spec.error().str(),
+              Generator::roundTripSpecSource()};
+    const Formula *F =
+        Gen.temporalFormula(*Spec, static_cast<int>(R.range(2, 4)));
+    std::string Printed = F->str();
+    std::string Failure = formulaRoundTrip(Printed, *Spec, Ctx, Fault);
     if (Failure.empty())
-      continue;
-    FailureCase F;
-    F.Oracle = Report.Oracle;
-    F.Seed = Options.Seed;
-    F.Iteration = It;
-    F.Description = Failure;
-    F.Repro = Repro;
-    F.ArtifactPath = writeArtifact(
-        Options,
-        "roundtrip-seed" + std::to_string(Options.Seed) + "-iter" +
-            std::to_string(It) + ".tslmt",
-        "// temos-fuzz roundtrip repro\n// seed " +
-            std::to_string(Options.Seed) + " iteration " +
-            std::to_string(It) + "\n// " + Failure + "\n" + Repro + "\n");
-    Report.Failures.push_back(std::move(F));
-    if (Report.Failures.size() >= Options.MaxFailures)
-      break;
+      return {};
+    // Shrink at the text level, preserving the failure.
+    return {false, Failure,
+            shrinkSource(Printed, [&](const std::string &Candidate) {
+              auto Fails = formulaCase(Candidate, Fault);
+              return Fails && !Fails->empty();
+            })};
   }
-  return Report;
+  std::string Printed = Gen.randomSpec().str();
+  std::string Failure = specRoundTrip(Printed, Fault);
+  if (Failure.empty())
+    return {};
+  return {false, Failure,
+          shrinkSource(Printed, [&](const std::string &Candidate) {
+            auto Fails = specCase(Candidate, Fault);
+            return Fails && !Fails->empty();
+          })};
+}
+
+/// A repro body is either a whole specification or one formula over the
+/// base spec; whichever parses is checked.
+ReplayResult replayRoundTrip(const std::string &Text, FaultKind Fault) {
+  std::optional<std::string> Failure = specCase(Text, Fault);
+  if (!Failure)
+    Failure = formulaCase(Text, Fault);
+  if (!Failure)
+    return unchecked("repro parses neither as a specification nor as a "
+                     "formula over the round-trip base spec");
+  return checked(*Failure);
 }
 
 //===----------------------------------------------------------------------===//
 // SyGuS oracle
 //===----------------------------------------------------------------------===//
-
-namespace {
 
 /// Executes \p Steps from x = Start; true when the post-condition holds
 /// in the final state. nullopt when evaluation fails.
@@ -785,21 +799,18 @@ SygusVerdict checkSygusCase(Context &Ctx, const SygusCase &Case,
   return Out;
 }
 
-/// Renders a SyGuS case for the repro file.
-std::string sygusReproText(const SygusCase &Case, const std::string &Header,
-                           const std::string &Detail) {
-  std::string Out = "# temos-fuzz sygus repro\n# " + Header + "\n";
+/// Renders a SyGuS case for the repro body. It is not a specification:
+/// the oracle's own run is its replay.
+std::string sygusReproText(const SygusCase &Case) {
   const CellSpec &Cell = Case.Query.Cells[0];
-  Out += "# cell " + Cell.Name + " : int, updates {";
+  std::string Out = "cell " + Cell.Name + " : int, updates {";
   for (size_t I = 0; I < Cell.Updates.size(); ++I)
     Out += std::string(I ? ", " : " ") + Cell.Updates[I]->str();
-  Out += " }\n# pre: " + std::to_string(Case.Lo) + " <= x <= " +
-         std::to_string(Case.Hi) + "\n# post:";
+  Out += " }\npre: " + std::to_string(Case.Lo) + " <= x <= " +
+         std::to_string(Case.Hi) + "\npost:";
   for (const TheoryLiteral &L : Case.Query.Post)
     Out += std::string(" ") + (L.Positive ? "" : "! ") + L.Atom->str();
-  Out += "\n# max steps: " + std::to_string(Case.MaxSteps) + "\n# " + Detail +
-         "\n";
-  return Out;
+  return Out + "\nmax steps: " + std::to_string(Case.MaxSteps) + "\n";
 }
 
 /// Greedy SyGuS-case shrink: drop update options, narrow the box,
@@ -865,59 +876,22 @@ SygusCase shrinkSygusCase(Context &Ctx, SygusCase Case, SygusDisc Kind,
   return Case;
 }
 
-} // namespace
-
-OracleReport fuzz::runSygusOracle(const FuzzOptions &Options) {
-  OracleReport Report;
-  Report.Oracle = "sygus";
-  for (unsigned It = 0; It < Options.Iterations; ++It) {
-    ++Report.Iterations;
-    Context Ctx;
-    Rng R(mixSeed(Options.Seed ^ SygusSalt, It));
-    Generator Gen(Ctx, R);
-    SygusCase Case = Gen.sygusCase();
-
-    SygusVerdict V = checkSygusCase(Ctx, Case, Options.Fault);
-    if (V.Skipped) {
-      ++Report.Skipped;
-      continue;
-    }
-    if (V.Kind == SygusDisc::None)
-      continue;
-
-    SygusCase Shrunk = shrinkSygusCase(Ctx, Case, V.Kind, Options.Fault);
-    SygusVerdict Final = checkSygusCase(Ctx, Shrunk, Options.Fault);
-
-    FailureCase F;
-    F.Oracle = Report.Oracle;
-    F.Seed = Options.Seed;
-    F.Iteration = It;
-    F.Description = Final.Detail.empty() ? V.Detail : Final.Detail;
-    F.Repro = sygusReproText(
-        Shrunk,
-        "seed " + std::to_string(Options.Seed) + " iteration " +
-            std::to_string(It) +
-            (Options.Fault != FaultKind::None
-                 ? std::string(" injected-fault ") + faultName(Options.Fault)
-                 : ""),
-        F.Description);
-    F.ArtifactPath = writeArtifact(
-        Options,
-        "sygus-seed" + std::to_string(Options.Seed) + "-iter" +
-            std::to_string(It) + ".txt",
-        F.Repro);
-    Report.Failures.push_back(std::move(F));
-    if (Report.Failures.size() >= Options.MaxFailures)
-      break;
-  }
-  return Report;
+Finding sygusStep(Context &Ctx, Rng &, Generator &Gen, FaultKind Fault) {
+  SygusCase Case = Gen.sygusCase();
+  SygusVerdict V = checkSygusCase(Ctx, Case, Fault);
+  if (V.Skipped)
+    return {true, "", ""};
+  if (V.Kind == SygusDisc::None)
+    return {};
+  SygusCase Shrunk = shrinkSygusCase(Ctx, Case, V.Kind, Fault);
+  SygusVerdict Final = checkSygusCase(Ctx, Shrunk, Fault);
+  return {false, Final.Detail.empty() ? V.Detail : Final.Detail,
+          sygusReproText(Shrunk)};
 }
 
 //===----------------------------------------------------------------------===//
 // Pipeline oracle
 //===----------------------------------------------------------------------===//
-
-namespace {
 
 /// Everything that must be byte-identical across configurations.
 struct PipelineOutcome {
@@ -954,17 +928,7 @@ PipelineOutcome runPipelineConfig(const std::string &Source, unsigned Jobs,
     Options.Eager = false;
   PipelineResult R = Synth.run(*Spec, Options);
 
-  switch (R.Status) {
-  case Realizability::Realizable:
-    Out.Status = "realizable";
-    break;
-  case Realizability::Unrealizable:
-    Out.Status = "unrealizable";
-    break;
-  case Realizability::Unknown:
-    Out.Status = "unknown";
-    break;
-  }
+  Out.Status = realizabilityName(R.Status);
   Out.Diagnostic = R.Diagnostic;
   for (const Formula *A : R.Assumptions)
     Out.Assumptions += A->str() + "\n";
@@ -1023,6 +987,17 @@ std::string pipelineDisagreement(const std::string &Source, FaultKind Fault) {
   return "";
 }
 
+Finding pipelineStep(Context &, Rng &, Generator &Gen, FaultKind Fault) {
+  std::string Source = Gen.pipelineSpecSource();
+  std::string Failure = pipelineDisagreement(Source, Fault);
+  if (Failure.empty())
+    return {};
+  return {false, Failure,
+          shrinkSource(Source, [&](const std::string &Candidate) {
+            return !pipelineDisagreement(Candidate, Fault).empty();
+          })};
+}
+
 /// SpinHang probe. Unlike the differential faults, the planted bug is a
 /// genuine non-termination (the SyGuS enumerator withholds every
 /// verified candidate and restarts its sweep forever), so the oracle is
@@ -1032,127 +1007,96 @@ std::string pipelineDisagreement(const std::string &Source, FaultKind Fault) {
 /// phase. A "failure" here is the *detection* (proof the probe works),
 /// mirroring how the other injected faults surface; a deadline
 /// regression instead yields zero detections (or a hung harness), which
-/// the injection tests treat as the bug.
-OracleReport runSpinHangProbe(const FuzzOptions &Options) {
-  OracleReport Report;
-  Report.Oracle = "pipeline";
-  const double BudgetSeconds = 0.3;
-  for (unsigned It = 0; It < Options.Iterations; ++It) {
-    ++Report.Iterations;
-    Context Ctx;
-    Rng R(mixSeed(Options.Seed ^ PipelineSalt, It));
-    Generator Gen(Ctx, R);
-    std::string Source = Gen.pipelineSpecSource();
-    auto Spec = parseSpecification(Source, Ctx);
-    if (!Spec) {
-      ++Report.Skipped;
-      continue;
-    }
+/// the injection tests treat as the bug. The repro body is the run
+/// artifact, so replay re-runs the pipeline under the recorded budget.
+Finding spinHangStep(Context &Ctx, Rng &, Generator &Gen, FaultKind) {
+  constexpr double BudgetSeconds = 0.3;
+  std::string Source = Gen.pipelineSpecSource();
+  auto Spec = parseSpecification(Source, Ctx);
+  if (!Spec)
+    return {true, "", ""};
 
-    Synthesizer Synth(Ctx);
-    PipelineOptions PO;
-    PO.InjectSpinHang = true;
-    PO.Budget.SygusSeconds = BudgetSeconds;
-    Timer Wall;
-    PipelineResult PR = Synth.run(*Spec, PO);
-    const double WallSeconds = Wall.seconds();
+  Synthesizer Synth(Ctx);
+  PipelineOptions PO;
+  PO.InjectSpinHang = true;
+  PO.Budget.SygusSeconds = BudgetSeconds;
+  Timer Wall;
+  PipelineResult PR = Synth.run(*Spec, PO);
+  const double WallSeconds = Wall.seconds();
 
-    bool SygusTimeout = false;
-    std::string Records;
-    for (const FailureRecord &Rec : PR.Stats.Failures) {
-      if (Rec.Kind == FailureKind::Timeout && Rec.Phase == "sygus")
-        SygusTimeout = true;
-      Records += std::string("// failure: ") + failureKindName(Rec.Kind) +
-                 " [" + Rec.Phase + "] " + Rec.Detail + "\n";
-    }
-    // Specs without data obligations never enter the planted loop; they
-    // exercise nothing and are skipped, not counted as misses.
-    if (!SygusTimeout) {
-      ++Report.Skipped;
-      continue;
-    }
-    if (WallSeconds > 2 * BudgetSeconds)
-      continue; // Deadline tripped, but too late: not a clean detection.
+  // Specs without data obligations never enter the planted loop; they
+  // exercise nothing and are skipped, not counted as misses.
+  if (std::none_of(PR.Stats.Failures.begin(), PR.Stats.Failures.end(),
+                   [](const FailureRecord &Rec) {
+                     return Rec.Kind == FailureKind::Timeout &&
+                            Rec.Phase == "sygus";
+                   }))
+    return {true, "", ""};
+  if (WallSeconds > 2 * BudgetSeconds)
+    return {}; // Deadline tripped, but too late: not a clean detection.
 
-    char Desc[160];
-    std::snprintf(Desc, sizeof(Desc),
-                  "spin-hang tripped the sygus deadline in %.3fs "
-                  "(budget %.3fs, ceiling %.3fs)",
-                  WallSeconds, BudgetSeconds, 2 * BudgetSeconds);
+  char Desc[160];
+  std::snprintf(Desc, sizeof(Desc),
+                "spin-hang tripped the sygus deadline in %.3fs "
+                "(budget %.3fs, ceiling %.3fs)",
+                WallSeconds, BudgetSeconds, 2 * BudgetSeconds);
+  return {false, Desc,
+          runArtifactText("fuzz-spin-hang", PR, PO, Source)};
+}
 
-    char OptLine[128];
-    std::snprintf(OptLine, sizeof(OptLine),
-                  "// options: jobs=1 cache=on lazy=off sygus-budget=%g "
-                  "inject-fault=spin-hang\n",
-                  BudgetSeconds);
-    std::string Repro = "// temos-artifact: v1\n// spec: fuzz-pipeline-seed" +
-                        std::to_string(Options.Seed) + "-iter" +
-                        std::to_string(It) + "\n// status: unknown\n" +
-                        Records + OptLine + "// seed: " +
-                        std::to_string(Options.Seed) +
-                        "\n// replay: temos-fuzz --replay <this file>\n" +
-                        Source + "\n";
+/// Re-runs a `// temos-artifact:` dump under its recorded options; it
+/// reproduces when the run still degrades.
+ReplayResult replayRunArtifact(const std::string &Text,
+                               const PipelineOptions &Options) {
+  Context Ctx;
+  auto Spec = parseSpecification(Text, Ctx);
+  if (!Spec)
+    return unchecked("artifact replay: embedded spec does not parse: " +
+                     Spec.error().str());
 
-    FailureCase F;
-    F.Oracle = Report.Oracle;
-    F.Seed = Options.Seed;
-    F.Iteration = It;
-    F.Description = Desc;
-    F.Repro = Repro;
-    F.ArtifactPath = writeArtifact(
-        Options,
-        "pipeline-spinhang-seed" + std::to_string(Options.Seed) + "-iter" +
-            std::to_string(It) + ".tslmt",
-        Repro);
-    Report.Failures.push_back(std::move(F));
-    if (Report.Failures.size() >= Options.MaxFailures)
-      break;
-  }
-  return Report;
+  Synthesizer Synth(Ctx);
+  PipelineResult R = Synth.run(*Spec, Options);
+  if (R.Stats.Failures.empty() && !R.Diagnostic.empty())
+    return unchecked("artifact replay: options refused: " + R.Diagnostic);
+
+  std::string Out = "pipeline artifact replay\nstatus: " +
+                    std::string(realizabilityName(R.Status)) + "\n";
+  if (!R.Diagnostic.empty())
+    Out += "diagnostic: " + R.Diagnostic + "\n";
+  for (const FailureRecord &F : R.Stats.Failures)
+    Out += "failure: " + F.str() + "\n";
+  if (R.Stats.Failures.empty())
+    return {ReplayVerdict::Clean,
+            Out + "run completed clean; degradation does not reproduce"};
+  return {ReplayVerdict::Reproduces, Out + "degradation reproduces"};
 }
 
 } // namespace
 
+//===----------------------------------------------------------------------===//
+// Entry points
+//===----------------------------------------------------------------------===//
+
+OracleReport fuzz::runTheoryOracle(const FuzzOptions &Options) {
+  return runOracle(Options, "theory", TheorySalt, "theory", ".tslmt",
+                   theoryStep);
+}
+
+OracleReport fuzz::runRoundTripOracle(const FuzzOptions &Options) {
+  return runOracle(Options, "roundtrip", RoundTripSalt, "roundtrip", ".tslmt",
+                   roundTripStep);
+}
+
+OracleReport fuzz::runSygusOracle(const FuzzOptions &Options) {
+  return runOracle(Options, "sygus", SygusSalt, "sygus", ".txt", sygusStep);
+}
+
 OracleReport fuzz::runPipelineOracle(const FuzzOptions &Options) {
   if (Options.Fault == FaultKind::SpinHang)
-    return runSpinHangProbe(Options);
-  OracleReport Report;
-  Report.Oracle = "pipeline";
-  for (unsigned It = 0; It < Options.Iterations; ++It) {
-    ++Report.Iterations;
-    Context Ctx;
-    Rng R(mixSeed(Options.Seed ^ PipelineSalt, It));
-    Generator Gen(Ctx, R);
-    std::string Source = Gen.pipelineSpecSource();
-
-    std::string Failure = pipelineDisagreement(Source, Options.Fault);
-    if (Failure.empty())
-      continue;
-
-    FaultKind Fault = Options.Fault;
-    std::string Shrunk =
-        shrinkSource(Source, [&](const std::string &Candidate) {
-          return !pipelineDisagreement(Candidate, Fault).empty();
-        });
-
-    FailureCase F;
-    F.Oracle = Report.Oracle;
-    F.Seed = Options.Seed;
-    F.Iteration = It;
-    F.Description = Failure;
-    F.Repro = Shrunk;
-    F.ArtifactPath = writeArtifact(
-        Options,
-        "pipeline-seed" + std::to_string(Options.Seed) + "-iter" +
-            std::to_string(It) + ".tslmt",
-        "// temos-fuzz pipeline repro\n// seed " +
-            std::to_string(Options.Seed) + " iteration " +
-            std::to_string(It) + "\n// " + Failure + "\n" + Shrunk + "\n");
-    Report.Failures.push_back(std::move(F));
-    if (Report.Failures.size() >= Options.MaxFailures)
-      break;
-  }
-  return Report;
+    return runOracle(Options, "pipeline", PipelineSalt, "pipeline-spinhang",
+                     ".tslmt", spinHangStep);
+  return runOracle(Options, "pipeline", PipelineSalt, "pipeline", ".tslmt",
+                   pipelineStep);
 }
 
 std::vector<OracleReport> fuzz::runAllOracles(const FuzzOptions &Options) {
@@ -1160,72 +1104,41 @@ std::vector<OracleReport> fuzz::runAllOracles(const FuzzOptions &Options) {
           runSygusOracle(Options), runPipelineOracle(Options)};
 }
 
-bool fuzz::isPipelineArtifact(const std::string &Source) {
-  return Source.find("// temos-artifact:") != std::string::npos;
-}
-
-std::string fuzz::replayPipelineArtifact(const std::string &Source,
-                                         bool &StillFails) {
-  StillFails = false;
-
-  // Re-parse the option header the artifact writer emitted; unknown
-  // tokens are ignored so the format can grow.
-  PipelineOptions PO;
-  for (const std::string &Line : split(Source, '\n')) {
-    std::string T = trim(Line);
-    if (T.rfind("// options:", 0) != 0)
-      continue;
-    for (const std::string &Tok : split(T.substr(11), ' ')) {
-      std::string::size_type Eq = Tok.find('=');
-      if (Eq == std::string::npos)
-        continue;
-      std::string Key = Tok.substr(0, Eq);
-      std::string Val = Tok.substr(Eq + 1);
-      if (Key == "jobs")
-        PO.Parallelism.NumThreads = static_cast<unsigned>(
-            std::max(1L, std::strtol(Val.c_str(), nullptr, 10)));
-      else if (Key == "cache")
-        PO.Parallelism.CacheEnabled = Val != "off";
-      else if (Key == "lazy")
-        PO.Eager = Val != "on";
-      else if (Key == "time-budget")
-        PO.Budget.TotalSeconds = std::strtod(Val.c_str(), nullptr);
-      else if (Key == "sygus-budget")
-        PO.Budget.SygusSeconds = std::strtod(Val.c_str(), nullptr);
-      else if (Key == "inject-fault")
-        PO.InjectSpinHang = Val == "spin-hang";
-    }
-    break;
+ReplayResult fuzz::replayRepro(const std::string &Text) {
+  const std::string First = Text.substr(0, Text.find('\n'));
+  if (First.rfind(ReproHeader, 0) != 0) {
+    if (std::optional<PipelineOptions> PO = parseRunArtifact(Text))
+      return replayRunArtifact(Text, *PO);
+    return unchecked("no `// temos-fuzz repro:` or `// temos-artifact:` "
+                     "header: nothing to replay");
   }
 
+  char OracleName[32] = {}, FaultText[32] = {};
+  unsigned long long Seed = 0;
+  unsigned Iteration = 0;
+  FaultKind Fault = FaultKind::None;
+  if (std::sscanf(First.c_str(),
+                  "// temos-fuzz repro: oracle=%31s seed=%llu iteration=%u "
+                  "fault=%31s",
+                  OracleName, &Seed, &Iteration, FaultText) != 4 ||
+      !parseFaultKind(FaultText, Fault))
+    return unchecked("malformed repro header: " + First);
+  const std::string Oracle = OracleName;
+
+  if (Oracle == "theory")
+    return replayTheory(Text, Fault);
+  if (Oracle == "roundtrip")
+    return replayRoundTrip(Text, Fault);
+  if (Oracle == "sygus")
+    return unchecked("a sygus repro is not a specification and does not "
+                     "replay; re-run the oracle: " +
+                     rerunCommand(Oracle, Seed, Iteration, Fault));
+  if (Oracle != "pipeline")
+    return unchecked("unknown oracle '" + Oracle + "' in " + First);
+  if (std::optional<PipelineOptions> PO = parseRunArtifact(Text))
+    return replayRunArtifact(Text, *PO);
   Context Ctx;
-  auto Spec = parseSpecification(Source, Ctx);
-  if (!Spec)
-    return "artifact replay: embedded spec does not parse: " +
-           Spec.error().str();
-
-  Synthesizer Synth(Ctx);
-  PipelineResult R = Synth.run(*Spec, PO);
-
-  std::string Out = "pipeline artifact replay\n";
-  switch (R.Status) {
-  case Realizability::Realizable:
-    Out += "status: realizable\n";
-    break;
-  case Realizability::Unrealizable:
-    Out += "status: unrealizable\n";
-    break;
-  case Realizability::Unknown:
-    Out += "status: unknown\n";
-    break;
-  }
-  if (!R.Diagnostic.empty())
-    Out += "diagnostic: " + R.Diagnostic + "\n";
-  for (const FailureRecord &F : R.Stats.Failures)
-    Out += std::string("failure: ") + failureKindName(F.Kind) + " [" +
-           F.Phase + "] " + F.Detail + "\n";
-  StillFails = !R.Stats.Failures.empty();
-  Out += StillFails ? "degradation reproduces\n"
-                    : "run completed clean; degradation does not reproduce\n";
-  return Out;
+  if (auto Spec = parseSpecification(Text, Ctx); !Spec)
+    return unchecked("repro does not parse: " + Spec.error().str());
+  return checked(pipelineDisagreement(Text, Fault));
 }

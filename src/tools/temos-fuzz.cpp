@@ -11,6 +11,8 @@
 /// Exit status: 0 when every oracle ran clean (or an injected fault was
 /// demanded and detected, with --inject-fault), 1 when discrepancies were
 /// found (or an injected fault went undetected), 2 on usage errors.
+/// With --replay: 1 when the failure reproduces, 0 when it is gone, 2
+/// when the file could not be checked.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,11 +53,13 @@ int usage(const char *Argv0) {
       "                     plants a non-terminating SyGuS enumeration and\n"
       "                     requires the deadline machinery to trip within\n"
       "                     2x the budget)\n"
-      "  --replay FILE      re-run a repro file and exit: theory repros\n"
-      "                     re-check solver vs. ground truth; `// temos-\n"
-      "                     artifact:` files (from the temos CLI or the\n"
-      "                     spin-hang probe) re-run the pipeline with the\n"
-      "                     recorded options\n"
+      "  --replay FILE      re-run the check a repro file records, under\n"
+      "                     its recorded fault, and exit 1 when the failure\n"
+      "                     reproduces, 0 when it is gone, 2 when nothing\n"
+      "                     could be checked; `// temos-artifact:` files\n"
+      "                     (from the temos CLI) re-run the pipeline with\n"
+      "                     the recorded options; sygus repros print the\n"
+      "                     command that re-runs their oracle (exit 2)\n"
       "  --verbose          per-oracle progress on stderr\n",
       Argv0);
   return 2;
@@ -77,13 +81,11 @@ int replay(const std::string &Path) {
   }
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
-  std::string Source = Buffer.str();
-  bool StillFails = false;
-  std::string Report = isPipelineArtifact(Source)
-                           ? replayPipelineArtifact(Source, StillFails)
-                           : replayTheoryRepro(Source, StillFails);
-  std::printf("%s\n", Report.c_str());
-  return StillFails ? 1 : 0;
+  ReplayResult R = replayRepro(Buffer.str());
+  std::printf("%s\n", R.Report.c_str());
+  return R.Verdict == ReplayVerdict::Reproduces ? 1
+         : R.Verdict == ReplayVerdict::Clean    ? 0
+                                                : 2;
 }
 
 void printReport(const OracleReport &Report, const FuzzOptions &Options) {
@@ -92,13 +94,10 @@ void printReport(const OracleReport &Report, const FuzzOptions &Options) {
               Report.Failures.size(),
               Report.Failures.size() == 1 ? "" : "s");
   for (const FailureCase &F : Report.Failures) {
-    std::printf("  FAILURE [%s] iteration %u -- reproduce with: "
-                "temos-fuzz --oracle %s --seed %llu --iters %u%s%s\n",
-                F.Oracle.c_str(), F.Iteration, F.Oracle.c_str(),
-                static_cast<unsigned long long>(F.Seed), F.Iteration + 1,
-                Options.Fault != FaultKind::None ? " --inject-fault " : "",
-                Options.Fault != FaultKind::None ? faultName(Options.Fault)
-                                                 : "");
+    std::printf("  FAILURE [%s] iteration %u -- reproduce with: %s\n",
+                F.Oracle.c_str(), F.Iteration,
+                rerunCommand(F.Oracle, F.Seed, F.Iteration, Options.Fault)
+                    .c_str());
     std::printf("  %s\n", F.Description.c_str());
     if (!F.ArtifactPath.empty())
       std::printf("  shrunk repro written to %s\n", F.ArtifactPath.c_str());

@@ -54,6 +54,7 @@
 #include "benchmarks/Benchmarks.h"
 #include "codegen/CodeEmitter.h"
 #include "codegen/Interpreter.h"
+#include "core/RunArtifact.h"
 #include "core/Synthesizer.h"
 #include "logic/Parser.h"
 #include "support/StringUtils.h"
@@ -62,7 +63,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -111,71 +111,11 @@ bool parseEmitKind(const char *Value, EmitKind &Out) {
   return true;
 }
 
-/// One stderr line per failure record, e.g.
+/// One line per failure record, e.g.
 /// "  failure: timeout [sygus] 2 of 3 obligations unresolved ...".
 void printFailures(std::FILE *Stream, const PipelineStats &Stats) {
   for (const FailureRecord &F : Stats.Failures)
-    std::fprintf(Stream, "  failure: %s [%s] %s\n", failureKindName(F.Kind),
-                 F.Phase.c_str(), F.Detail.c_str());
-}
-
-/// Renders the replayable artifact a degraded or crashed run dumps: a
-/// `// temos-artifact:` header (failure records, the exact option set,
-/// the seed) followed by the verbatim specification source, so
-/// `temos-fuzz --replay FILE` can re-run it.
-std::string artifactText(const std::string &SpecName, Realizability Status,
-                         const PipelineOptions &Options, unsigned Jobs,
-                         bool Lazy, double TimeBudget,
-                         const PipelineStats &Stats,
-                         const std::string &Source) {
-  std::string Out;
-  Out += "// temos-artifact: v1\n";
-  Out += "// spec: " + SpecName + "\n";
-  Out += std::string("// status: ") +
-         (Status == Realizability::Realizable     ? "realizable"
-          : Status == Realizability::Unrealizable ? "unrealizable"
-                                                  : "unknown") +
-         "\n";
-  for (const FailureRecord &F : Stats.Failures)
-    Out += std::string("// failure: ") + failureKindName(F.Kind) + " [" +
-           F.Phase + "] " + F.Detail + "\n";
-  char OptLine[256];
-  std::snprintf(OptLine, sizeof(OptLine),
-                "// options: jobs=%u cache=%s lazy=%s time-budget=%g "
-                "inject-fault=%s\n",
-                Jobs, Options.Parallelism.CacheEnabled ? "on" : "off",
-                Lazy ? "on" : "off", TimeBudget,
-                Options.InjectSpinHang ? "spin-hang" : "none");
-  Out += OptLine;
-  // The pipeline is deterministic (no RNG), so the seed is fixed; the
-  // field keeps the header shape shared with temos-fuzz repros.
-  Out += "// seed: 0\n";
-  Out += "// replay: temos-fuzz --replay <this-file>\n";
-  Out += Source;
-  if (!Source.empty() && Source.back() != '\n')
-    Out += "\n";
-  return Out;
-}
-
-/// Writes the artifact into \p Dir (created on demand); returns the
-/// path, or "" when disabled or on I/O failure.
-std::string writeArtifactFile(const std::string &Dir,
-                              const std::string &SpecName,
-                              const std::string &Text) {
-  if (Dir.empty())
-    return "";
-  std::error_code EC;
-  std::filesystem::create_directories(Dir, EC);
-  if (EC)
-    return "";
-  std::string Path =
-      Dir + "/temos-artifact-" + fileSafeName(SpecName) + ".tslmt";
-  std::ofstream Out(Path);
-  if (!Out)
-    return "";
-  Out << Text;
-  Out.close();
-  return Out ? Path : "";
+    std::fprintf(Stream, "  failure: %s\n", F.str().c_str());
 }
 
 } // namespace
@@ -330,16 +270,10 @@ int main(int argc, char **argv) {
     std::string Json =
         benchJson(Spec->Name, R.Status, Jobs, CacheEnabled, R.Stats,
                   MachineStates, JsLoc, RepeatStats ? &*RepeatStats : nullptr);
-    std::string Written;
-    if (!BenchJsonPath.empty()) {
-      std::ofstream Out(BenchJsonPath);
-      if (Out) {
-        Out << Json;
-        Written = BenchJsonPath;
-      }
-    } else {
-      Written = writeBenchJson("", Spec->Name, Json);
-    }
+    std::string Written = writeTextFile(
+        "", BenchJsonPath.empty() ? benchJsonFileName(Spec->Name)
+                                  : BenchJsonPath,
+        Json);
     if (Written.empty()) {
       std::fprintf(stderr, "error: cannot write bench JSON\n");
       return ExitInputError;
@@ -348,11 +282,10 @@ int main(int argc, char **argv) {
   }
   // Degraded or aborted runs dump a replayable artifact (spec + failure
   // records + options), whatever the final verdict.
-  if (!R.Stats.Failures.empty()) {
-    std::string Artifact = writeArtifactFile(
-        ArtifactsDir, Spec->Name,
-        artifactText(Spec->Name, R.Status, Options, Jobs, Lazy, TimeBudget,
-                     R.Stats, Source));
+  if (!R.Stats.Failures.empty() && !ArtifactsDir.empty()) {
+    std::string Artifact = writeTextFile(
+        ArtifactsDir, "temos-artifact-" + fileSafeName(Spec->Name) + ".tslmt",
+        runArtifactText(Spec->Name, R, Options, Source));
     if (!Artifact.empty())
       std::fprintf(stderr, "artifact: %s\n", Artifact.c_str());
   }

@@ -74,12 +74,11 @@ TEST(FuzzInjection, SpinHangCaughtByPipelineOracle) {
   EXPECT_NE(F.Description.find("tripped the sygus deadline"),
             std::string::npos)
       << F.Description;
-  // The repro is a pipeline artifact so `temos-fuzz --replay` re-runs
+  // The repro's body is a run artifact, so `temos-fuzz --replay` re-runs
   // it with the recorded budget and fault.
-  EXPECT_TRUE(isPipelineArtifact(F.Repro));
-  bool StillFails = false;
-  std::string Replay = replayPipelineArtifact(F.Repro, StillFails);
-  EXPECT_TRUE(StillFails) << Replay;
+  EXPECT_NE(F.Repro.find("// temos-artifact: v1"), std::string::npos);
+  ReplayResult Replay = replayRepro(F.Repro);
+  EXPECT_EQ(Replay.Verdict, ReplayVerdict::Reproduces) << Replay.Report;
 }
 
 TEST(FuzzInjection, FaultNamesRoundTrip) {

@@ -335,6 +335,16 @@ TEST(Cli, SpinHangTripsDeadlineAndDumpsReplayableArtifact) {
   EXPECT_NE(Out.find("degradation reproduces"), std::string::npos) << Out;
 }
 
+TEST(Cli, ReplayOfAFileWithoutHeaderExitsTwo) {
+  // A plain spec carries no `// temos-fuzz repro:` or `// temos-artifact:`
+  // header, so there is nothing to check: exit 2, never 0 ("gone").
+  std::string Path = writeSpec("cli_counter.tslmt", CounterSpec);
+  std::string Replay = std::string(TEMOS_FUZZ_CLI_PATH) + " --replay " +
+                       Path + " >/dev/null 2>&1";
+  int Status = std::system(Replay.c_str());
+  EXPECT_EQ(WEXITSTATUS(Status), 2);
+}
+
 TEST(Cli, DegradedSummaryListsFailures) {
   std::string Path = writeSpec("cli_counter.tslmt", CounterSpec);
   auto [Code, Err] = runCliStderr(
