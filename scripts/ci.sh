@@ -92,5 +92,9 @@ scripts/run_tsan.sh
 
 echo "== tier 3: differential fuzz sweep (500 iterations/oracle) =="
 "$BUILD_DIR/src/tools/temos-fuzz" --seed "${TEMOS_SEED:-1}" --iters 500
+# The roundtrip oracle is the parser's only randomized cross-check and
+# costs under a second at this depth.
+"$BUILD_DIR/src/tools/temos-fuzz" --oracle roundtrip \
+  --seed "${TEMOS_SEED:-1}" --iters 20000
 
 echo "CI ladder green."

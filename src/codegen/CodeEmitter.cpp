@@ -2,7 +2,7 @@
 
 #include "codegen/CodeEmitter.h"
 
-#include <algorithm>
+#include "logic/Builtin.h"
 
 using namespace temos;
 
@@ -28,24 +28,20 @@ std::string emitTerm(const Term *T, const Specification &Spec, Lang L) {
            std::to_string(T->value().denominator()) + ".0)";
   case Term::Kind::Signal: {
     const char *Scope = isInputSignal(Spec, T->name()) ? "inputs" : "cells";
-    return std::string(Scope) + (L == Lang::Js ? "." : ".") + T->name();
+    return std::string(Scope) + "." + T->name();
   }
   case Term::Kind::Apply:
     break;
   }
 
   const std::string &F = T->name();
-  static const char *Infix[] = {"+", "-", "*", "<", "<=", ">", ">="};
-  if (T->arity() == 2 &&
-      std::find_if(std::begin(Infix), std::end(Infix), [&](const char *Op) {
-        return F == Op;
-      }) != std::end(Infix))
-    return "(" + emitTerm(T->args()[0], Spec, L) + " " + F + " " +
-           emitTerm(T->args()[1], Spec, L) + ")";
-  if (T->arity() == 2 && (F == "=" || F == "!=")) {
-    const char *Op = F == "=" ? (L == Lang::Js ? " === " : " == ")
-                              : (L == Lang::Js ? " !== " : " != ");
-    return "(" + emitTerm(T->args()[0], Spec, L) + Op +
+  if (const Builtin *B = findBuiltin(F); B && T->arity() == 2) {
+    std::string Op = B->Symbol;
+    if (B->Code == Builtin::Op::Eq)
+      Op = L == Lang::Js ? "===" : "==";
+    else if (B->Code == Builtin::Op::Ne && L == Lang::Js)
+      Op = "!==";
+    return "(" + emitTerm(T->args()[0], Spec, L) + " " + Op + " " +
            emitTerm(T->args()[1], Spec, L) + ")";
   }
   if (T->arity() == 0) {
@@ -96,6 +92,56 @@ std::string initExpr(const CellDecl &D, const Specification &Spec, Lang L) {
   return "0";
 }
 
+/// The predicate evaluations p0, p1, ... and the input word they form.
+std::string emitInputWord(const Alphabet &AB, const Specification &Spec,
+                          Lang L) {
+  bool Js = L == Lang::Js;
+  const std::vector<const Term *> &Preds = AB.predicates();
+  std::string Out;
+  for (size_t I = 0; I < Preds.size(); ++I)
+    Out += std::string(Js ? "    const p" : "    const bool p") +
+           std::to_string(I) + " = " + emitTerm(Preds[I], Spec, L) + ";\n";
+  Out += Js ? "    const word =" : "    const unsigned word =";
+  if (Preds.empty())
+    return Out + " 0;\n";
+  for (size_t I = 0; I < Preds.size(); ++I)
+    Out += std::string(I != 0 ? " |" : "") + " (p" + std::to_string(I) +
+           " ? " + std::to_string(1u << I) + (Js ? " : 0)" : "u : 0u)");
+  return Out + ";\n";
+}
+
+/// One `case` per state, switching on the input word to each edge's
+/// cell updates and next state.
+std::string emitTransitions(const MealyMachine &M, const Alphabet &AB,
+                            const Specification &Spec, Lang L) {
+  std::string Out;
+  for (uint32_t S = 0; S < M.stateCount(); ++S) {
+    Out += "    case " + std::to_string(S) + ":\n";
+    Out += "      switch (word) {\n";
+    for (uint32_t In = 0; In < M.inputCount(); ++In) {
+      MealyMachine::Edge E = M.edge(S, In);
+      Out += "      case " + std::to_string(In) + ":\n";
+      std::vector<unsigned> Choices = AB.decodeOutput(E.Output);
+      for (size_t C = 0; C < AB.cells().size(); ++C) {
+        const Formula *U = AB.cells()[C].Options[Choices[C]];
+        // Skip no-op self updates for readability.
+        if (U->updateValue()->isSignal() &&
+            U->updateValue()->name() == U->cell())
+          continue;
+        Out += "        next." + U->cell() + " = " +
+               emitTerm(U->updateValue(), Spec, L) + ";\n";
+      }
+      Out += "        state = " + std::to_string(E.NextState) + ";\n";
+      Out += "        break;\n";
+    }
+    if (L == Lang::Cpp)
+      Out += "      default: break;\n";
+    Out += "      }\n";
+    Out += "      break;\n";
+  }
+  return Out;
+}
+
 } // namespace
 
 std::string temos::emitJavaScript(const MealyMachine &M, const Alphabet &AB,
@@ -115,48 +161,10 @@ std::string temos::emitJavaScript(const MealyMachine &M, const Alphabet &AB,
            initExpr(CellDecl{D.Name, D.S, nullptr}, Spec, Lang::Js) + ",\n";
   Out += "  };\n";
   Out += "  function step(inputs) {\n";
-
-  // Predicate evaluations form the input word.
-  for (size_t I = 0; I < AB.predicates().size(); ++I)
-    Out += "    const p" + std::to_string(I) + " = " +
-           emitTerm(AB.predicates()[I], Spec, Lang::Js) + ";\n";
-  Out += "    const word =";
-  if (AB.predicates().empty()) {
-    Out += " 0;\n";
-  } else {
-    for (size_t I = 0; I < AB.predicates().size(); ++I) {
-      if (I != 0)
-        Out += " |";
-      Out += " (p" + std::to_string(I) + " ? " + std::to_string(1u << I) +
-             " : 0)";
-    }
-    Out += ";\n";
-  }
-
+  Out += emitInputWord(AB, Spec, Lang::Js);
   Out += "    const next = Object.assign({}, cells);\n";
   Out += "    switch (state) {\n";
-  for (uint32_t S = 0; S < M.stateCount(); ++S) {
-    Out += "    case " + std::to_string(S) + ":\n";
-    Out += "      switch (word) {\n";
-    for (uint32_t In = 0; In < M.inputCount(); ++In) {
-      MealyMachine::Edge E = M.edge(S, In);
-      Out += "      case " + std::to_string(In) + ":\n";
-      std::vector<unsigned> Choices = AB.decodeOutput(E.Output);
-      for (size_t C = 0; C < AB.cells().size(); ++C) {
-        const Formula *U = AB.cells()[C].Options[Choices[C]];
-        // Skip no-op self updates for readability.
-        if (U->updateValue()->isSignal() &&
-            U->updateValue()->name() == U->cell())
-          continue;
-        Out += "        next." + U->cell() + " = " +
-               emitTerm(U->updateValue(), Spec, Lang::Js) + ";\n";
-      }
-      Out += "        state = " + std::to_string(E.NextState) + ";\n";
-      Out += "        break;\n";
-    }
-    Out += "      }\n";
-    Out += "      break;\n";
-  }
+  Out += emitTransitions(M, AB, Spec, Lang::Js);
   Out += "    }\n";
   Out += "    Object.assign(cells, next);\n";
   Out += "    return cells;\n";
@@ -188,45 +196,10 @@ std::string temos::emitCpp(const MealyMachine &M, const Alphabet &AB,
   Out += "  int state = " + std::to_string(M.initialState()) + ";\n";
   Out += "  Cells cells;\n\n";
   Out += "  const Cells &step(const Inputs &inputs) {\n";
-  for (size_t I = 0; I < AB.predicates().size(); ++I)
-    Out += "    const bool p" + std::to_string(I) + " = " +
-           emitTerm(AB.predicates()[I], Spec, Lang::Cpp) + ";\n";
-  Out += "    const unsigned word =";
-  if (AB.predicates().empty()) {
-    Out += " 0;\n";
-  } else {
-    for (size_t I = 0; I < AB.predicates().size(); ++I) {
-      if (I != 0)
-        Out += " |";
-      Out += " (p" + std::to_string(I) + " ? " + std::to_string(1u << I) +
-             "u : 0u)";
-    }
-    Out += ";\n";
-  }
+  Out += emitInputWord(AB, Spec, Lang::Cpp);
   Out += "    Cells next = cells;\n";
   Out += "    switch (state) {\n";
-  for (uint32_t S = 0; S < M.stateCount(); ++S) {
-    Out += "    case " + std::to_string(S) + ":\n";
-    Out += "      switch (word) {\n";
-    for (uint32_t In = 0; In < M.inputCount(); ++In) {
-      MealyMachine::Edge E = M.edge(S, In);
-      Out += "      case " + std::to_string(In) + ":\n";
-      std::vector<unsigned> Choices = AB.decodeOutput(E.Output);
-      for (size_t C = 0; C < AB.cells().size(); ++C) {
-        const Formula *U = AB.cells()[C].Options[Choices[C]];
-        if (U->updateValue()->isSignal() &&
-            U->updateValue()->name() == U->cell())
-          continue;
-        Out += "        next." + U->cell() + " = " +
-               emitTerm(U->updateValue(), Spec, Lang::Cpp) + ";\n";
-      }
-      Out += "        state = " + std::to_string(E.NextState) + ";\n";
-      Out += "        break;\n";
-    }
-    Out += "      default: break;\n";
-    Out += "      }\n";
-    Out += "      break;\n";
-  }
+  Out += emitTransitions(M, AB, Spec, Lang::Cpp);
   Out += "    default: break;\n";
   Out += "    }\n";
   Out += "    cells = next;\n";

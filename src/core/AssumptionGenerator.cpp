@@ -160,9 +160,8 @@ std::optional<GeneratedAssumption> AssumptionGenerator::generate(
 
   // Reachability: prefer short sequential witnesses (the intro example's
   // two increments), then fall back to loops (Example 4.5).
-  Solver.Opts.MaxSteps = Opts.MaxSequentialSteps;
-  if (auto Program =
-          Solver.synthesizeSequentialUpTo(Query, ExcludedSeq, Stats))
+  if (auto Program = Solver.synthesizeSequentialUpTo(
+          Query, Opts.MaxSequentialSteps, ExcludedSeq, Stats))
     return encodeSequential(Ob, *Program);
   if (auto Program = Solver.synthesizeLoop(Query, ExcludedLoop, Stats))
     return encodeLoop(Ob, *Program);

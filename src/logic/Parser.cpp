@@ -2,10 +2,10 @@
 
 #include "logic/Parser.h"
 
-#include "support/StringUtils.h"
+#include "logic/Builtin.h"
 
 #include <cctype>
-#include <unordered_map>
+#include <climits>
 
 using namespace temos;
 
@@ -42,27 +42,19 @@ public:
   Lexer(const std::string &Source) : Source(Source) { tokenize(); }
 
   const std::vector<Token> &tokens() const { return Tokens; }
-  bool hadError() const { return !ErrorMessage.empty(); }
-  const std::string &errorMessage() const { return ErrorMessage; }
-  size_t errorLine() const { return ErrorLine; }
-  size_t errorColumn() const { return ErrorCol; }
+  bool hadError() const { return !Error.Message.empty(); }
+  const ParseError &error() const { return Error; }
 
 private:
   void tokenize();
   void fail(const std::string &Message, size_t Col) {
-    if (ErrorMessage.empty()) {
-      ErrorMessage = Message;
-      ErrorLine = Line;
-      ErrorCol = Col;
-    }
+    Error = {Line, Col, Message};
   }
 
   const std::string &Source;
   std::vector<Token> Tokens;
-  std::string ErrorMessage;
+  ParseError Error;
   size_t Line = 1;
-  size_t ErrorLine = 1;
-  size_t ErrorCol = 1;
 };
 
 void Lexer::tokenize() {
@@ -149,30 +141,97 @@ struct ExprValue {
 };
 
 //===----------------------------------------------------------------------===//
-// Parser
+// Operator tables
 //===----------------------------------------------------------------------===//
 
-struct BuiltinFunction {
-  const char *Canonical;
-  int Arity;
+enum class Assoc { Left, Right, None };
+
+/// A binary operator of docs/LANGUAGE.md's precedence table, levels 1
+/// (loosest) to 8. A formula connective combines its operands with
+/// \c Make; a term operator (\c Make null) applies the builtin \c Symbol.
+struct BinaryOp {
+  const char *Spelling;
+  int Level;
+  Assoc Associativity;
+  const Formula *(FormulaFactory::*Make)(const Formula *, const Formula *);
+  const char *Symbol;
 };
 
-/// Maps surface function names to canonical operator names. Both the
-/// word spelling ("lte") and the symbol spelling ("<=") are accepted.
-const std::unordered_map<std::string, BuiltinFunction> &builtinFunctions() {
-  static const std::unordered_map<std::string, BuiltinFunction> Map = {
-      {"add", {"+", 2}},  {"sub", {"-", 2}},  {"mul", {"*", 2}},
-      {"eq", {"=", 2}},   {"neq", {"!=", 2}}, {"lt", {"<", 2}},
-      {"lte", {"<=", 2}}, {"leq", {"<=", 2}}, {"gt", {">", 2}},
-      {"gte", {">=", 2}}, {"geq", {">=", 2}},
-  };
-  return Map;
+const BinaryOp BinaryOps[] = {
+    {"<->", 1, Assoc::Left, &FormulaFactory::iff, nullptr},
+    {"->", 2, Assoc::Right, &FormulaFactory::implies, nullptr},
+    {"||", 3, Assoc::Left, &FormulaFactory::orF, nullptr},
+    {"&&", 4, Assoc::Left, &FormulaFactory::andF, nullptr},
+    {"U", 5, Assoc::Right, &FormulaFactory::until, nullptr},
+    {"W", 5, Assoc::Right, &FormulaFactory::weakUntil, nullptr},
+    {"R", 5, Assoc::Right, &FormulaFactory::release, nullptr},
+    {"<", 6, Assoc::None, nullptr, "<"},
+    {"<=", 6, Assoc::None, nullptr, "<="},
+    {">", 6, Assoc::None, nullptr, ">"},
+    {">=", 6, Assoc::None, nullptr, ">="},
+    {"=", 6, Assoc::None, nullptr, "="},
+    {"==", 6, Assoc::None, nullptr, "="},
+    {"!=", 6, Assoc::None, nullptr, "!="},
+    {"+", 7, Assoc::Left, nullptr, "+"},
+    {"-", 7, Assoc::Left, nullptr, "-"},
+    {"*", 8, Assoc::Left, nullptr, "*"},
+};
+
+/// The loosest level, where a formula starts.
+constexpr int FormulaLevel = 1;
+/// The loosest term operator's level, where cell initialisers, update
+/// values and parenthesised application arguments start.
+constexpr int TermLevel = 6;
+
+/// Prefix formula operators (level 9, with unary minus on terms).
+const struct {
+  const char *Spelling;
+  const Formula *(FormulaFactory::*Make)(const Formula *);
+} PrefixOps[] = {
+    {"!", &FormulaFactory::notF},
+    {"X", &FormulaFactory::next},
+    {"F", &FormulaFactory::finallyF},
+    {"G", &FormulaFactory::globally},
+};
+
+// Operator tokens are told apart by text alone: identifiers and
+// punctuation never share a spelling.
+const BinaryOp *binaryOp(const Token &T) {
+  for (const BinaryOp &Op : BinaryOps)
+    if (T.Text == Op.Spelling)
+      return &Op;
+  return nullptr;
 }
+
+bool isPrefixKeyword(const Token &T) {
+  for (const auto &Op : PrefixOps)
+    if (T.Text == Op.Spelling)
+      return true;
+  return false;
+}
+
+/// True when \p T can start a juxtaposed application argument: a
+/// numeral, '(' or an identifier that is no operator or boolean literal.
+bool startsArgument(const Token &T) {
+  if (T.is(TokenKind::Number) || T.isPunct("("))
+    return true;
+  return T.is(TokenKind::Ident) && !binaryOp(T) && !isPrefixKeyword(T) &&
+         T.Text != "true" && T.Text != "false";
+}
+
+//===----------------------------------------------------------------------===//
+// Parser
+//===----------------------------------------------------------------------===//
 
 class Parser {
 public:
   Parser(const std::string &Source, Context &Ctx, ParseError &Err)
-      : Lex(Source), Ctx(Ctx), Err(Err) {}
+      : Lex(Source), Ctx(Ctx), Err(Err) {
+    if (Lex.hadError()) {
+      Err = Lex.error();
+      Failed = true;
+    }
+  }
 
   std::optional<Specification> parseSpec();
   const Formula *parseSingleFormula(const Specification &Against);
@@ -202,28 +261,32 @@ private:
     take();
     return true;
   }
+  bool isNullaryCall(size_t Ahead) const {
+    return peek(Ahead).isPunct("(") && peek(Ahead + 1).isPunct(")");
+  }
   bool expectPunct(const char *P);
   bool fail(const std::string &Message);
   bool fail(const std::string &Message, const Token &At);
 
   // Declarations.
   bool parseHeader();
+  template <typename EntryFn> bool parseDeclBlock(EntryFn ReadEntry);
+  /// Takes the identifier naming a \p What; on anything else reports
+  /// "expected <What> name<Suffix>" at the token after it.
+  bool takeName(const char *What, std::string &Name,
+                const char *Suffix = "");
   bool parseSignalBlock(std::vector<SignalDecl> &Out);
   bool parseCellBlock();
   bool parseFunctionBlock();
   bool parseFormulaBlock(std::vector<const Formula *> &Out);
 
-  // Expressions. Precedence climbing; levels from loosest to tightest:
-  //   iff < implies < or < and < until/weakuntil/release
-  //       < comparison < additive < multiplicative < prefix < application.
-  ExprValue parseIff();
-  ExprValue parseImplies();
-  ExprValue parseOr();
-  ExprValue parseAnd();
-  ExprValue parseUntil();
-  ExprValue parseComparison();
-  ExprValue parseAdditive();
-  ExprValue parseMultiplicative();
+  // Expressions.
+  /// Precedence climbing over BinaryOps: an expression whose binary
+  /// operators all bind at \p MinLevel or tighter.
+  ExprValue parseExpr(int MinLevel);
+  const Term *parseTerm() { return asTerm(parseExpr(TermLevel)); }
+  ExprValue combine(const BinaryOp &Op, const Token &OpTok,
+                    const ExprValue &Left, const ExprValue &Right);
   ExprValue parsePrefix();
   ExprValue parsePrimary();
   /// A primary that can appear as a juxtaposed application argument:
@@ -232,8 +295,12 @@ private:
 
   const Formula *asFormula(const ExprValue &V);
   const Term *asTerm(const ExprValue &V);
-  const Term *applyFunction(const std::string &Name,
+  const Term *applyFunction(const Token &Name,
                             const std::vector<const Term *> &Args);
+  /// Applies \p B after checking its arity and its sort rule; a sort
+  /// error is reported at \p At, the operator.
+  const Term *applyBuiltin(const Builtin &B, const Token &At,
+                           const std::vector<const Term *> &Args);
   Sort numeralSort() const {
     return Spec.Th == Theory::LRA ? Sort::Real : Sort::Int;
   }
@@ -288,7 +355,9 @@ bool Parser::parseHeader() {
   return expectPunct("#");
 }
 
-bool Parser::parseSignalBlock(std::vector<SignalDecl> &Out) {
+/// Reads a `{ Sort ...; ... }` block; \p ReadEntry reads what follows
+/// each sort, up to the ';'.
+template <typename EntryFn> bool Parser::parseDeclBlock(EntryFn ReadEntry) {
   if (!expectPunct("{"))
     return false;
   while (!acceptPunct("}")) {
@@ -296,57 +365,50 @@ bool Parser::parseSignalBlock(std::vector<SignalDecl> &Out) {
     Sort S;
     if (!SortTok.is(TokenKind::Ident) || !parseSort(SortTok.Text, S))
       return fail("expected sort name, found '" + SortTok.Text + "'", SortTok);
-    do {
-      Token Name = take();
-      if (!Name.is(TokenKind::Ident))
-        return fail("expected signal name");
-      Out.push_back({Name.Text, S});
-    } while (acceptPunct(","));
-    if (!expectPunct(";"))
+    if (!ReadEntry(S) || !expectPunct(";"))
       return false;
   }
   return true;
+}
+
+bool Parser::takeName(const char *What, std::string &Name,
+                      const char *Suffix) {
+  Token T = take();
+  if (!T.is(TokenKind::Ident))
+    return fail(std::string("expected ") + What + " name" + Suffix);
+  Name = T.Text;
+  return true;
+}
+
+bool Parser::parseSignalBlock(std::vector<SignalDecl> &Out) {
+  return parseDeclBlock([&](Sort S) {
+    do {
+      std::string Name;
+      if (!takeName("signal", Name))
+        return false;
+      Out.push_back({Name, S});
+    } while (acceptPunct(","));
+    return true;
+  });
 }
 
 bool Parser::parseCellBlock() {
-  if (!expectPunct("{"))
-    return false;
-  while (!acceptPunct("}")) {
-    Token SortTok = take();
-    Sort S;
-    if (!SortTok.is(TokenKind::Ident) || !parseSort(SortTok.Text, S))
-      return fail("expected sort name, found '" + SortTok.Text + "'", SortTok);
-    Token Name = take();
-    if (!Name.is(TokenKind::Ident))
-      return fail("expected cell name");
-    const Term *Init = nullptr;
-    if (acceptPunct("=")) {
-      ExprValue V = parseComparison();
-      if (Failed)
-        return false;
-      Init = asTerm(V);
-      if (!Init)
-        return false;
-    }
-    Spec.Cells.push_back({Name.Text, S, Init});
-    if (!expectPunct(";"))
+  return parseDeclBlock([&](Sort S) {
+    std::string Name;
+    if (!takeName("cell", Name))
       return false;
-  }
-  return true;
+    const Term *Init = nullptr;
+    if (acceptPunct("=") && !(Init = parseTerm()))
+      return false;
+    Spec.Cells.push_back({Name, S, Init});
+    return true;
+  });
 }
 
 bool Parser::parseFunctionBlock() {
-  if (!expectPunct("{"))
-    return false;
-  while (!acceptPunct("}")) {
-    Token SortTok = take();
-    Sort Result;
-    if (!SortTok.is(TokenKind::Ident) || !parseSort(SortTok.Text, Result))
-      return fail("expected sort name, found '" + SortTok.Text + "'", SortTok);
-    Token Name = take();
-    if (!Name.is(TokenKind::Ident))
-      return fail("expected function name");
-    if (!expectPunct("("))
+  return parseDeclBlock([&](Sort Result) {
+    std::string Name;
+    if (!takeName("function", Name) || !expectPunct("("))
       return false;
     std::vector<Sort> Params;
     if (!peek().isPunct(")")) {
@@ -358,21 +420,18 @@ bool Parser::parseFunctionBlock() {
         Params.push_back(PS);
       } while (acceptPunct(","));
     }
-    if (!expectPunct(")") || !expectPunct(";"))
+    if (!expectPunct(")"))
       return false;
-    Spec.Functions.push_back({Name.Text, Result, Params});
-  }
-  return true;
+    Spec.Functions.push_back({Name, Result, Params});
+    return true;
+  });
 }
 
 bool Parser::parseFormulaBlock(std::vector<const Formula *> &Out) {
   if (!expectPunct("{"))
     return false;
   while (!acceptPunct("}")) {
-    ExprValue V = parseIff();
-    if (Failed)
-      return false;
-    const Formula *F = asFormula(V);
+    const Formula *F = asFormula(parseExpr(FormulaLevel));
     if (!F)
       return false;
     Out.push_back(F);
@@ -383,65 +442,42 @@ bool Parser::parseFormulaBlock(std::vector<const Formula *> &Out) {
 }
 
 std::optional<Specification> Parser::parseSpec() {
-  if (Lex.hadError()) {
-    Err.Line = Lex.errorLine();
-    Err.Column = Lex.errorColumn();
-    Err.Message = Lex.errorMessage();
-    return std::nullopt;
-  }
-  if (!parseHeader())
+  if (Failed || !parseHeader())
     return std::nullopt;
   while (!peek().is(TokenKind::End)) {
-    if (acceptIdent("inputs")) {
-      if (!parseSignalBlock(Spec.Inputs))
-        return std::nullopt;
-    } else if (acceptIdent("outputs")) {
-      if (!parseSignalBlock(Spec.Outputs))
-        return std::nullopt;
-    } else if (acceptIdent("cells")) {
-      if (!parseCellBlock())
-        return std::nullopt;
-    } else if (acceptIdent("functions")) {
-      if (!parseFunctionBlock())
-        return std::nullopt;
-    } else if (acceptIdent("always")) {
-      if (acceptIdent("assume")) {
-        if (!parseFormulaBlock(Spec.Assumptions))
-          return std::nullopt;
-      } else if (acceptIdent("guarantee")) {
-        if (!parseFormulaBlock(Spec.AlwaysGuarantees))
-          return std::nullopt;
-      } else {
-        fail("expected 'assume' or 'guarantee' after 'always'");
-        return std::nullopt;
-      }
-    } else if (acceptIdent("guarantee")) {
-      if (!parseFormulaBlock(Spec.Guarantees))
-        return std::nullopt;
-    } else if (acceptIdent("spec")) {
-      Token Name = take();
-      if (!Name.is(TokenKind::Ident)) {
-        fail("expected specification name after 'spec'");
-        return std::nullopt;
-      }
-      Spec.Name = Name.Text;
-    } else {
-      fail("expected a block keyword, found '" + peek().Text + "'");
+    bool Ok;
+    if (acceptIdent("inputs"))
+      Ok = parseSignalBlock(Spec.Inputs);
+    else if (acceptIdent("outputs"))
+      Ok = parseSignalBlock(Spec.Outputs);
+    else if (acceptIdent("cells"))
+      Ok = parseCellBlock();
+    else if (acceptIdent("functions"))
+      Ok = parseFunctionBlock();
+    else if (acceptIdent("always")) {
+      if (acceptIdent("assume"))
+        Ok = parseFormulaBlock(Spec.Assumptions);
+      else if (acceptIdent("guarantee"))
+        Ok = parseFormulaBlock(Spec.AlwaysGuarantees);
+      else
+        Ok = fail("expected 'assume' or 'guarantee' after 'always'");
+    } else if (acceptIdent("guarantee"))
+      Ok = parseFormulaBlock(Spec.Guarantees);
+    else if (acceptIdent("spec"))
+      Ok = takeName("specification", Spec.Name, " after 'spec'");
+    else
+      Ok = fail("expected a block keyword, found '" + peek().Text + "'");
+    if (!Ok)
       return std::nullopt;
-    }
   }
   return std::move(Spec);
 }
 
 const Formula *Parser::parseSingleFormula(const Specification &Against) {
-  if (Lex.hadError()) {
-    Err.Line = Lex.errorLine();
-    Err.Column = Lex.errorColumn();
-    Err.Message = Lex.errorMessage();
+  if (Failed)
     return nullptr;
-  }
   Spec = Against; // Borrow declarations for symbol lookup.
-  ExprValue V = parseIff();
+  ExprValue V = parseExpr(FormulaLevel);
   if (Failed)
     return nullptr;
   if (!peek().is(TokenKind::End)) {
@@ -481,38 +517,34 @@ const Term *Parser::asTerm(const ExprValue &V) {
   return nullptr;
 }
 
-const Term *Parser::applyFunction(const std::string &Name,
-                                  const std::vector<const Term *> &Args) {
-  // Canonical builtins.
-  std::string Canonical = Name;
-  if (auto It = builtinFunctions().find(Name); It != builtinFunctions().end())
-    Canonical = It->second.Canonical;
-
-  static const std::unordered_map<std::string, int> Builtins = {
-      {"+", 2}, {"-", 2}, {"*", 2}, {"=", 2},  {"!=", 2},
-      {"<", 2}, {"<=", 2}, {">", 2}, {">=", 2},
-  };
-  if (auto It = Builtins.find(Canonical); It != Builtins.end()) {
-    if (static_cast<int>(Args.size()) != It->second) {
-      fail("builtin '" + Canonical + "' expects " +
-           std::to_string(It->second) + " arguments, got " +
-           std::to_string(Args.size()));
-      return nullptr;
-    }
-    bool IsComparison = Canonical == "=" || Canonical == "!=" ||
-                        Canonical == "<" || Canonical == "<=" ||
-                        Canonical == ">" || Canonical == ">=";
-    Sort Result;
-    if (IsComparison) {
-      Result = Sort::Bool;
-    } else {
-      Result = Sort::Int;
-      for (const Term *Arg : Args)
-        if (Arg->sort() == Sort::Real)
-          Result = Sort::Real;
-    }
-    return Ctx.Terms.apply(Canonical, Result, Args);
+const Term *Parser::applyBuiltin(const Builtin &B, const Token &At,
+                                 const std::vector<const Term *> &Args) {
+  std::string Name = std::string("builtin '") + B.Symbol + "'";
+  if (Args.size() != 2) {
+    fail(Name + " expects 2 arguments, got " + std::to_string(Args.size()));
+    return nullptr;
   }
+  Sort L = Args[0]->sort(), R = Args[1]->sort();
+  std::optional<Sort> Result = B.resultSort(L, R);
+  if (!Result) {
+    if (B.Sorts == Builtin::Rule::Equality)
+      fail(Name + " expects numeric or same-sort arguments, got " +
+               sortName(L) + " and " + sortName(R),
+           At);
+    else
+      fail(Name + " expects numeric arguments, got " +
+               sortName(isNumericSort(L) ? R : L),
+           At);
+    return nullptr;
+  }
+  return Ctx.Terms.apply(B.Symbol, *Result, Args);
+}
+
+const Term *Parser::applyFunction(const Token &NameTok,
+                                  const std::vector<const Term *> &Args) {
+  const std::string &Name = NameTok.Text;
+  if (const Builtin *B = findBuiltinWord(Name))
+    return applyBuiltin(*B, NameTok, Args);
 
   // Declared functions.
   for (const FunctionDecl &D : Spec.Functions) {
@@ -545,186 +577,71 @@ const Term *Parser::applyFunction(const std::string &Name,
   return nullptr;
 }
 
-ExprValue Parser::parseIff() {
-  ExprValue Left = parseImplies();
-  while (!Failed && peek().isPunct("<->")) {
-    take();
-    ExprValue Right = parseImplies();
-    const Formula *A = asFormula(Left);
-    const Formula *B = asFormula(Right);
-    if (!A || !B)
-      return {};
-    Left = {nullptr, Ctx.Formulas.iff(A, B)};
+ExprValue Parser::parseExpr(int MinLevel) {
+  ExprValue Left = parsePrefix();
+  // After a non-associative operator only looser ones may follow, so
+  // `a < b < c` stops before the second '<'.
+  int MaxLevel = INT_MAX;
+  while (!Failed) {
+    const BinaryOp *Op = binaryOp(peek());
+    if (!Op || Op->Level < MinLevel || Op->Level > MaxLevel)
+      break;
+    Token OpTok = take();
+    ExprValue Right = parseExpr(
+        Op->Associativity == Assoc::Right ? Op->Level : Op->Level + 1);
+    Left = combine(*Op, OpTok, Left, Right);
+    if (Op->Associativity == Assoc::None)
+      MaxLevel = Op->Level - 1;
   }
   return Left;
 }
 
-ExprValue Parser::parseImplies() {
-  ExprValue Left = parseOr();
-  if (Failed || !peek().isPunct("->"))
-    return Left;
-  take();
-  ExprValue Right = parseImplies(); // Right-associative.
-  const Formula *A = asFormula(Left);
-  const Formula *B = asFormula(Right);
+/// Converts both operands only after the right one is parsed, so a
+/// conversion error points past the right operand.
+ExprValue Parser::combine(const BinaryOp &Op, const Token &OpTok,
+                          const ExprValue &Left, const ExprValue &Right) {
+  if (Op.Make) {
+    const Formula *A = asFormula(Left);
+    const Formula *B = asFormula(Right);
+    if (!A || !B)
+      return {};
+    return {nullptr, (Ctx.Formulas.*Op.Make)(A, B)};
+  }
+  const Term *A = asTerm(Left);
+  const Term *B = asTerm(Right);
   if (!A || !B)
     return {};
-  return {nullptr, Ctx.Formulas.implies(A, B)};
-}
-
-ExprValue Parser::parseOr() {
-  ExprValue Left = parseAnd();
-  while (!Failed && peek().isPunct("||")) {
-    take();
-    ExprValue Right = parseAnd();
-    const Formula *A = asFormula(Left);
-    const Formula *B = asFormula(Right);
-    if (!A || !B)
-      return {};
-    Left = {nullptr, Ctx.Formulas.orF(A, B)};
-  }
-  return Left;
-}
-
-ExprValue Parser::parseAnd() {
-  ExprValue Left = parseUntil();
-  while (!Failed && peek().isPunct("&&")) {
-    take();
-    ExprValue Right = parseUntil();
-    const Formula *A = asFormula(Left);
-    const Formula *B = asFormula(Right);
-    if (!A || !B)
-      return {};
-    Left = {nullptr, Ctx.Formulas.andF(A, B)};
-  }
-  return Left;
-}
-
-ExprValue Parser::parseUntil() {
-  ExprValue Left = parseComparison();
-  if (Failed)
-    return Left;
-  for (const char *Op : {"U", "W", "R"}) {
-    if (!peek().isIdent(Op))
-      continue;
-    take();
-    ExprValue Right = parseUntil(); // Right-associative.
-    const Formula *A = asFormula(Left);
-    const Formula *B = asFormula(Right);
-    if (!A || !B)
-      return {};
-    if (std::string(Op) == "U")
-      return {nullptr, Ctx.Formulas.until(A, B)};
-    if (std::string(Op) == "W")
-      return {nullptr, Ctx.Formulas.weakUntil(A, B)};
-    return {nullptr, Ctx.Formulas.release(A, B)};
-  }
-  return Left;
-}
-
-ExprValue Parser::parseComparison() {
-  ExprValue Left = parseAdditive();
-  if (Failed)
-    return Left;
-  static const char *Ops[] = {"<=", ">=", "!=", "==", "<", ">", "="};
-  for (const char *Op : Ops) {
-    if (!peek().isPunct(Op))
-      continue;
-    take();
-    ExprValue Right = parseAdditive();
-    const Term *A = asTerm(Left);
-    const Term *B = asTerm(Right);
-    if (!A || !B)
-      return {};
-    std::string Canonical = Op;
-    if (Canonical == "==")
-      Canonical = "=";
-    const Term *T = applyFunction(Canonical, {A, B});
-    if (!T)
-      return {};
-    return {T, nullptr};
-  }
-  return Left;
-}
-
-ExprValue Parser::parseAdditive() {
-  ExprValue Left = parseMultiplicative();
-  while (!Failed && (peek().isPunct("+") || peek().isPunct("-"))) {
-    std::string Op = take().Text;
-    ExprValue Right = parseMultiplicative();
-    const Term *A = asTerm(Left);
-    const Term *B = asTerm(Right);
-    if (!A || !B)
-      return {};
-    const Term *T = applyFunction(Op, {A, B});
-    if (!T)
-      return {};
-    Left = {T, nullptr};
-  }
-  return Left;
-}
-
-ExprValue Parser::parseMultiplicative() {
-  ExprValue Left = parsePrefix();
-  while (!Failed && peek().isPunct("*")) {
-    take();
-    ExprValue Right = parsePrefix();
-    const Term *A = asTerm(Left);
-    const Term *B = asTerm(Right);
-    if (!A || !B)
-      return {};
-    const Term *T = applyFunction("*", {A, B});
-    if (!T)
-      return {};
-    Left = {T, nullptr};
-  }
-  return Left;
+  return {applyBuiltin(*findBuiltin(Op.Symbol), OpTok, {A, B}), nullptr};
 }
 
 ExprValue Parser::parsePrefix() {
-  if (peek().isPunct("!")) {
-    take();
-    ExprValue V = parsePrefix();
-    const Formula *F = asFormula(V);
-    if (!F)
-      return {};
-    return {nullptr, Ctx.Formulas.notF(F)};
-  }
   if (peek().isPunct("-")) {
-    take();
-    ExprValue V = parsePrefix();
-    const Term *T = asTerm(V);
+    Token Minus = take();
+    const Term *T = asTerm(parsePrefix());
     if (!T)
       return {};
     if (T->isNumeral())
       return {Ctx.Terms.numeral(-T->value(), T->sort()), nullptr};
-    const Term *Zero = Ctx.Terms.numeral(Rational(0), T->sort());
-    const Term *Negated = applyFunction("-", {Zero, T});
-    if (!Negated)
-      return {};
-    return {Negated, nullptr};
+    // 0 - t; a non-numeric t breaks the builtin's sort rule.
+    const Term *Zero = Ctx.Terms.numeral(
+        Rational(0), T->sort() == Sort::Real ? Sort::Real : Sort::Int);
+    return {applyBuiltin(*findBuiltin("-"), Minus, {Zero, T}), nullptr};
   }
-  for (const char *Op : {"X", "F", "G"}) {
-    if (!peek().isIdent(Op))
+  for (const auto &Op : PrefixOps) {
+    if (peek().Text != Op.Spelling)
       continue;
     take();
-    ExprValue V = parsePrefix();
-    const Formula *F = asFormula(V);
+    const Formula *F = asFormula(parsePrefix());
     if (!F)
       return {};
-    if (std::string(Op) == "X")
-      return {nullptr, Ctx.Formulas.next(F)};
-    if (std::string(Op) == "F")
-      return {nullptr, Ctx.Formulas.finallyF(F)};
-    return {nullptr, Ctx.Formulas.globally(F)};
+    return {nullptr, (Ctx.Formulas.*Op.Make)(F)};
   }
   return parsePrimary();
 }
 
 const Term *Parser::parseArgumentTerm() {
-  const Token &T = peek();
+  Token T = take();
   if (T.is(TokenKind::Number)) {
-    take();
     Rational Value;
     if (!Rational::parse(T.Text, Value)) {
       fail("malformed numeral '" + T.Text + "'", T);
@@ -734,28 +651,20 @@ const Term *Parser::parseArgumentTerm() {
     return Ctx.Terms.numeral(Value, S);
   }
   if (T.isPunct("(")) {
-    take();
-    ExprValue V = parseComparison();
-    if (Failed)
-      return nullptr;
-    if (!expectPunct(")"))
+    ExprValue V = parseExpr(TermLevel);
+    if (Failed || !expectPunct(")"))
       return nullptr;
     return asTerm(V);
   }
-  if (T.is(TokenKind::Ident)) {
-    Token Name = take();
-    // Nullary call "f()".
-    if (peek().isPunct("(") && peek(1).isPunct(")")) {
-      take();
-      take();
-      return applyFunction(Name.Text, {});
-    }
-    if (auto S = Spec.signalSort(Name.Text))
-      return Ctx.Terms.signal(Name.Text, *S);
-    fail("unknown signal '" + Name.Text + "'", Name);
-    return nullptr;
+  // An identifier: nullary call "f()" or signal.
+  if (isNullaryCall(0)) {
+    take();
+    take();
+    return applyFunction(T, {});
   }
-  fail("expected a term, found '" + T.Text + "'");
+  if (auto S = Spec.signalSort(T.Text))
+    return Ctx.Terms.signal(T.Text, *S);
+  fail("unknown signal '" + T.Text + "'", T);
   return nullptr;
 }
 
@@ -787,13 +696,8 @@ ExprValue Parser::parsePrimary() {
     }
     if (!expectPunct("<-"))
       return {};
-    ExprValue V = parseComparison();
-    if (Failed)
-      return {};
-    const Term *Value = asTerm(V);
-    if (!Value)
-      return {};
-    if (!expectPunct("]"))
+    const Term *Value = parseTerm();
+    if (!Value || !expectPunct("]"))
       return {};
     return {nullptr, Ctx.Formulas.update(Cell.Text, Value)};
   }
@@ -801,69 +705,37 @@ ExprValue Parser::parsePrimary() {
   // Parenthesized formula or term.
   if (T.isPunct("(")) {
     take();
-    ExprValue V = parseIff();
-    if (Failed)
-      return {};
-    if (!expectPunct(")"))
+    ExprValue V = parseExpr(FormulaLevel);
+    if (Failed || !expectPunct(")"))
       return {};
     return V;
   }
 
-  // Numerals.
-  if (T.is(TokenKind::Number)) {
-    const Term *Num = parseArgumentTerm();
-    if (!Num)
-      return {};
-    return {Num, nullptr};
+  if (!T.is(TokenKind::Ident) && !T.is(TokenKind::Number)) {
+    fail("expected a formula or term, found '" + T.Text + "'");
+    return {};
   }
 
-  // Identifier: signal, or prefix application f a1 a2 ...
-  if (T.is(TokenKind::Ident)) {
+  // Prefix application f a1 a2 ...: an identifier that is neither a
+  // nullary call nor a signal (signals never take juxtaposed arguments),
+  // followed by an argument. Arguments are taken greedily.
+  if (T.is(TokenKind::Ident) && startsArgument(peek(1)) && !isNullaryCall(1) &&
+      !Spec.signalSort(T.Text)) {
     Token Name = take();
-    // Nullary call.
-    if (peek().isPunct("(") && peek(1).isPunct(")")) {
-      take();
-      take();
-      const Term *C = applyFunction(Name.Text, {});
-      if (!C)
-        return {};
-      return {C, nullptr};
-    }
-    // Declared signal: never takes juxtaposed arguments.
-    if (auto S = Spec.signalSort(Name.Text))
-      return {Ctx.Terms.signal(Name.Text, *S), nullptr};
-    // Function symbol: consume juxtaposed arguments greedily.
     std::vector<const Term *> Args;
-    while (!Failed && (peek().is(TokenKind::Ident) ||
-                       peek().is(TokenKind::Number) || peek().isPunct("("))) {
-      // Stop at temporal operator keywords.
-      if (peek().is(TokenKind::Ident)) {
-        const std::string &Id = peek().Text;
-        if (Id == "U" || Id == "W" || Id == "R" || Id == "X" || Id == "F" ||
-            Id == "G" || Id == "true" || Id == "false")
-          break;
-      }
+    while (startsArgument(peek())) {
       const Term *Arg = parseArgumentTerm();
       if (!Arg)
         return {};
       Args.push_back(Arg);
     }
-    if (Failed)
-      return {};
-    if (Args.empty()) {
-      // A bare unknown identifier is an undeclared signal, not a nullary
-      // constant: constants require the explicit "name()" call syntax.
-      fail("unknown signal '" + Name.Text + "'", Name);
-      return {};
-    }
-    const Term *App = applyFunction(Name.Text, Args);
-    if (!App)
-      return {};
-    return {App, nullptr};
+    return {applyFunction(Name, Args), nullptr};
   }
 
-  fail("expected a formula or term, found '" + T.Text + "'");
-  return {};
+  // Numeral, nullary call or signal. A bare unknown identifier is an
+  // undeclared signal, not a nullary constant: constants require the
+  // explicit "name()" call syntax.
+  return {parseArgumentTerm(), nullptr};
 }
 
 } // namespace

@@ -21,6 +21,14 @@
 ///
 /// Terms support both prefix application (`add lfoFreq c1()`, `lt x y`)
 /// and infix sugar (`lfoFreq + 1`, `x < y`); both build the same AST.
+/// The builtin symbols, their word spellings and their sort rule come
+/// from logic/Builtin.h; an ill-sorted builtin application (`p < c`
+/// with `bool p`) is a diagnostic at the operator.
+///
+/// Binary operators are parsed by one precedence-climbing loop over the
+/// operator table of docs/LANGUAGE.md (levels, associativity, and
+/// whether the operands are formulas or terms). Diagnostics carry the
+/// 1-based line and column of the offending token.
 ///
 //===----------------------------------------------------------------------===//
 

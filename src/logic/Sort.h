@@ -41,6 +41,9 @@ inline const char *sortName(Sort S) {
   return "?";
 }
 
+/// True for the arithmetic sorts Int and Real.
+inline bool isNumericSort(Sort S) { return S == Sort::Int || S == Sort::Real; }
+
 /// Parses a sort keyword; returns false if \p Name is not a sort.
 inline bool parseSort(const std::string &Name, Sort &Out) {
   if (Name == "bool") {

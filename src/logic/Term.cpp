@@ -2,22 +2,11 @@
 
 #include "logic/Term.h"
 
+#include "logic/Builtin.h"
+
 #include <algorithm>
 
 using namespace temos;
-
-namespace {
-
-/// True for symbols we render infix in strInfix().
-bool isInfixSymbol(const std::string &Name) {
-  static const char *Symbols[] = {"+",  "-", "*",  "/", "<",
-                                  "<=", ">", ">=", "=", "!="};
-  return std::find_if(std::begin(Symbols), std::end(Symbols),
-                      [&](const char *S) { return Name == S; }) !=
-         std::end(Symbols);
-}
-
-} // namespace
 
 std::string Term::str() const {
   switch (K) {
@@ -29,35 +18,11 @@ std::string Term::str() const {
     if (Args.empty())
       return Name + "()";
     // Operators render infix so printed terms re-parse ((x + 1), x < y).
-    if (Args.size() == 2 && isInfixSymbol(Name))
+    if (Args.size() == 2 && findBuiltin(Name))
       return "(" + Args[0]->str() + " " + Name + " " + Args[1]->str() + ")";
     std::string Result = "(" + Name;
     for (const Term *Arg : Args)
       Result += " " + Arg->str();
-    return Result + ")";
-  }
-  }
-  return "?";
-}
-
-std::string Term::strInfix() const {
-  switch (K) {
-  case Kind::Signal:
-    return Name;
-  case Kind::Numeral:
-    return Value.str();
-  case Kind::Apply: {
-    if (Args.size() == 2 && isInfixSymbol(Name))
-      return "(" + Args[0]->strInfix() + " " + Name + " " +
-             Args[1]->strInfix() + ")";
-    if (Args.empty())
-      return Name + "()";
-    std::string Result = Name + "(";
-    for (size_t I = 0; I < Args.size(); ++I) {
-      if (I != 0)
-        Result += ", ";
-      Result += Args[I]->strInfix();
-    }
     return Result + ")";
   }
   }

@@ -70,10 +70,6 @@ public:
   /// "add vruntime1 weight1" or "c10()" or "3".
   std::string str() const;
 
-  /// Renders with infix sugar for arithmetic/comparisons where possible,
-  /// e.g. "vruntime1 + weight1"; used by the code emitters.
-  std::string strInfix() const;
-
 private:
   friend class TermFactory;
   Term(Kind K, std::string Name, Sort S, std::vector<const Term *> Args,

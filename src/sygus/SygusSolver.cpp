@@ -138,10 +138,22 @@ std::vector<Assignment> SygusSolver::samplePreModels(const SygusQuery &Query) {
 
 namespace {
 
-/// Fresh-copy name of input signal \p Name at step \p J (step 0 keeps
-/// the original name: pre and step-0 updates read the same instant).
-std::string freshInputName(const std::string &Name, size_t J) {
-  return J == 0 ? Name : Name + "#" + std::to_string(J);
+/// Havocs the environment inputs in \p T: every signal that is not in
+/// \p Cells becomes a fresh copy named with \p Suffix, so the program
+/// must work whatever value the environment gives it.
+const Term *havocInputs(TermFactory &TF, const Term *T,
+                        const std::set<std::string> &Cells,
+                        const std::string &Suffix) {
+  std::unordered_map<std::string, const Term *> Map;
+  std::function<void(const Term *)> Walk = [&](const Term *Node) {
+    if (Node->isSignal() && !Cells.count(Node->name()))
+      Map.emplace(Node->name(),
+                  TF.signal(Node->name() + Suffix, Node->sort()));
+    for (const Term *Arg : Node->args())
+      Walk(Arg);
+  };
+  Walk(T);
+  return TF.substituteAll(T, Map);
 }
 
 } // namespace
@@ -158,30 +170,12 @@ bool SygusSolver::verifySequential(const SygusQuery &Query,
     State[Cell.Name] = Ctx.Terms.signal(Cell.Name, Cell.S);
   }
 
-  // Renames input signals in \p T to their step-J copies.
+  // Renames input signals in \p T to their step-J copies (step 0 keeps
+  // the original names: pre and step-0 updates read the same instant).
   auto HavocInputs = [&](const Term *T, size_t J) {
-    if (J == 0)
-      return T;
-    std::unordered_map<std::string, const Term *> Map;
-    std::vector<std::string> Names;
-    collectSignals(T, Names);
-    for (const std::string &Name : Names)
-      if (!CellNames.count(Name)) {
-        // Sort: look the signal up in the term itself.
-        std::function<const Term *(const Term *)> Find =
-            [&](const Term *Node) -> const Term * {
-          if (Node->isSignal() && Node->name() == Name)
-            return Node;
-          for (const Term *Arg : Node->args())
-            if (const Term *Found = Find(Arg))
-              return Found;
-          return nullptr;
-        };
-        const Term *Original = Find(T);
-        Map[Name] =
-            Ctx.Terms.signal(freshInputName(Name, J), Original->sort());
-      }
-    return Ctx.Terms.substituteAll(T, Map);
+    return J == 0 ? T
+                  : havocInputs(Ctx.Terms, T, CellNames,
+                                "#" + std::to_string(J));
   };
 
   std::vector<const Formula *> Parts;
@@ -312,9 +306,9 @@ std::optional<SequentialProgram> SygusSolver::synthesizeSequential(
 }
 
 std::optional<SequentialProgram> SygusSolver::synthesizeSequentialUpTo(
-    const SygusQuery &Query, const std::vector<SequentialProgram> &Excluded,
-    SygusStats *Stats) {
-  for (unsigned Steps = 1; Steps <= Opts.MaxSteps; ++Steps)
+    const SygusQuery &Query, unsigned MaxSteps,
+    const std::vector<SequentialProgram> &Excluded, SygusStats *Stats) {
+  for (unsigned Steps = 1; Steps <= MaxSteps; ++Steps)
     if (auto Program = synthesizeSequential(Query, Steps, Excluded, Stats))
       return Program;
   return std::nullopt;
@@ -413,24 +407,7 @@ bool SygusSolver::verifyLoopRanking(const SygusQuery &Query,
   // Havoc inputs: every non-cell signal in the after-state reads a fresh
   // copy (suffix "!").
   auto Havoc = [&](const Term *T) {
-    std::unordered_map<std::string, const Term *> Map;
-    std::vector<std::string> Names;
-    collectSignals(T, Names);
-    for (const std::string &Name : Names) {
-      if (CellNames.count(Name))
-        continue;
-      std::function<const Term *(const Term *)> Find =
-          [&](const Term *Node) -> const Term * {
-        if (Node->isSignal() && Node->name() == Name)
-          return Node;
-        for (const Term *Arg : Node->args())
-          if (const Term *Found = Find(Arg))
-            return Found;
-        return nullptr;
-      };
-      Map[Name] = Ctx.Terms.signal(Name + "!", Find(T)->sort());
-    }
-    return Ctx.Terms.substituteAll(T, Map);
+    return havocInputs(Ctx.Terms, T, CellNames, "!");
   };
 
   // One body iteration, inputs havocked inside the body as well.

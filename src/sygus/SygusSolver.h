@@ -65,7 +65,7 @@ class SolverService;
 /// Enumerative SyGuS solver with SMT-backed verification.
 class SygusSolver {
 public:
-  SygusSolver(Context &Ctx, Theory Th) : Ctx(Ctx), Th(Th), Solver(Th) {}
+  SygusSolver(Context &Ctx, Theory Th) : Ctx(Ctx), Solver(Th) {}
 
   /// Routes verdict-only SMT checks through \p Service so repeated
   /// verification conditions hit its query cache (shared across
@@ -75,9 +75,6 @@ public:
 
   /// Tunables.
   struct Options {
-    /// Maximum sequential chain length when the obligation does not fix
-    /// one.
-    unsigned MaxSteps = 4;
     /// Fault injection (temos --inject-fault=spin-hang): the sequential
     /// enumeration never terminates -- verified candidates are withheld
     /// and the odometer wraps around forever -- so only a cooperative
@@ -103,10 +100,10 @@ public:
                        const std::vector<SequentialProgram> &Excluded = {},
                        SygusStats *Stats = nullptr);
 
-  /// Synthesizes a sequential program of any length 1..MaxSteps
+  /// Synthesizes a sequential program of any length 1..\p MaxSteps
   /// (shortest first), for F-obligations solvable without loops.
   std::optional<SequentialProgram>
-  synthesizeSequentialUpTo(const SygusQuery &Query,
+  synthesizeSequentialUpTo(const SygusQuery &Query, unsigned MaxSteps,
                            const std::vector<SequentialProgram> &Excluded = {},
                            SygusStats *Stats = nullptr);
 
@@ -152,7 +149,6 @@ private:
   SatResult checkSat(const Formula *F);
 
   Context &Ctx;
-  Theory Th;
   SmtSolver Solver;
   SolverService *Service = nullptr;
   Evaluator Eval;

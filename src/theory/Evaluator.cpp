@@ -2,6 +2,8 @@
 
 #include "theory/Evaluator.h"
 
+#include "logic/Builtin.h"
+
 using namespace temos;
 
 std::optional<Value> Evaluator::evaluate(const Term *T,
@@ -41,35 +43,39 @@ std::optional<Value> Evaluator::evaluate(const Term *T,
     Args.push_back(*V);
   }
 
-  auto BothNumbers = [&]() {
-    return Args.size() == 2 && Args[0].isNumber() && Args[1].isNumber();
-  };
-
-  if (F == "+" && BothNumbers())
-    return Value::number(Args[0].getNumber() + Args[1].getNumber());
-  if (F == "-" && BothNumbers())
-    return Value::number(Args[0].getNumber() - Args[1].getNumber());
-  if (F == "*" && BothNumbers())
-    return Value::number(Args[0].getNumber() * Args[1].getNumber());
-  if (F == "<" && BothNumbers())
-    return Value::boolean(Args[0].getNumber() < Args[1].getNumber());
-  if (F == "<=" && BothNumbers())
-    return Value::boolean(Args[0].getNumber() <= Args[1].getNumber());
-  if (F == ">" && BothNumbers())
-    return Value::boolean(Args[0].getNumber() > Args[1].getNumber());
-  if (F == ">=" && BothNumbers())
-    return Value::boolean(Args[0].getNumber() >= Args[1].getNumber());
-  if (F == "=" && Args.size() == 2)
-    return Value::boolean(Args[0] == Args[1]);
-  if (F == "!=" && Args.size() == 2)
-    return Value::boolean(Args[0] != Args[1]);
-
-  // Sort mismatch on a builtin (e.g. "<" on symbols) is an evaluation
-  // failure, not a symbolic application.
-  static const char *Builtins[] = {"+", "-", "*", "<", "<=", ">", ">="};
-  for (const char *B : Builtins)
-    if (F == B)
+  if (const Builtin *B = findBuiltin(F)) {
+    using Op = Builtin::Op;
+    if (Args.size() == 2 && B->Code == Op::Eq)
+      return Value::boolean(Args[0] == Args[1]);
+    if (Args.size() == 2 && B->Code == Op::Ne)
+      return Value::boolean(Args[0] != Args[1]);
+    // A sort mismatch on a builtin (e.g. "<" on symbols) is an
+    // evaluation failure, not a symbolic application.
+    if (Args.size() != 2 || !Args[0].isNumber() || !Args[1].isNumber())
       return std::nullopt;
+    const Rational &X = Args[0].getNumber();
+    const Rational &Y = Args[1].getNumber();
+    switch (B->Code) {
+    case Op::Add:
+      return Value::number(X + Y);
+    case Op::Sub:
+      return Value::number(X - Y);
+    case Op::Mul:
+      return Value::number(X * Y);
+    case Op::Lt:
+      return Value::boolean(X < Y);
+    case Op::Le:
+      return Value::boolean(X <= Y);
+    case Op::Gt:
+      return Value::boolean(X > Y);
+    case Op::Ge:
+      return Value::boolean(X >= Y);
+    case Op::Eq:
+    case Op::Ne:
+      break;
+    }
+    return std::nullopt;
+  }
 
   // Uninterpreted function: canonical symbolic value over evaluated
   // arguments (term-model semantics -> congruence holds by construction).

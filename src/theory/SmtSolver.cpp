@@ -2,6 +2,7 @@
 
 #include "theory/SmtSolver.h"
 
+#include "logic/Builtin.h"
 #include "support/Rational.h"
 #include "theory/CongruenceClosure.h"
 #include "theory/Simplex.h"
@@ -19,19 +20,12 @@ namespace {
 
 constexpr int MaxBranchDepth = 64;
 
-bool isNumericSort(Sort S) { return S == Sort::Int || S == Sort::Real; }
-
-bool isComparisonSymbol(const std::string &Name) {
-  return Name == "<" || Name == "<=" || Name == ">" || Name == ">=" ||
-         Name == "=" || Name == "!=";
-}
-
 /// True if \p T is a comparison whose operands are numeric (handled by
 /// the arithmetic core rather than congruence closure).
 bool isNumericComparison(const Term *T) {
-  if (!T->isApply() || T->arity() != 2 || !isComparisonSymbol(T->name()))
-    return false;
-  return isNumericSort(T->args()[0]->sort()) &&
+  const Builtin *B = T->isApply() ? findBuiltin(T->name()) : nullptr;
+  return B && B->isComparison() && T->arity() == 2 &&
+         isNumericSort(T->args()[0]->sort()) &&
          isNumericSort(T->args()[1]->sort());
 }
 
@@ -48,8 +42,8 @@ void collectTypedSignals(const Term *T, std::map<std::string, Sort> &Out) {
 /// Collects purification variables: every maximal numeric-sorted
 /// non-arithmetic application below \p T, keyed by canonical string.
 void collectPurifiedVars(const Term *T, std::map<std::string, Sort> &Out) {
-  if (T->isApply() &&
-      (T->name() == "+" || T->name() == "-" || T->name() == "*")) {
+  if (const Builtin *B = T->isApply() ? findBuiltin(T->name()) : nullptr;
+      B && B->Sorts == Builtin::Rule::Arithmetic) {
     for (const Term *Arg : T->args())
       collectPurifiedVars(Arg, Out);
     return;

@@ -5,6 +5,7 @@
 #include "codegen/CodeEmitter.h"
 #include "core/RunArtifact.h"
 #include "core/Synthesizer.h"
+#include "logic/Builtin.h"
 #include "logic/Parser.h"
 #include "support/Rng.h"
 #include "support/StringUtils.h"
@@ -13,7 +14,6 @@
 #include "tools/fuzz/Generator.h"
 #include "tools/fuzz/Shrinker.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -339,14 +339,6 @@ applyTheoryFault(TermFactory &TF, std::vector<TheoryLiteral> Literals,
   return Literals;
 }
 
-/// True for the arithmetic and comparison operators the Evaluator
-/// interprets; every other application with arguments is uninterpreted.
-bool isBuiltinOp(const std::string &Name) {
-  static const char *const Ops[] = {"+",  "-", "*",  "/", "<",
-                                    "<=", ">", ">=", "=", "!="};
-  return std::find(std::begin(Ops), std::end(Ops), Name) != std::end(Ops);
-}
-
 /// True when every application in \p T is an interpreted builtin, so the
 /// Evaluator's verdict on a model assignment is authoritative. Atoms
 /// containing uninterpreted applications are excluded from solver-model
@@ -354,7 +346,7 @@ bool isBuiltinOp(const std::string &Name) {
 /// every EUF model (e.g. `u = f(u)` is Sat with f interpreted as the
 /// identity, but no symbol assignment makes `f(@u)` print as `@u`).
 bool modelCheckable(const Term *T) {
-  if (T->isApply() && T->arity() > 0 && !isBuiltinOp(T->name()))
+  if (T->isApply() && T->arity() > 0 && !findBuiltin(T->name()))
     return false;
   if (T->isApply() && T->arity() == 0 && T->name() != "True" &&
       T->name() != "False")
@@ -445,7 +437,7 @@ std::string reproTermStr(const Term *T) {
   case Term::Kind::Apply: {
     if (T->args().empty())
       return T->name() + "()";
-    if (T->arity() == 2 && isBuiltinOp(T->name()))
+    if (T->arity() == 2 && findBuiltin(T->name()))
       return "(" + reproTermStr(T->args()[0]) + " " + T->name() + " " +
              reproTermStr(T->args()[1]) + ")";
     std::string Out = "(" + T->name();
@@ -469,7 +461,7 @@ std::string theoryReproSource(Theory Th,
     collectTypedSignals(L.Atom, Signals);
     // Non-builtin applications with arguments need declarations.
     std::function<void(const Term *)> Walk = [&](const Term *T) {
-      if (T->isApply() && T->arity() > 0 && !isBuiltinOp(T->name()))
+      if (T->isApply() && T->arity() > 0 && !findBuiltin(T->name()))
         Functions.emplace(T->name(), T);
       for (const Term *Arg : T->args())
         Walk(Arg);
@@ -738,8 +730,7 @@ SygusVerdict checkSygusCase(Context &Ctx, const SygusCase &Case,
                             FaultKind Fault) {
   SygusVerdict Out;
   SygusSolver Solver(Ctx, Theory::LIA);
-  Solver.Opts.MaxSteps = Case.MaxSteps;
-  auto P = Solver.synthesizeSequentialUpTo(Case.Query);
+  auto P = Solver.synthesizeSequentialUpTo(Case.Query, Case.MaxSteps);
 
   if (!P) {
     // Completeness: the solver enumerates exactly this space, so a

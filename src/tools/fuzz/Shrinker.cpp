@@ -2,22 +2,13 @@
 
 #include "tools/fuzz/Shrinker.h"
 
+#include "logic/Builtin.h"
 #include "support/StringUtils.h"
 
 #include <cctype>
 
 using namespace temos;
 using namespace temos::fuzz;
-
-namespace {
-
-bool isArith(const std::string &Name) {
-  return Name == "+" || Name == "-" || Name == "*";
-}
-
-bool isNumericSort(Sort S) { return S == Sort::Int || S == Sort::Real; }
-
-} // namespace
 
 std::vector<const Term *> fuzz::simplerTermVariants(TermFactory &TF,
                                                     const Term *T) {
@@ -52,7 +43,8 @@ std::vector<const Term *> fuzz::simplerTermVariants(TermFactory &TF,
   }
 
   // Collapse arithmetic to a numeric argument (drops the other side).
-  if (isArith(T->name()))
+  if (const Builtin *B = findBuiltin(T->name());
+      B && B->Sorts == Builtin::Rule::Arithmetic)
     for (const Term *Arg : T->args())
       if (isNumericSort(Arg->sort()))
         Add(Arg);

@@ -12,15 +12,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 using namespace temos::fuzz;
 
 namespace {
 
 struct ReplayCase {
+  ReplayCase(FaultKind Fault, OracleReport (*Run)(const FuzzOptions &),
+             unsigned Iterations)
+      : Fault(Fault), Run(Run), Iterations(Iterations) {}
+
   FaultKind Fault;
+  // gtest prints a parameter without a PrintTo as its raw bytes and ctest
+  // names each case after that print, so the padding is spelled out and
+  // zeroed: left implicit, it carried stack garbage into the case names.
+  std::uint32_t Zero0 = 0;
   OracleReport (*Run)(const FuzzOptions &);
   unsigned Iterations;
+  std::uint32_t Zero1 = 0;
 };
+static_assert(std::has_unique_object_representations_v<ReplayCase>,
+              "ReplayCase must have no padding bytes");
 
 class FuzzReplay : public ::testing::TestWithParam<ReplayCase> {};
 

@@ -59,6 +59,31 @@ const DiagnosticCase Cases[] = {
      "expected specification name after 'spec'"},
     {"bad-parameter-sort", "functions { bool f(; }", 1, 20,
      "expected parameter sort"},
+    {"comparison-chain",
+     "inputs { int a, b, c; }\nalways guarantee { a < b < c; }", 2, 26,
+     "expected ';' but found '<'"},
+    {"term-operand-of-iff",
+     "inputs { int x; bool y; }\nalways guarantee { x + 1 <-> y; }", 2, 31,
+     "term '(x + 1)' used as a formula but has sort int"},
+    {"missing-cell-name", "cells { int }", 1, 14, "expected cell name"},
+    {"missing-parameter-list", "functions { bool f }", 1, 20,
+     "expected '(' but found '}'"},
+    {"order-on-bool", "inputs { int c; bool p; } always guarantee { p < c; }",
+     1, 48, "builtin '<' expects numeric arguments, got bool"},
+    {"arithmetic-on-bool",
+     "inputs { bool p; }\ncells { int d; }\nalways guarantee { [d <- p + 1]; }",
+     3, 28, "builtin '+' expects numeric arguments, got bool"},
+    {"equality-across-sorts",
+     "#UF#\ninputs { opaque o; int c; }\nalways guarantee { o = c; }", 3, 22,
+     "builtin '=' expects numeric or same-sort arguments, got opaque and int"},
+    {"order-on-opaque",
+     "#UF#\ninputs { opaque o, q; }\nalways guarantee { o <= q; }", 3, 22,
+     "builtin '<=' expects numeric arguments, got opaque"},
+    {"word-spelling-sort",
+     "inputs { int c; bool p; }\nalways guarantee { lt p c; }", 2, 20,
+     "builtin '<' expects numeric arguments, got bool"},
+    {"negated-bool", "inputs { bool p; }\nalways guarantee { - p; }", 2, 20,
+     "builtin '-' expects numeric arguments, got bool"},
 };
 
 TEST(DiagnosticsTest, MalformedSpecsReportPreciseLocations) {

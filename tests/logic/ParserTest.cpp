@@ -154,6 +154,43 @@ TEST_F(ParserTest, ImpliesIsRightAssociative) {
   EXPECT_EQ(F->rhs()->kind(), Formula::Kind::Implies);
 }
 
+TEST_F(ParserTest, PrecedenceTable) {
+  // One row per adjacent pair of docs/LANGUAGE.md's precedence levels
+  // and per associativity note; the printed AST is fully parenthesised.
+  struct Row {
+    const char *Source;
+    const char *Printed;
+  };
+  const Row Rows[] = {
+      {"a <-> b <-> c", "((a <-> b) <-> c)"},
+      {"a -> b <-> c -> d", "((a -> b) <-> (c -> d))"},
+      {"a -> b -> c", "(a -> (b -> c))"},
+      {"a || b -> c || d", "((a || b) -> (c || d))"},
+      {"a || b || c", "(a || b || c)"},
+      {"a || b && c", "(a || (b && c))"},
+      {"a && b && c", "(a && b && c)"},
+      {"a && b U c", "(a && (b U c))"},
+      {"a U b -> c W d", "((a U b) -> (c W d))"},
+      {"a U b W c R d", "(a U (b W (c R d)))"},
+      {"x < y U x = z", "((x < y) U (x = z))"},
+      {"x - y + y * z < x", "(((x - y) + (y * z)) < x)"},
+      {"x * y * z == x", "(((x * y) * z) = x)"},
+      {"- x * y != z", "(((0 - x) * y) != z)"},
+      {"- x < y", "((0 - x) < y)"},
+      {"! a U b", "(! a U b)"},
+      {"X a && b", "(X a && b)"},
+      {"G F a -> ! b || c", "(G F a -> (! b || c))"},
+  };
+  auto Spec = parse("inputs { bool a, b, c, d; int x, y, z; }");
+  ASSERT_TRUE(Spec.ok()) << Spec.error().str();
+  for (const Row &R : Rows) {
+    SCOPED_TRACE(R.Source);
+    auto F = parseFormula(R.Source, *Spec, Ctx);
+    ASSERT_TRUE(F.ok()) << F.error().str();
+    EXPECT_EQ((*F)->str(), R.Printed);
+  }
+}
+
 TEST_F(ParserTest, DeclaredFunctions) {
   auto Spec = parse(R"(
     #UF#
@@ -318,8 +355,9 @@ TEST_F(ParserTest, UntilIsRightAssociative) {
 }
 
 TEST_F(ParserTest, ComparisonChainsRejected) {
-  // a < b < c is not a chained comparison: the first yields Bool and
-  // the second rejects a Bool operand.
+  // Comparisons are non-associative: after a < b the parser does not
+  // take the second '<' and the block reports a missing ';' there
+  // (DiagnosticsTest pins the location).
   auto Spec = parse(R"(
     inputs { int a, b, c; }
     always guarantee { a < b < c; }

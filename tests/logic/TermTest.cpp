@@ -45,15 +45,16 @@ TEST_F(TermTest, Str) {
   const Term *One = F.numeral(1);
   const Term *Sum = F.apply("+", Sort::Int, {X, One});
   EXPECT_EQ(Sum->str(), "(x + 1)");
-  EXPECT_EQ(Sum->strInfix(), "(x + 1)");
   const Term *C = F.apply("c10", Sort::Int, {});
   EXPECT_EQ(C->str(), "c10()");
 }
 
-TEST_F(TermTest, StrInfixFunctionCall) {
+TEST_F(TermTest, StrPrefixFunctionCall) {
+  // Only builtins print infix; a binary uninterpreted function prints
+  // in prefix form.
   const Term *X = F.signal("x", Sort::Int);
   const Term *App = F.apply("foo", Sort::Int, {X, X});
-  EXPECT_EQ(App->strInfix(), "foo(x, x)");
+  EXPECT_EQ(App->str(), "(foo x x)");
 }
 
 TEST_F(TermTest, Substitute) {

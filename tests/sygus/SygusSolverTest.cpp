@@ -91,7 +91,7 @@ TEST_F(SygusSolverTest, UpToSearchFindsShortest) {
   SygusQuery Q = counterQuery();
   Q.Pre = {{cmp("=", X(), num(0)), true}};
   Q.Post = {{cmp("=", X(), num(3)), true}};
-  auto P = Solver.synthesizeSequentialUpTo(Q);
+  auto P = Solver.synthesizeSequentialUpTo(Q, 4);
   ASSERT_TRUE(P.has_value());
   EXPECT_EQ(P->Steps.size(), 3u);
 }
