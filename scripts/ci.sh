@@ -34,6 +34,20 @@ if python3 scripts/check_bench_json.py "$SMOKE_DIR/doctored.json" \
   echo "a record with a doctored game_states passed the counter gate"
   exit 1
 fi
+# CFS is the one row that refines (Alg. 4), so this leg is what runs the
+# refinement CHECK-SAT in CI. No timing baseline: single-shot times move
+# too much on a shared host for a per-row gate.
+CFS_DIR="$SMOKE_DIR/cfs"
+mkdir -p "$CFS_DIR"
+(cd "$CFS_DIR" &&
+  "$TEMOS_BIN" --benchmark CFS --repeat 2 --bench-json >/dev/null)
+python3 scripts/check_bench_json.py "$CFS_DIR/BENCH_CFS.json"
+python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+counts = [doc["refinements"], doc["repeat"]["refinements"]]
+if counts != [1, 1]:
+    sys.exit(f"CFS refinements (cold, repeat) are {counts}, expected [1, 1]")' \
+  "$CFS_DIR/BENCH_CFS.json"
 # Lazy Vibrato makes three reactive runs on three distinct specs; the
 # repeat must serve every one of them from the engine's memo entries.
 LAZY_DIR="$SMOKE_DIR/lazy"

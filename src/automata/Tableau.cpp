@@ -506,9 +506,10 @@ Nba temos::buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
 
 std::optional<bool> temos::isSatisfiable(const Formula *F, Context &Ctx,
                                          const Alphabet &AB,
-                                         const Deadline &Dl) {
+                                         const Deadline &Dl,
+                                         const TableauLimits &Limits) {
   TableauStats Stats;
-  Nba A = buildNba(F, Ctx, AB, &Stats, {}, nullptr, Dl);
+  Nba A = buildNba(F, Ctx, AB, &Stats, Limits, nullptr, Dl);
   if (Stats.BudgetExceeded)
     return std::nullopt;
   return A.isNonEmpty(AB);

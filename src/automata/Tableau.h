@@ -101,10 +101,11 @@ private:
 /// LTL satisfiability of \p F under the underapproximation: does some
 /// trace (sequence of letters) satisfy it? Used by the refinement loop's
 /// CHECK-SAT (Alg. 4) and by tests. nullopt when the construction was
-/// cut off (tableau budget or \p Dl): the question stays undecided.
+/// cut off (\p Limits or \p Dl): the question stays undecided.
 std::optional<bool> isSatisfiable(const Formula *F, Context &Ctx,
                                   const Alphabet &AB,
-                                  const Deadline &Dl = {});
+                                  const Deadline &Dl = {},
+                                  const TableauLimits &Limits = {});
 
 } // namespace temos
 

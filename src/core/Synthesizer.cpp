@@ -144,6 +144,44 @@ struct Exclusions {
   std::vector<LoopProgram> Loop;
 };
 
+/// Builds the CHECK-SAT pair for \p A, a member of
+/// \p Result.SygusAssumptions, in the round whose assumptions are
+/// \p Result.Assumptions and whose alphabet is built from
+/// \p ForAlphabet (Synthesizer::alphabetFormulas). The refinement step
+/// and Synthesizer::firstRoundChecks both build their checks here.
+RefinementCheck buildRefinementCheck(
+    const Specification &Spec, Context &Ctx, const PipelineResult &Result,
+    const GeneratedAssumption &A, AssumptionGenerator &Generator,
+    const std::vector<const Formula *> &ForAlphabet) {
+  // An "unhelpful" assumption (Alg. 4) is one whose update chain can
+  // never be executed when its pre-condition holds, detected by the
+  // unsatisfiability of phi && G(pre -> upd) && F pre. The F pre
+  // conjunct makes the check consider executions where the
+  // pre-condition actually occurs (Example 4.6 implicitly starts from
+  // x = 0). The constraints phi are the plain conjunction Example 4.6
+  // checks: environment assumptions, the given assumptions, the
+  // guarantees.
+  const Formula *Guarantee = Generator.refinementGuarantee(A);
+  const Formula *Eventually = Ctx.Formulas.finallyF(A.PreFormula);
+  auto Conjoin = [&](const std::vector<const Formula *> &Assumptions) {
+    std::vector<const Formula *> Constraints;
+    for (const Formula *SpecAssumption : Spec.Assumptions)
+      Constraints.push_back(Ctx.Formulas.globally(SpecAssumption));
+    Constraints.insert(Constraints.end(), Assumptions.begin(),
+                       Assumptions.end());
+    Constraints.push_back(Spec.guaranteeFormula(Ctx));
+    return Ctx.Formulas.andF(
+        {Ctx.Formulas.andF(std::move(Constraints)), Guarantee, Eventually});
+  };
+  RefinementCheck Check;
+  Check.Core = Conjoin(Result.ConsistencyAssumptions);
+  Check.Full = Conjoin(Result.Assumptions);
+  std::vector<const Formula *> Extra = ForAlphabet;
+  Extra.push_back(Check.Full);
+  Check.AB = Alphabet::build(Spec, Ctx, Extra);
+  return Check;
+}
+
 /// One refinement step of Alg. 4 after an unrealizable eager round:
 /// replaces (or drops) the first unhelpful SyGuS assumption. Returns
 /// false when every assumption is executable, or when \p Dl cut a
@@ -151,33 +189,13 @@ struct Exclusions {
 bool refineUnhelpful(const Specification &Spec, Context &Ctx,
                      AssumptionGenerator &Generator, PipelineResult &Result,
                      const std::vector<const Formula *> &ForAlphabet,
-                     std::vector<Exclusions> &Excluded, const Deadline &Dl) {
-  // Look for an "unhelpful" assumption (Alg. 4) -- one whose update
-  // chain can never be executed when its pre-condition holds, detected
-  // by the unsatisfiability of phi && G(pre -> upd) && F pre. The F pre
-  // conjunct makes the check consider executions where the
-  // pre-condition actually occurs (Example 4.6 implicitly starts from
-  // x = 0). The satisfiability check conjoins the constraints (Example
-  // 4.6 checks the plain conjunction): environment assumptions,
-  // generated assumptions, the guarantees, and the committed update
-  // chain.
-  std::vector<const Formula *> Conjuncts;
-  for (const Formula *A : Spec.Assumptions)
-    Conjuncts.push_back(Ctx.Formulas.globally(A));
-  Conjuncts.insert(Conjuncts.end(), Result.Assumptions.begin(),
-                   Result.Assumptions.end());
-  Conjuncts.push_back(Spec.guaranteeFormula(Ctx));
-  const Formula *AllConstraints = Ctx.Formulas.andF(std::move(Conjuncts));
-
+                     std::vector<Exclusions> &Excluded, const Deadline &Dl,
+                     const TableauLimits &Limits) {
   for (size_t I = 0; I < Result.SygusAssumptions.size(); ++I) {
     GeneratedAssumption &A = Result.SygusAssumptions[I];
-    const Formula *Guarantee = Generator.refinementGuarantee(A);
-    const Formula *Check = Ctx.Formulas.andF(
-        {AllConstraints, Guarantee, Ctx.Formulas.finallyF(A.PreFormula)});
-    std::vector<const Formula *> CheckExtra = ForAlphabet;
-    CheckExtra.push_back(Check);
-    Alphabet CheckAB = Alphabet::build(Spec, Ctx, CheckExtra);
-    std::optional<bool> Sat = isSatisfiable(Check, Ctx, CheckAB, Dl);
+    std::optional<bool> Sat = decideRefinementCheck(
+        buildRefinementCheck(Spec, Ctx, Result, A, Generator, ForAlphabet),
+        Ctx, Dl, Limits);
     if (!Sat) {
       if (Dl.expired()) {
         Result.Status = Realizability::Unknown;
@@ -224,6 +242,46 @@ bool refineUnhelpful(const Specification &Spec, Context &Ctx,
 }
 
 } // namespace
+
+std::optional<bool> temos::decideRefinementCheck(const RefinementCheck &Check,
+                                                 Context &Ctx,
+                                                 const Deadline &Dl,
+                                                 const TableauLimits &Limits) {
+  std::optional<bool> CoreSat =
+      isSatisfiable(Check.Core, Ctx, Check.AB, Dl, Limits);
+  // An unsat core decides; an expired deadline would cut the full check
+  // off too.
+  if (CoreSat == false || (!CoreSat && Dl.expired()))
+    return CoreSat;
+  return isSatisfiable(Check.Full, Ctx, Check.AB, Dl, Limits);
+}
+
+std::vector<const Formula *>
+Synthesizer::alphabetFormulas(const Specification &Spec,
+                              const std::vector<const Formula *> &Assumptions) {
+  std::vector<const Formula *> Out = Assumptions;
+  Out.push_back(
+      simplify(formulaWithAssumptions(Spec, Assumptions), Ctx.Formulas));
+  return Out;
+}
+
+std::vector<RefinementCheck>
+Synthesizer::firstRoundChecks(const Specification &Spec,
+                              const PipelineOptions &Options,
+                              PipelineResult &Result) {
+  generateAssumptions(Spec, Options, Result, Deadline());
+  Result.Assumptions = Result.ConsistencyAssumptions;
+  for (const GeneratedAssumption &A : Result.SygusAssumptions)
+    Result.Assumptions.push_back(A.Assumption);
+  const std::vector<const Formula *> ForAlphabet =
+      alphabetFormulas(Spec, Result.Assumptions);
+  AssumptionGenerator Generator(Spec, Ctx);
+  std::vector<RefinementCheck> Checks;
+  for (const GeneratedAssumption &A : Result.SygusAssumptions)
+    Checks.push_back(
+        buildRefinementCheck(Spec, Ctx, Result, A, Generator, ForAlphabet));
+  return Checks;
+}
 
 void Synthesizer::generateAssumptions(const Specification &Spec,
                                       const PipelineOptions &Options,
@@ -385,10 +443,9 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
       Result.Assumptions.push_back(Result.SygusAssumptions[I].Assumption);
     Result.Stats.AssumptionCount = Result.Assumptions.size();
 
-    const Formula *Phi = simplify(
-        formulaWithAssumptions(Spec, Result.Assumptions), Ctx.Formulas);
-    std::vector<const Formula *> ForAlphabet = Result.Assumptions;
-    ForAlphabet.push_back(Phi);
+    const std::vector<const Formula *> ForAlphabet =
+        alphabetFormulas(Spec, Result.Assumptions);
+    const Formula *Phi = ForAlphabet.back();
     Result.AB = Alphabet::build(Spec, Ctx, ForAlphabet);
 
     SynthesisResult Reactive = Engine.synthesize(
@@ -407,7 +464,7 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
     // round's refinement step still runs and counts.
     if (Options.Eager) {
       if (!refineUnhelpful(Spec, Ctx, Generator, Result, ForAlphabet,
-                           Excluded, Global) ||
+                           Excluded, Global, Options.Reactive.Tableau) ||
           Round >= Options.MaxRefinements)
         break;
     } else if (SygusUsed == Result.SygusAssumptions.size()) {

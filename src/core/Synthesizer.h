@@ -163,6 +163,30 @@ struct PipelineResult {
   PipelineStats Stats;
 };
 
+/// Alg. 4's CHECK-SAT for one SyGuS assumption A of an eager round:
+/// is `constraints && G(pre -> upd) && F pre` satisfiable? Full is the
+/// paper's formula, whose constraints are the spec assumptions
+/// (G-wrapped), the round's assumptions (consistency, then SyGuS) and the
+/// guarantees. Core is the same conjunction without the SyGuS
+/// assumptions. Both are read over AB, built from the round's alphabet
+/// formulas and Full, so every trace of Full is a trace of Core: an
+/// unsat Core proves Full unsat.
+struct RefinementCheck {
+  const Formula *Core = nullptr;
+  const Formula *Full = nullptr;
+  Alphabet AB;
+};
+
+/// Decides \p Check core first: an unsat Core answers false without
+/// the full check; a sat Core, or one the tableau budget \p Limits cut
+/// off, runs the full check. The result is Full's satisfiability, so it
+/// equals the full check's verdict by construction. nullopt when a cut-off
+/// left the question undecided; \p Dl.expired() then tells a deadline
+/// (which skips the full check) from the budget.
+std::optional<bool> decideRefinementCheck(const RefinementCheck &Check,
+                                          Context &Ctx, const Deadline &Dl,
+                                          const TableauLimits &Limits);
+
 /// The TSL-MT synthesizer.
 class Synthesizer {
 public:
@@ -178,6 +202,15 @@ public:
   const Formula *formulaWithAssumptions(
       const Specification &Spec,
       const std::vector<const Formula *> &Assumptions);
+
+  /// The CHECK-SAT pairs of a run's first eager round, one per SyGuS
+  /// assumption, built as the refinement step builds them: runs the
+  /// front half of the pipeline into \p Result, with no deadline, and
+  /// gives it the eager round's assumptions. For tools and tests that
+  /// audit Alg. 4's check.
+  std::vector<RefinementCheck>
+  firstRoundChecks(const Specification &Spec, const PipelineOptions &Options,
+                   PipelineResult &Result);
 
   /// The service the pipeline is using (null until the first run). Its
   /// cache persists across run() calls, which is what makes repeated
@@ -200,6 +233,12 @@ private:
   void generateAssumptions(const Specification &Spec,
                            const PipelineOptions &Options,
                            PipelineResult &Result, const Deadline &Global);
+  /// The formulas one round's alphabet is built from: \p Assumptions,
+  /// then the simplified formulaWithAssumptions, which is the round's
+  /// reactive-synthesis input (back()).
+  std::vector<const Formula *>
+  alphabetFormulas(const Specification &Spec,
+                   const std::vector<const Formula *> &Assumptions);
   /// Returns the service to use for this run, (re)creating it when the
   /// theory or parallelism configuration changed.
   SolverService &ensureService(Theory Th, const PipelineOptions &Options);

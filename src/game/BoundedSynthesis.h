@@ -93,7 +93,8 @@ struct SynthesisOptions {
   /// pre-incremental behavior; kept selectable for the parity suite and
   /// the differential fuzzer).
   bool Incremental = true;
-  /// Budget for the tableau construction of the UCW.
+  /// Budget for the tableau construction of the UCW. The pipeline's
+  /// refinement CHECK-SAT (Alg. 4) builds its tableaux under it too.
   TableauLimits Tableau;
 };
 

@@ -36,7 +36,7 @@ std::optional<Sort> Builtin::resultSort(Sort L, Sort R) const {
       return std::nullopt;
     return Sort::Bool;
   case Rule::Equality:
-    if (!Numeric && L != R)
+    if (!compatibleSorts(L, R))
       return std::nullopt;
     return Sort::Bool;
   }

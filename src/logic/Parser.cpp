@@ -295,8 +295,16 @@ private:
 
   const Formula *asFormula(const ExprValue &V);
   const Term *asTerm(const ExprValue &V);
+  /// Applies the function \p Name to \p Args; a declared function's
+  /// argument of the wrong sort is reported at its first token, the
+  /// matching entry of \p ArgToks.
   const Term *applyFunction(const Token &Name,
-                            const std::vector<const Term *> &Args);
+                            const std::vector<const Term *> &Args,
+                            const std::vector<Token> &ArgToks);
+  /// Fails at \p At unless term \p T may stand where sort \p Want is
+  /// expected (compatibleSorts); \p Where names the place.
+  bool expectSort(Sort Want, const Term *T, const Token &At,
+                  const std::string &Where);
   /// Applies \p B after checking its arity and its sort rule; a sort
   /// error is reported at \p At, the operator.
   const Term *applyBuiltin(const Builtin &B, const Token &At,
@@ -398,8 +406,13 @@ bool Parser::parseCellBlock() {
     if (!takeName("cell", Name))
       return false;
     const Term *Init = nullptr;
-    if (acceptPunct("=") && !(Init = parseTerm()))
-      return false;
+    if (acceptPunct("=")) {
+      const Token InitTok = peek();
+      if (!(Init = parseTerm()) ||
+          !expectSort(S, Init, InitTok,
+                      "initial value of cell '" + Name + "'"))
+        return false;
+    }
     Spec.Cells.push_back({Name, S, Init});
     return true;
   });
@@ -517,6 +530,15 @@ const Term *Parser::asTerm(const ExprValue &V) {
   return nullptr;
 }
 
+bool Parser::expectSort(Sort Want, const Term *T, const Token &At,
+                        const std::string &Where) {
+  if (compatibleSorts(Want, T->sort()))
+    return true;
+  return fail(Where + " expects " + sortName(Want) + ", got " +
+                  sortName(T->sort()) + " term '" + T->str() + "'",
+              At);
+}
+
 const Term *Parser::applyBuiltin(const Builtin &B, const Token &At,
                                  const std::vector<const Term *> &Args) {
   std::string Name = std::string("builtin '") + B.Symbol + "'";
@@ -541,7 +563,8 @@ const Term *Parser::applyBuiltin(const Builtin &B, const Token &At,
 }
 
 const Term *Parser::applyFunction(const Token &NameTok,
-                                  const std::vector<const Term *> &Args) {
+                                  const std::vector<const Term *> &Args,
+                                  const std::vector<Token> &ArgToks) {
   const std::string &Name = NameTok.Text;
   if (const Builtin *B = findBuiltinWord(Name))
     return applyBuiltin(*B, NameTok, Args);
@@ -556,6 +579,11 @@ const Term *Parser::applyFunction(const Token &NameTok,
            std::to_string(Args.size()));
       return nullptr;
     }
+    for (size_t I = 0; I < Args.size(); ++I)
+      if (!expectSort(D.Params[I], Args[I], ArgToks[I],
+                      "argument " + std::to_string(I + 1) + " of function '" +
+                          Name + "'"))
+        return nullptr;
     return Ctx.Terms.apply(Name, D.Result, Args);
   }
 
@@ -660,7 +688,7 @@ const Term *Parser::parseArgumentTerm() {
   if (isNullaryCall(0)) {
     take();
     take();
-    return applyFunction(T, {});
+    return applyFunction(T, {}, {});
   }
   if (auto S = Spec.signalSort(T.Text))
     return Ctx.Terms.signal(T.Text, *S);
@@ -696,8 +724,14 @@ ExprValue Parser::parsePrimary() {
     }
     if (!expectPunct("<-"))
       return {};
+    const Token ValueTok = peek();
     const Term *Value = parseTerm();
-    if (!Value || !expectPunct("]"))
+    const CellDecl *C = Spec.findCell(Cell.Text);
+    const Sort CellSort = C ? C->S : Spec.findOutput(Cell.Text)->S;
+    if (!Value ||
+        !expectSort(CellSort, Value, ValueTok,
+                    "update of '" + Cell.Text + "'") ||
+        !expectPunct("]"))
       return {};
     return {nullptr, Ctx.Formulas.update(Cell.Text, Value)};
   }
@@ -723,13 +757,15 @@ ExprValue Parser::parsePrimary() {
       !Spec.signalSort(T.Text)) {
     Token Name = take();
     std::vector<const Term *> Args;
+    std::vector<Token> ArgToks;
     while (startsArgument(peek())) {
+      ArgToks.push_back(peek());
       const Term *Arg = parseArgumentTerm();
       if (!Arg)
         return {};
       Args.push_back(Arg);
     }
-    return {applyFunction(Name, Args), nullptr};
+    return {applyFunction(Name, Args, ArgToks), nullptr};
   }
 
   // Numeral, nullary call or signal. A bare unknown identifier is an

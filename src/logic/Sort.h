@@ -44,6 +44,14 @@ inline const char *sortName(Sort S) {
 /// True for the arithmetic sorts Int and Real.
 inline bool isNumericSort(Sort S) { return S == Sort::Int || S == Sort::Real; }
 
+/// True when terms of sorts \p A and \p B may be compared with '=', and
+/// so when one may stand where the other is expected (an update of a
+/// cell, a cell's initial value, a function argument): the sorts agree
+/// or both are numeric.
+inline bool compatibleSorts(Sort A, Sort B) {
+  return A == B || (isNumericSort(A) && isNumericSort(B));
+}
+
 /// Parses a sort keyword; returns false if \p Name is not a sort.
 inline bool parseSort(const std::string &Name, Sort &Out) {
   if (Name == "bool") {

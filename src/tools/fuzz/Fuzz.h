@@ -8,7 +8,7 @@
 /// pipeline; differential oracles are the primary defense (the same
 /// posture CVC5 and Z3 take).
 ///
-/// Four cross-substrate oracles:
+/// Five cross-substrate oracles:
 ///  * theory    -- random QF_LIA/QF_LRA/QF_UF literal conjunctions,
 ///                 SmtSolver vs. brute-force ground evaluation over a
 ///                 bounded model grid (delta-rational strict-bound cases
@@ -18,7 +18,11 @@
 ///  * sygus     -- synthesized candidates re-verified by independent
 ///                 ground execution; exclusion lists checked to exclude;
 ///  * pipeline  -- full runs at jobs=1 vs jobs=4, cache on vs. off,
-///                 asserting byte-identical assumption sets and code.
+///                 asserting byte-identical assumption sets and code;
+///  * checksat-core -- Alg. 4's CHECK-SAT on generated specs' SyGuS
+///                 assumptions: an unsat core (no SyGuS assumptions)
+///                 must mean an unsat full formula over the shared
+///                 alphabet, the fact the core-first rule relies on.
 ///
 /// On failure a greedy shrinker minimizes the case while the oracle
 /// still fails, and one repro format records it: a
@@ -69,6 +73,10 @@ enum class FaultKind {
   /// instead of hanging. A deadline regression turns this into an
   /// undetected fault (or a hung harness), failing the run.
   SpinHang,
+  /// CHECK-SAT oracle: `G !pre` is conjoined to the core, so the core
+  /// is no longer a sub-conjunction of the full formula and is always
+  /// unsat (emulates a core builder that adds a constraint).
+  CoreNotSubset,
 };
 
 const char *faultName(FaultKind K);
@@ -116,6 +124,7 @@ OracleReport runTheoryOracle(const FuzzOptions &Options);
 OracleReport runRoundTripOracle(const FuzzOptions &Options);
 OracleReport runSygusOracle(const FuzzOptions &Options);
 OracleReport runPipelineOracle(const FuzzOptions &Options);
+OracleReport runCheckSatCoreOracle(const FuzzOptions &Options);
 
 /// Runs every oracle with the same options.
 std::vector<OracleReport> runAllOracles(const FuzzOptions &Options);
@@ -148,7 +157,8 @@ struct ReplayResult {
 /// CLI writes. A `// temos-fuzz repro:` file re-runs the named oracle's
 /// check on its body under the recorded fault: theory re-checks solver
 /// vs. ground truth, roundtrip re-runs the formula or spec round trip,
-/// pipeline re-runs the cross-configuration diff. A `// temos-artifact:`
+/// pipeline re-runs the cross-configuration diff, checksat-core re-runs
+/// the core and full checks. A `// temos-artifact:`
 /// file (a degraded run's dump, or the body of a spin-hang repro)
 /// re-runs the pipeline under its recorded options and reproduces when
 /// the run still degrades.

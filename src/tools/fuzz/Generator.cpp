@@ -417,6 +417,22 @@ std::string Generator::pipelineSpecSource() {
   return Src;
 }
 
+std::string Generator::checkSatSpecSource() {
+  int64_t Init = R.range(-1, 1);
+  int64_t Start = R.range(-1, 1);
+  bool Up = R.chance(50);
+  int64_t Target = Up ? Start + R.range(1, 2) : Start - R.range(1, 2);
+  std::string Src = "#LIA#\nspec FuzzCheckSat\ncells { int x = " +
+                    std::to_string(Init) + "; }\nalways guarantee {\n" +
+                    "  [x <- x + 1] || [x <- x - 1] || [x <- x];\n";
+  if (R.chance(50))
+    Src += std::string("  [x <- x ") + (Up ? "+" : "-") +
+           " 1] -> X [x <- x];\n";
+  Src += "  x = " + std::to_string(Start) + " -> F (x = " +
+         std::to_string(Target) + ");\n}\n";
+  return Src;
+}
+
 //===----------------------------------------------------------------------===//
 // SyGuS cases
 //===----------------------------------------------------------------------===//

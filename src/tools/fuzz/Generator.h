@@ -68,6 +68,12 @@ public:
   /// pipeline determinism oracle.
   std::string pipelineSpecSource();
 
+  /// Concrete source of a small counter specification for the CHECK-SAT
+  /// oracle. Half of them carry Example 4.6's cool-down guarantee (a
+  /// step must be followed by a stay), which makes the SyGuS programs
+  /// that step twice in a row unexecutable: their cores are unsat.
+  std::string checkSatSpecSource();
+
   /// A random single-cell SyGuS query with an exhaustive integer
   /// pre-condition box.
   SygusCase sygusCase();

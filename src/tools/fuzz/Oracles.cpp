@@ -2,6 +2,7 @@
 
 #include "tools/fuzz/Fuzz.h"
 
+#include "automata/Tableau.h"
 #include "codegen/CodeEmitter.h"
 #include "core/RunArtifact.h"
 #include "core/Synthesizer.h"
@@ -43,6 +44,8 @@ const char *fuzz::faultName(FaultKind K) {
     return "lazy-config";
   case FaultKind::SpinHang:
     return "spin-hang";
+  case FaultKind::CoreNotSubset:
+    return "core-not-subset";
   }
   return "?";
 }
@@ -51,7 +54,7 @@ bool fuzz::parseFaultKind(const std::string &Name, FaultKind &Out) {
   for (FaultKind K :
        {FaultKind::None, FaultKind::FlipStrict, FaultKind::DropConjunct,
         FaultKind::MutatePrint, FaultKind::SkipVerify, FaultKind::LazyConfig,
-        FaultKind::SpinHang})
+        FaultKind::SpinHang, FaultKind::CoreNotSubset})
     if (Name == faultName(K)) {
       Out = K;
       return true;
@@ -81,6 +84,7 @@ constexpr uint64_t TheorySalt = 0x7468656f72790000ull;
 constexpr uint64_t RoundTripSalt = 0x726f756e64747200ull;
 constexpr uint64_t SygusSalt = 0x7379677573000000ull;
 constexpr uint64_t PipelineSalt = 0x706970656c696e65ull;
+constexpr uint64_t CheckSatSalt = 0x636865636b736174ull;
 
 constexpr const char *ReproHeader = "// temos-fuzz repro:";
 
@@ -1062,6 +1066,66 @@ ReplayResult replayRunArtifact(const std::string &Text,
   return {ReplayVerdict::Reproduces, Out + "degradation reproduces"};
 }
 
+//===----------------------------------------------------------------------===//
+// CHECK-SAT oracle
+//===----------------------------------------------------------------------===//
+
+/// Alg. 4's core-first rule on every SyGuS assumption of \p Source's
+/// first eager round: an unsat core must mean an unsat full formula.
+/// Returns the first violation, empty when there is none, and nullopt
+/// when nothing was compared (no parse, no SyGuS assumption, or every
+/// core check cut off by the tableau budget).
+std::optional<std::string> checkSatCoreViolation(const std::string &Source,
+                                                 FaultKind Fault) {
+  Context Ctx;
+  auto Spec = parseSpecification(Source, Ctx);
+  if (!Spec)
+    return std::nullopt;
+  Synthesizer Synth(Ctx);
+  PipelineResult Result;
+  const std::vector<RefinementCheck> Checks =
+      Synth.firstRoundChecks(*Spec, PipelineOptions(), Result);
+  bool Compared = false;
+  for (size_t I = 0; I < Checks.size(); ++I) {
+    const RefinementCheck &C = Checks[I];
+    const GeneratedAssumption &A = Result.SygusAssumptions[I];
+    const Formula *Core = C.Core;
+    if (Fault == FaultKind::CoreNotSubset)
+      Core = Ctx.Formulas.andF(
+          Core, Ctx.Formulas.globally(Ctx.Formulas.notF(A.PreFormula)));
+    std::optional<bool> CoreSat = isSatisfiable(Core, Ctx, C.AB);
+    if (!CoreSat)
+      continue;
+    Compared = true;
+    if (*CoreSat)
+      continue;
+    if (isSatisfiable(C.Full, Ctx, C.AB) == true)
+      return "the core of " + A.Assumption->str() +
+             " is unsat but its full CHECK-SAT formula is sat";
+  }
+  if (!Compared)
+    return std::nullopt;
+  return "";
+}
+
+Finding checkSatStep(Context &, Rng &, Generator &Gen, FaultKind Fault) {
+  std::string Source = Gen.checkSatSpecSource();
+  std::optional<std::string> Failure = checkSatCoreViolation(Source, Fault);
+  if (!Failure)
+    return {true, "", ""};
+  if (Failure->empty())
+    return {};
+  std::string Shrunk =
+      shrinkSource(Source, [&](const std::string &Candidate) {
+        std::optional<std::string> Fails =
+            checkSatCoreViolation(Candidate, Fault);
+        return Fails && !Fails->empty();
+      });
+  // Describe the shrunk case, which is what the repro replays.
+  std::optional<std::string> Final = checkSatCoreViolation(Shrunk, Fault);
+  return {false, Final && !Final->empty() ? *Final : *Failure, Shrunk};
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -1090,9 +1154,15 @@ OracleReport fuzz::runPipelineOracle(const FuzzOptions &Options) {
                    pipelineStep);
 }
 
+OracleReport fuzz::runCheckSatCoreOracle(const FuzzOptions &Options) {
+  return runOracle(Options, "checksat-core", CheckSatSalt, "checksat-core",
+                   ".tslmt", checkSatStep);
+}
+
 std::vector<OracleReport> fuzz::runAllOracles(const FuzzOptions &Options) {
   return {runTheoryOracle(Options), runRoundTripOracle(Options),
-          runSygusOracle(Options), runPipelineOracle(Options)};
+          runSygusOracle(Options), runPipelineOracle(Options),
+          runCheckSatCoreOracle(Options)};
 }
 
 ReplayResult fuzz::replayRepro(const std::string &Text) {
@@ -1120,6 +1190,13 @@ ReplayResult fuzz::replayRepro(const std::string &Text) {
     return replayTheory(Text, Fault);
   if (Oracle == "roundtrip")
     return replayRoundTrip(Text, Fault);
+  if (Oracle == "checksat-core") {
+    std::optional<std::string> Failure = checkSatCoreViolation(Text, Fault);
+    if (!Failure)
+      return unchecked("repro does not parse, generates no SyGuS "
+                       "assumption, or every core check was cut off");
+    return checked(*Failure);
+  }
   if (Oracle == "sygus")
     return unchecked("a sygus repro is not a specification and does not "
                      "replay; re-run the oracle: " +

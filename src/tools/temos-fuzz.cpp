@@ -3,7 +3,7 @@
 /// \file
 /// Command-line driver for the temos differential fuzzing harness.
 ///
-///   temos-fuzz --seed 7 --iters 500                 # all four oracles
+///   temos-fuzz --seed 7 --iters 500                 # all five oracles
 ///   temos-fuzz --oracle theory --iters 2000
 ///   temos-fuzz --inject-fault flip-strict           # must find failures
 ///   temos-fuzz --replay fuzz-artifacts/theory-seed7-iter12.tslmt
@@ -42,13 +42,15 @@ int usage(const char *Argv0) {
       "Failures are shrunk and written as standalone repro files.\n"
       "\n"
       "options:\n"
-      "  --oracle NAME      all|theory|roundtrip|sygus|pipeline (default all)\n"
+      "  --oracle NAME      all|theory|roundtrip|sygus|pipeline|checksat-core\n"
+      "                     (default all)\n"
       "  --seed N           base seed (default 1; TEMOS_SEED overrides)\n"
       "  --iters N          iterations per oracle (default 500)\n"
       "  --artifacts DIR    repro directory (default fuzz-artifacts;\n"
       "                     'none' disables writing)\n"
       "  --inject-fault K   none|flip-strict|drop-conjunct|mutate-print|\n"
-      "                     skip-verify|lazy-config|spin-hang; the run then\n"
+      "                     skip-verify|lazy-config|spin-hang|\n"
+      "                     core-not-subset; the run then\n"
       "                     FAILS unless the fault is detected (spin-hang\n"
       "                     plants a non-terminating SyGuS enumeration and\n"
       "                     requires the deadline machinery to trip within\n"
@@ -176,6 +178,8 @@ int main(int argc, char **argv) {
     Reports.push_back(runSygusOracle(Options));
   } else if (Oracle == "pipeline") {
     Reports.push_back(runPipelineOracle(Options));
+  } else if (Oracle == "checksat-core") {
+    Reports.push_back(runCheckSatCoreOracle(Options));
   } else {
     std::fprintf(stderr, "temos-fuzz: unknown oracle '%s'\n", Oracle.c_str());
     return usage(argv[0]);

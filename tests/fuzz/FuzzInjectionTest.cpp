@@ -61,6 +61,15 @@ TEST(FuzzInjection, LazyConfigCaughtByPipelineOracle) {
                  "pipeline");
 }
 
+/// A core that is not a sub-conjunction of the full formula (here: the
+/// core conjoined with `G !pre`, which is always unsat) must be caught
+/// deciding an assumption whose full CHECK-SAT formula is sat.
+TEST(FuzzInjection, CoreNotSubsetCaughtByCheckSatOracle) {
+  expectDetected(
+      runCheckSatCoreOracle(faultOptions(FaultKind::CoreNotSubset, 20)),
+      "checksat-core");
+}
+
 /// The spin-hang probe is a liveness check on the deadline subsystem: a
 /// planted non-terminating SyGuS enumeration under a ~0.3s budget must
 /// come back with a sygus Timeout record within 2x the budget. A
@@ -84,7 +93,8 @@ TEST(FuzzInjection, SpinHangCaughtByPipelineOracle) {
 TEST(FuzzInjection, FaultNamesRoundTrip) {
   const FaultKind Kinds[] = {FaultKind::FlipStrict, FaultKind::DropConjunct,
                              FaultKind::MutatePrint, FaultKind::SkipVerify,
-                             FaultKind::LazyConfig, FaultKind::SpinHang};
+                             FaultKind::LazyConfig, FaultKind::SpinHang,
+                             FaultKind::CoreNotSubset};
   for (FaultKind K : Kinds) {
     FaultKind Parsed = FaultKind::None;
     ASSERT_TRUE(parseFaultKind(faultName(K), Parsed)) << faultName(K);

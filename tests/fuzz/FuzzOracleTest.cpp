@@ -1,7 +1,7 @@
 //===- tests/fuzz/FuzzOracleTest.cpp - Oracle smoke tests -----------------===//
 ///
 /// \file
-/// Bounded smoke runs of the four differential oracles: a fixed seed,
+/// Bounded smoke runs of the five differential oracles: a fixed seed,
 /// a few dozen iterations, and the expectation that the substrates
 /// agree. The heavyweight sweep lives in the `fuzz_smoke` ctest entry
 /// and scripts/ci.sh; these stay small enough for the edit-compile-test
@@ -49,13 +49,18 @@ TEST(FuzzOracle, PipelineIsDeterministicAcrossConfigs) {
   expectClean(runPipelineOracle(smokeOptions(10)), 10);
 }
 
+TEST(FuzzOracle, CoreUnsatMeansFullUnsat) {
+  expectClean(runCheckSatCoreOracle(smokeOptions(40)), 40);
+}
+
 TEST(FuzzOracle, RunAllCoversEveryOracle) {
   auto Reports = runAllOracles(smokeOptions(5));
-  ASSERT_EQ(Reports.size(), 4u);
+  ASSERT_EQ(Reports.size(), 5u);
   EXPECT_EQ(Reports[0].Oracle, "theory");
   EXPECT_EQ(Reports[1].Oracle, "roundtrip");
   EXPECT_EQ(Reports[2].Oracle, "sygus");
   EXPECT_EQ(Reports[3].Oracle, "pipeline");
+  EXPECT_EQ(Reports[4].Oracle, "checksat-core");
 }
 
 TEST(FuzzOracle, SameSeedSkipsAndFailuresAreDeterministic) {

@@ -76,7 +76,9 @@ INSTANTIATE_TEST_SUITE_P(
                                  200},
                       ReplayCase{FaultKind::SkipVerify, runSygusOracle, 150},
                       ReplayCase{FaultKind::LazyConfig, runPipelineOracle, 15},
-                      ReplayCase{FaultKind::SpinHang, runPipelineOracle, 5}),
+                      ReplayCase{FaultKind::SpinHang, runPipelineOracle, 5},
+                      ReplayCase{FaultKind::CoreNotSubset,
+                                 runCheckSatCoreOracle, 20}),
     [](const ::testing::TestParamInfo<ReplayCase> &Info) {
       std::string Name = faultName(Info.param.Fault);
       for (char &Ch : Name)

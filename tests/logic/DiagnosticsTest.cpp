@@ -79,6 +79,22 @@ const DiagnosticCase Cases[] = {
     {"order-on-opaque",
      "#UF#\ninputs { opaque o, q; }\nalways guarantee { o <= q; }", 3, 22,
      "builtin '<=' expects numeric arguments, got opaque"},
+    {"update-sort",
+     "inputs { bool p; }\ncells { int c; }\nalways guarantee { [c <- p]; }", 3,
+     26, "update of 'c' expects int, got bool term 'p'"},
+    {"output-update-sort",
+     "inputs { int x; }\noutputs { bool o; }\nalways guarantee { [o <- x + 1]; }",
+     3, 26, "update of 'o' expects bool, got int term '(x + 1)'"},
+    {"function-argument-sort",
+     "#UF#\ninputs { int x; }\nfunctions { opaque g(opaque); }\n"
+     "cells { opaque y; }\nalways guarantee { [y <- g x]; }",
+     5, 28, "argument 1 of function 'g' expects opaque, got int term 'x'"},
+    {"second-argument-sort",
+     "#UF#\ninputs { int x; opaque o; }\nfunctions { opaque h(opaque, int); }\n"
+     "cells { opaque y; }\nalways guarantee { [y <- h o o]; }",
+     5, 30, "argument 2 of function 'h' expects int, got opaque term 'o'"},
+    {"cell-initialiser-sort", "inputs { bool p; }\ncells { int c = p; }", 2,
+     17, "initial value of cell 'c' expects int, got bool term 'p'"},
     {"word-spelling-sort",
      "inputs { int c; bool p; }\nalways guarantee { lt p c; }", 2, 20,
      "builtin '<' expects numeric arguments, got bool"},
