@@ -17,8 +17,8 @@ empty-handed about why).
 
 With BASELINE.json, also fails when any deterministic counter differs
 from the baseline's (the spec sizes, refinements, reactive_runs,
-game_states, machine_states, js_loc, and each reactive entry's bound and
-game_states), naming the key, and when the current synthesis wall time
+game_states, machine_states, js_loc, and each reactive entry's bound,
+game_states and tableau sizes), naming the key, and when the current synthesis wall time
 regresses by more than 25% against the baseline. Timings below a 0.25s
 floor are never compared: at that scale the noise dwarfs the signal, so
 a freshly recorded tiny baseline can't flake the gate; the counters are
@@ -41,7 +41,8 @@ PHASE_KEYS = ["psi_gen_wall_s", "psi_gen_cpu_s", "synthesis_wall_s",
               "synthesis_cpu_s"]
 REACTIVE_KEYS = ["round", "status", "bound", "nba_cache_hit",
                  "arena_states_reused", "game_states", "nba_wall_s",
-                 "game_wall_s"]
+                 "game_wall_s", "tableau"]
+TABLEAU_KEYS = ["generalized_states", "nba_states", "nba_transitions"]
 FAILURE_KEYS = ["kind", "phase", "detail"]
 FAILURE_KINDS = ["timeout", "state-budget", "overflow", "worker-exception",
                  "internal"]
@@ -90,6 +91,10 @@ def check_shape(doc, expect_status="realizable"):
         for key in REACTIVE_KEYS:
             if key not in entry:
                 fail(f"reactive entry missing {key!r}")
+        for key in TABLEAU_KEYS:
+            if not isinstance(entry["tableau"].get(key), int):
+                fail(f"reactive entry's tableau.{key} missing or not an "
+                     f"integer")
     check_failures(doc, expect_status)
     if doc["status"] != expect_status:
         fail(f"run was {doc['status']}, expected {expect_status}")
@@ -129,6 +134,9 @@ def check_counters(doc, baseline):
         for key in REACTIVE_COUNTER_KEYS:
             expected[f"reactive[{i}].{key}"] = ref[key]
             actual[f"reactive[{i}].{key}"] = entry[key]
+        for key in TABLEAU_KEYS:
+            expected[f"reactive[{i}].tableau.{key}"] = ref["tableau"][key]
+            actual[f"reactive[{i}].tableau.{key}"] = entry["tableau"][key]
     for key, value in expected.items():
         if actual[key] != value:
             fail(f"counter {key} is {actual[key]}, baseline has {value}")

@@ -79,7 +79,12 @@ std::string statsBody(const PipelineStats &S, const std::string &Indent) {
          ", \"arena_states_reused\": " + std::to_string(R.ArenaStatesReused) +
          ", \"game_states\": " + std::to_string(R.GameStates) +
          ", \"nba_wall_s\": " + jsonNum(R.NbaSeconds) +
-         ", \"game_wall_s\": " + jsonNum(R.GameSeconds) + "}";
+         ", \"game_wall_s\": " + jsonNum(R.GameSeconds) +
+         ", \"tableau\": {\"generalized_states\": " +
+         std::to_string(R.Tableau.GeneralizedStates) +
+         ", \"nba_states\": " + std::to_string(R.Tableau.NbaStates) +
+         ", \"nba_transitions\": " + std::to_string(R.Tableau.NbaTransitions) +
+         "}}";
   }
   J += S.ReactiveDetail.empty() ? "]" : "\n" + Indent + "]";
   J += ",\n";

@@ -18,8 +18,11 @@ namespace {
 ReactiveRunStats reactiveRun(Realizability Status, bool NbaCacheHit,
                              size_t Reused, size_t GameStates,
                              unsigned Bound, double NbaSeconds,
-                             double GameSeconds) {
+                             double GameSeconds, size_t NbaStates) {
   ReactiveRunStats R;
+  R.Tableau.GeneralizedStates = NbaStates / 2;
+  R.Tableau.NbaStates = NbaStates;
+  R.Tableau.NbaTransitions = NbaStates * 3;
   R.Status = Status;
   R.NbaCacheHit = NbaCacheHit;
   R.ArenaStatesReused = Reused;
@@ -50,8 +53,10 @@ TEST(BenchJson, RendersTheDocumentByteForByte) {
   S.ExpansionCacheHits = 0;
   S.ExpansionCacheMisses = 31;
   S.ReactiveDetail = {
-      reactiveRun(Realizability::Unrealizable, false, 0, 40, 0, 0.125, 0.75),
-      reactiveRun(Realizability::Realizable, false, 0, 12, 3, 0.0625, 0.25)};
+      reactiveRun(Realizability::Unrealizable, false, 0, 40, 0, 0.125, 0.75,
+                  90),
+      reactiveRun(Realizability::Realizable, false, 0, 12, 3, 0.0625, 0.25,
+                  100)};
   S.Failures = {{FailureKind::Timeout, "sygus", "1 of 3 \"obligations\""}};
 
   PipelineStats Repeat;
@@ -59,7 +64,8 @@ TEST(BenchJson, RendersTheDocumentByteForByte) {
   Repeat.GameStates = 12;
   Repeat.NbaCacheHits = 1;
   Repeat.ReactiveDetail = {
-      reactiveRun(Realizability::Realizable, true, 12, 12, 3, 0, 0.015625)};
+      reactiveRun(Realizability::Realizable, true, 12, 12, 3, 0, 0.015625,
+                  100)};
 
   const std::string Want = R"({
   "schema": "temos-bench-v1",
@@ -76,8 +82,8 @@ TEST(BenchJson, RendersTheDocumentByteForByte) {
   "nba_cache": {"hits": 0, "misses": 2},
   "expansion_cache": {"hits": 0, "misses": 31},
   "reactive": [
-    {"round": 0, "status": "unrealizable", "bound": 0, "nba_cache_hit": false, "arena_states_reused": 0, "game_states": 40, "nba_wall_s": 0.125000, "game_wall_s": 0.750000},
-    {"round": 1, "status": "realizable", "bound": 3, "nba_cache_hit": false, "arena_states_reused": 0, "game_states": 12, "nba_wall_s": 0.062500, "game_wall_s": 0.250000}
+    {"round": 0, "status": "unrealizable", "bound": 0, "nba_cache_hit": false, "arena_states_reused": 0, "game_states": 40, "nba_wall_s": 0.125000, "game_wall_s": 0.750000, "tableau": {"generalized_states": 45, "nba_states": 90, "nba_transitions": 270}},
+    {"round": 1, "status": "realizable", "bound": 3, "nba_cache_hit": false, "arena_states_reused": 0, "game_states": 12, "nba_wall_s": 0.062500, "game_wall_s": 0.250000, "tableau": {"generalized_states": 50, "nba_states": 100, "nba_transitions": 300}}
   ],
   "failures": [
     {"kind": "timeout", "phase": "sygus", "detail": "1 of 3 \"obligations\""}
@@ -91,7 +97,7 @@ TEST(BenchJson, RendersTheDocumentByteForByte) {
     "nba_cache": {"hits": 1, "misses": 0},
     "expansion_cache": {"hits": 0, "misses": 0},
     "reactive": [
-      {"round": 0, "status": "realizable", "bound": 3, "nba_cache_hit": true, "arena_states_reused": 12, "game_states": 12, "nba_wall_s": 0.000000, "game_wall_s": 0.015625}
+      {"round": 0, "status": "realizable", "bound": 3, "nba_cache_hit": true, "arena_states_reused": 12, "game_states": 12, "nba_wall_s": 0.000000, "game_wall_s": 0.015625, "tableau": {"generalized_states": 50, "nba_states": 100, "nba_transitions": 300}}
     ],
     "failures": []
   },
