@@ -7,29 +7,7 @@
 
 using namespace temos;
 
-std::vector<std::pair<uint32_t, bool>>
-Nba::successors(uint32_t State, uint32_t InputBits,
-                const std::vector<unsigned> &Choices) const {
-  std::vector<std::pair<uint32_t, bool>> Result;
-  for (const Transition &T : States[State]) {
-    if (!T.Guard.matches(InputBits, Choices))
-      continue;
-    // Keep the strongest acceptance flag per target.
-    bool Found = false;
-    for (auto &[Target, Accepting] : Result)
-      if (Target == T.Target) {
-        Accepting |= T.Accepting;
-        Found = true;
-        break;
-      }
-    if (!Found)
-      Result.emplace_back(T.Target, T.Accepting);
-  }
-  return Result;
-}
-
-bool Nba::isNonEmpty(const Alphabet &AB) const {
-  (void)AB; // Guards are satisfiable by construction (compileGuard).
+bool Nba::isNonEmpty() const {
   if (States.empty())
     return false;
 

@@ -13,17 +13,17 @@
 #ifndef TEMOS_AUTOMATA_NBA_H
 #define TEMOS_AUTOMATA_NBA_H
 
-#include "tsl2ltl/Alphabet.h"
-
+#include <compare>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace temos {
 
 /// A compiled guard over letters: input bits that must match plus
-/// per-cell update requirements. Compiled once from the tableau's
-/// literal sets so that evaluation per letter is O(#requirements).
+/// per-cell update requirements. The tableau adds each literal of a
+/// branch as it meets it, so evaluation per letter is O(#requirements).
+/// Ordered member-wise (the tableau deduplicates transitions with it).
 struct LetterConstraint {
   /// Input bits that are constrained (care mask) and their values.
   uint32_t InputCare = 0;
@@ -34,8 +34,11 @@ struct LetterConstraint {
     uint16_t Cell = 0;
     uint16_t Option = 0;
     bool Positive = true;
+    auto operator<=>(const UpdateReq &) const = default;
   };
   std::vector<UpdateReq> Updates;
+
+  auto operator<=>(const LetterConstraint &) const = default;
 
   /// True if the guard matches the letter (inputs + decoded choices).
   bool matches(uint32_t InputBits,
@@ -77,16 +80,10 @@ public:
   uint32_t initial() const { return Initial; }
   void setInitial(uint32_t State) { Initial = State; }
 
-  /// Successor states of \p State under the concrete letter. Each result
-  /// carries whether the crossing transition is accepting.
-  std::vector<std::pair<uint32_t, bool>>
-  successors(uint32_t State, uint32_t InputBits,
-             const std::vector<unsigned> &Choices) const;
-
   /// Nonemptiness: does the automaton accept some word? True iff a cycle
-  /// through an accepting transition is reachable. \p AB supplies the
-  /// concrete letters to enumerate.
-  bool isNonEmpty(const Alphabet &AB) const;
+  /// through an accepting transition is reachable (every guard the
+  /// tableau emits matches some letter).
+  bool isNonEmpty() const;
 
   /// For each state: can a run from it still cross an accepting
   /// transition? Runs through non-live states never reject, so the

@@ -5,7 +5,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_map>
+#include <span>
+#include <tuple>
 
 using namespace temos;
 
@@ -19,252 +20,226 @@ constexpr size_t MaxTransitions = 2000000;
 /// A set of formulas ordered by stable id (deterministic across runs).
 using FormulaSet = std::vector<const Formula *>;
 
-FormulaSet canonicalize(std::set<const Formula *> Set) {
-  FormulaSet Result(Set.begin(), Set.end());
-  std::sort(Result.begin(), Result.end(),
-            [](const Formula *A, const Formula *B) { return A->id() < B->id(); });
-  return Result;
+/// Adds \p F to the id-ordered \p Set; false if it was already there.
+bool insertById(FormulaSet &Set, const Formula *F) {
+  auto It = std::lower_bound(
+      Set.begin(), Set.end(), F,
+      [](const Formula *A, const Formula *B) { return A->id() < B->id(); });
+  if (It != Set.end() && *It == F)
+    return false;
+  Set.insert(It, F);
+  return true;
 }
 
-std::string setKey(const FormulaSet &Set) {
-  std::string Key;
-  for (const Formula *F : Set) {
-    Key += std::to_string(F->id());
-    Key += ',';
+/// One alternative of an expansion law: the formulas that must hold now,
+/// the obligation for the next step (if any), and whether it postpones
+/// the eventuality being expanded.
+struct Alternative {
+  std::span<const Formula *const> Now;
+  const Formula *Next = nullptr;
+  bool Defers = false;
+};
+
+/// The expansion laws of the NNF connectives, one alternative per
+/// disjunct, in the order the expander explores them:
+///
+///   f && g : f, g                  f || g : f  |  g
+///   X f    : next f                G f    : f, next G f
+///   F f    : f  |  next F f (d)     a U b  : b  |  a, next a U b (d)
+///   a W b  : b  |  a, next a W b    a R b  : a, b  |  b, next a R b
+///
+/// (d) marks the alternative that defers an eventuality. True has one
+/// empty alternative and False none. Literals have no law: the expander
+/// compiles them into the branch's guard.
+std::vector<Alternative> expansionLaw(const Formula *F) {
+  const std::span<const Formula *const> Kids = F->children();
+  switch (F->kind()) {
+  case Formula::Kind::True:
+    return {Alternative{}};
+  case Formula::Kind::False:
+    return {};
+  case Formula::Kind::And:
+    return {{Kids}};
+  case Formula::Kind::Or: {
+    std::vector<Alternative> Alts;
+    for (size_t I = 0; I < Kids.size(); ++I)
+      Alts.push_back({Kids.subspan(I, 1)});
+    return Alts;
   }
-  return Key;
+  case Formula::Kind::Next:
+    return {{{}, F->child(0)}};
+  case Formula::Kind::Globally:
+    return {{Kids, F}};
+  case Formula::Kind::Finally:
+    return {{Kids}, {{}, F, true}};
+  case Formula::Kind::Until:
+    return {{Kids.subspan(1)}, {Kids.first(1), F, true}};
+  case Formula::Kind::WeakUntil:
+    return {{Kids.subspan(1)}, {Kids.first(1), F}};
+  case Formula::Kind::Release:
+    return {{Kids}, {Kids.subspan(1), F}};
+  case Formula::Kind::Pred:
+  case Formula::Kind::Update:
+  case Formula::Kind::Not:
+  case Formula::Kind::Implies:
+  case Formula::Kind::Iff:
+    break;
+  }
+  assert(false && "no expansion law: a literal, or not in NNF");
+  return {};
 }
 
-/// One disjunct of the expansion of a formula set.
+/// One disjunct of a state's expansion, which is also the cached unit of
+/// per-state work: the guard its literals compile to, the obligations
+/// for the next step, and the Until/Finally formulas it defers. Deferred
+/// formulas stay formulas rather than acceptance-set bits, so a branch
+/// means the same under any top-level formula's acceptance numbering.
 struct Branch {
-  /// Atoms required now: (atom, polarity).
-  std::vector<std::pair<const Formula *, bool>> Literals;
-  /// Obligations for the next step.
-  std::set<const Formula *> Next;
-  /// Until/Finally formulas this branch defers (postpones satisfying).
-  /// Kept as formulas rather than acceptance-set bits so an expansion is
-  /// meaningful under any top-level formula's acceptance numbering.
+  LetterConstraint Guard;
+  FormulaSet Next;
   std::vector<const Formula *> Deferred;
 };
 
-/// Recursive expansion of a formula worklist into branches. Expansion
-/// depends only on the state set itself, never on the surrounding
+/// Requires input bit \p Bit to be \p Value; false on a contradiction.
+bool requireInput(LetterConstraint &Guard, uint32_t Bit, bool Value) {
+  const uint32_t Want = Value ? Bit : 0;
+  if ((Guard.InputCare & Bit) && (Guard.InputValue & Bit) != Want)
+    return false;
+  Guard.InputCare |= Bit;
+  Guard.InputValue |= Want;
+  return true;
+}
+
+/// Requires cell \p Cell to choose option \p Option (\p Positive) or
+/// any other option; false on a contradiction. Updates stay ordered:
+/// positives by cell, then negatives by (cell, option). A cell chooses
+/// exactly one option, so a positive requirement implies every negative
+/// one on its cell, and those are dropped.
+bool requireUpdate(LetterConstraint &Guard, uint16_t Cell, uint16_t Option,
+                   bool Positive) {
+  std::vector<LetterConstraint::UpdateReq> &Updates = Guard.Updates;
+  for (const LetterConstraint::UpdateReq &R : Updates) {
+    if (R.Cell != Cell)
+      continue;
+    if (R.Positive)
+      return (R.Option == Option) == Positive;
+    if (R.Option == Option)
+      return !Positive;
+  }
+  if (Positive)
+    std::erase_if(Updates, [&](const LetterConstraint::UpdateReq &R) {
+      return R.Cell == Cell;
+    });
+  const LetterConstraint::UpdateReq Req{Cell, Option, Positive};
+  auto Order = [](const LetterConstraint::UpdateReq &A,
+                  const LetterConstraint::UpdateReq &B) {
+    return std::tuple(!A.Positive, A.Cell, A.Option) <
+           std::tuple(!B.Positive, B.Cell, B.Option);
+  };
+  Updates.insert(std::upper_bound(Updates.begin(), Updates.end(), Req, Order),
+                 Req);
+  return true;
+}
+
+/// Expands a state's formula set into its branches. Expansion depends
+/// only on the state set and the alphabet, never on the surrounding
 /// automaton, which is what makes its results cacheable across builds.
 class Expander {
 public:
+  explicit Expander(const Alphabet &AB) : AB(AB) {}
+
   std::vector<Branch> expand(const FormulaSet &State) {
     Branches.clear();
-    Branch Initial;
-    std::vector<const Formula *> Worklist(State.rbegin(), State.rend());
-    std::set<const Formula *> Processed;
-    expandRec(Worklist, Processed, Initial);
+    expandRec({FormulaSet(State.rbegin(), State.rend()), {}, {}});
     return std::move(Branches);
   }
 
 private:
-  void expandRec(std::vector<const Formula *> Worklist,
-                 std::set<const Formula *> Processed, Branch Current) {
-    while (!Worklist.empty()) {
-      const Formula *F = Worklist.back();
-      Worklist.pop_back();
-      if (Processed.count(F))
-        continue;
-      Processed.insert(F);
+  /// A branch under construction: the formulas still to expand (popped
+  /// from the back) and those already expanded.
+  struct Frame {
+    std::vector<const Formula *> Worklist;
+    FormulaSet Processed;
+    Branch B;
+  };
 
-      switch (F->kind()) {
-      case Formula::Kind::True:
+  void expandRec(Frame Fr) {
+    while (!Fr.Worklist.empty()) {
+      const Formula *F = Fr.Worklist.back();
+      Fr.Worklist.pop_back();
+      if (!insertById(Fr.Processed, F))
         continue;
-      case Formula::Kind::False:
-        return; // Dead branch.
-      case Formula::Kind::Pred:
-      case Formula::Kind::Update:
-        if (conflicts(Current, F, true))
-          return; // Contradictory branch: prune the whole subtree.
-        Current.Literals.emplace_back(F, true);
-        continue;
-      case Formula::Kind::Not:
-        assert(F->child(0)->isAtom() && "tableau input must be in NNF");
-        if (conflicts(Current, F->child(0), false))
+      if (F->is(Formula::Kind::Pred) || F->is(Formula::Kind::Update) ||
+          F->is(Formula::Kind::Not)) {
+        // Pruning at the first contradiction spares the exponentially
+        // many dead branches of large assumption conjunctions.
+        if (!addLiteral(Fr.B.Guard, F))
           return;
-        Current.Literals.emplace_back(F->child(0), false);
-        continue;
-      case Formula::Kind::And:
-        for (const Formula *Kid : F->children())
-          Worklist.push_back(Kid);
-        continue;
-      case Formula::Kind::Or: {
-        // Branch per disjunct.
-        for (const Formula *Kid : F->children()) {
-          std::vector<const Formula *> Sub = Worklist;
-          Sub.push_back(Kid);
-          expandRec(std::move(Sub), Processed, Current);
-        }
-        return;
-      }
-      case Formula::Kind::Next:
-        Current.Next.insert(F->child(0));
-        continue;
-      case Formula::Kind::Globally: {
-        // G f == f && X G f.
-        Worklist.push_back(F->child(0));
-        Current.Next.insert(F);
         continue;
       }
-      case Formula::Kind::Finally: {
-        // F f == f || X F f; the second branch defers.
-        {
-          std::vector<const Formula *> Sub = Worklist;
-          Sub.push_back(F->child(0));
-          expandRec(std::move(Sub), Processed, Current);
-        }
-        Branch Deferred = Current;
-        Deferred.Deferred.push_back(F);
-        Deferred.Next.insert(F);
-        expandRec(std::move(Worklist), std::move(Processed),
-                  std::move(Deferred));
-        return;
+      const std::vector<Alternative> Alts = expansionLaw(F);
+      if (Alts.empty())
+        return; // Dead branch.
+      // The one place a branch splits: every alternative but the last
+      // continues in a copy, the last one in place.
+      for (size_t I = 0; I + 1 < Alts.size(); ++I) {
+        Frame Fork = Fr;
+        apply(Fork, F, Alts[I]);
+        expandRec(std::move(Fork));
       }
-      case Formula::Kind::Until: {
-        // a U b == b || (a && X(a U b)); the second branch defers.
-        {
-          std::vector<const Formula *> Sub = Worklist;
-          Sub.push_back(F->rhs());
-          expandRec(std::move(Sub), Processed, Current);
-        }
-        Branch Deferred = Current;
-        Deferred.Deferred.push_back(F);
-        Deferred.Next.insert(F);
-        Worklist.push_back(F->lhs());
-        expandRec(std::move(Worklist), std::move(Processed),
-                  std::move(Deferred));
-        return;
-      }
-      case Formula::Kind::WeakUntil: {
-        // a W b == b || (a && X(a W b)); no acceptance obligation.
-        {
-          std::vector<const Formula *> Sub = Worklist;
-          Sub.push_back(F->rhs());
-          expandRec(std::move(Sub), Processed, Current);
-        }
-        Branch Deferred = Current;
-        Deferred.Next.insert(F);
-        Worklist.push_back(F->lhs());
-        expandRec(std::move(Worklist), std::move(Processed),
-                  std::move(Deferred));
-        return;
-      }
-      case Formula::Kind::Release: {
-        // a R b == (a && b) || (b && X(a R b)); no acceptance obligation.
-        {
-          std::vector<const Formula *> Sub = Worklist;
-          Sub.push_back(F->lhs());
-          Sub.push_back(F->rhs());
-          expandRec(std::move(Sub), Processed, Current);
-        }
-        Branch Deferred = Current;
-        Deferred.Next.insert(F);
-        Worklist.push_back(F->rhs());
-        expandRec(std::move(Worklist), std::move(Processed),
-                  std::move(Deferred));
-        return;
-      }
-      case Formula::Kind::Implies:
-      case Formula::Kind::Iff:
-        assert(false && "tableau input must be in NNF");
-        return;
-      }
+      apply(Fr, F, Alts.back());
     }
-    Branches.push_back(std::move(Current));
+    if (allOptionsForbidden(Fr.B.Guard))
+      return;
+    // Branches outlive the expansion (TableauCache keeps every one):
+    // drop the slack the sorted inserts grew into the next-state set.
+    Fr.B.Next.shrink_to_fit();
+    Branches.push_back(std::move(Fr.B));
   }
 
-  /// Early contradiction detection: pruning at literal-insertion time
-  /// avoids expanding the exponentially many dead branches of large
-  /// assumption conjunctions.
-  bool conflicts(const Branch &Current, const Formula *Atom,
-                 bool Positive) const {
-    for (const auto &[Existing, ExistingPositive] : Current.Literals) {
-      if (Existing == Atom && ExistingPositive != Positive)
-        return true;
-      // Two different positive updates of the same cell can never fire
-      // together (exactly-one semantics).
-      if (Positive && ExistingPositive && Atom->is(Formula::Kind::Update) &&
-          Existing->is(Formula::Kind::Update) && Existing != Atom &&
-          Existing->cell() == Atom->cell())
-        return true;
-    }
-    return false;
+  static void apply(Frame &Fr, const Formula *F, const Alternative &Alt) {
+    Fr.Worklist.insert(Fr.Worklist.end(), Alt.Now.begin(), Alt.Now.end());
+    if (Alt.Next)
+      insertById(Fr.B.Next, Alt.Next);
+    if (Alt.Defers)
+      Fr.B.Deferred.push_back(F);
   }
 
-  std::vector<Branch> Branches;
-};
-
-/// Compiles a branch's literal set into a letter guard. Returns false if
-/// the literals are contradictory (the branch is dropped).
-bool compileGuard(const std::vector<std::pair<const Formula *, bool>> &Literals,
-                  const Alphabet &AB, LetterConstraint &Out) {
-  // Per-cell positive choice, if any.
-  std::map<int, int> PositiveChoice;
-  std::set<std::pair<int, int>> NegativeChoices;
-
-  for (const auto &[Atom, Positive] : Literals) {
+  /// Compiles a literal into \p Guard: a bit for a predicate, a
+  /// requirement for an update. False on a contradiction.
+  bool addLiteral(LetterConstraint &Guard, const Formula *Literal) const {
+    const bool Positive = !Literal->is(Formula::Kind::Not);
+    const Formula *Atom = Positive ? Literal : Literal->child(0);
     if (Atom->is(Formula::Kind::Pred)) {
       int I = AB.predicateIndex(Atom->pred());
       assert(I >= 0 && "predicate not registered in alphabet");
-      uint32_t Bit = uint32_t(1) << I;
-      uint32_t Want = Positive ? Bit : 0;
-      if ((Out.InputCare & Bit) && (Out.InputValue & Bit) != Want)
-        return false;
-      Out.InputCare |= Bit;
-      Out.InputValue |= Want;
-      continue;
+      return requireInput(Guard, uint32_t(1) << I, Positive);
     }
+    assert(Atom->is(Formula::Kind::Update) && "tableau input must be in NNF");
     auto [Cell, Option] = AB.updateIndex(Atom);
     assert(Cell >= 0 && "update cell not registered in alphabet");
-    if (Option < 0) {
-      // The update term is not an available option: a positive literal
-      // can never fire; a negative one always holds.
-      if (Positive)
-        return false;
-      continue;
-    }
-    if (Positive) {
-      auto It = PositiveChoice.find(Cell);
-      if (It != PositiveChoice.end() && It->second != Option)
-        return false; // Two different updates of one cell.
-      if (NegativeChoices.count({Cell, Option}))
-        return false;
-      PositiveChoice[Cell] = Option;
-    } else {
-      if (PositiveChoice.count(Cell) && PositiveChoice[Cell] == Option)
-        return false;
-      NegativeChoices.insert({Cell, Option});
-    }
+    // An update term that is not an available option never fires: a
+    // positive literal is unsatisfiable, a negative one always holds.
+    if (Option < 0)
+      return !Positive;
+    return requireUpdate(Guard, static_cast<uint16_t>(Cell),
+                         static_cast<uint16_t>(Option), Positive);
   }
 
-  // A cell with every option forbidden is unsatisfiable.
-  std::map<int, int> ForbiddenPerCell;
-  for (const auto &[Cell, Option] : NegativeChoices) {
-    (void)Option;
-    ++ForbiddenPerCell[Cell];
-  }
-  for (const auto &[Cell, Count] : ForbiddenPerCell) {
-    if (PositiveChoice.count(Cell))
-      continue;
-    if (static_cast<size_t>(Count) >= AB.cells()[Cell].Options.size())
-      return false;
+  /// A cell with every option forbidden matches no letter. (Negatives
+  /// are never kept on a cell with a positive requirement.)
+  bool allOptionsForbidden(const LetterConstraint &Guard) const {
+    std::map<uint16_t, size_t> Forbidden;
+    for (const LetterConstraint::UpdateReq &R : Guard.Updates)
+      if (!R.Positive &&
+          ++Forbidden[R.Cell] >= AB.cells()[R.Cell].Options.size())
+        return true;
+    return false;
   }
 
-  for (const auto &[Cell, Option] : PositiveChoice)
-    Out.Updates.push_back({static_cast<uint16_t>(Cell),
-                           static_cast<uint16_t>(Option), true});
-  for (const auto &[Cell, Option] : NegativeChoices) {
-    if (PositiveChoice.count(Cell))
-      continue; // Implied by the positive requirement.
-    Out.Updates.push_back({static_cast<uint16_t>(Cell),
-                           static_cast<uint16_t>(Option), false});
-  }
-  return true;
-}
+  const Alphabet &AB;
+  std::vector<Branch> Branches;
+};
 
 /// Collects Until/Finally subformulas (the generalized acceptance sets).
 void collectAcceptanceFormulas(const Formula *F,
@@ -273,21 +248,10 @@ void collectAcceptanceFormulas(const Formula *F,
   if (!Seen.insert(F).second)
     return;
   if (F->is(Formula::Kind::Until) || F->is(Formula::Kind::Finally))
-    if (std::find(Out.begin(), Out.end(), F) == Out.end())
-      Out.push_back(F);
+    Out.push_back(F);
   for (const Formula *Kid : F->children())
     collectAcceptanceFormulas(Kid, Out, Seen);
 }
-
-/// The cacheable unit of per-state work: a branch with its guard already
-/// compiled (contradictory guards dropped) and its successor obligation
-/// set canonicalized. Everything here is independent of the top-level
-/// formula and of state numbering.
-struct CompiledBranch {
-  LetterConstraint Guard;
-  FormulaSet Next;
-  std::vector<const Formula *> Deferred;
-};
 
 } // namespace
 
@@ -298,7 +262,9 @@ struct TableauCache::Impl {
   /// than LRU for entries that are cheap to recompute).
   static constexpr size_t MaxEntries = size_t(1) << 16;
 
-  std::unordered_map<std::string, std::vector<CompiledBranch>> Expansions;
+  /// Keyed by (alphabet signature, state set): guards compile against
+  /// the alphabet's bit and option indices.
+  std::map<std::pair<std::string, FormulaSet>, std::vector<Branch>> Expansions;
   size_t Hits = 0;
   size_t Misses = 0;
 };
@@ -324,7 +290,18 @@ Nba temos::buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
     collectAcceptanceFormulas(Nnf, AcceptanceFormulas, Seen);
   }
   const size_t K = AcceptanceFormulas.size();
-  assert(K <= 64 && "too many acceptance sets");
+  if (Stats)
+    Stats->AcceptanceSets = K;
+  // A cut-off build: the returned automaton is unusable.
+  auto Abort = [&](bool TimedOut) {
+    if (Stats) {
+      Stats->BudgetExceeded = true;
+      Stats->TimedOut = TimedOut;
+    }
+    return Nba();
+  };
+  if (K > MaxAcceptanceSets)
+    return Abort(false);
 
   // Position of a deferred formula in this build's acceptance numbering.
   // Cached expansions may come from a different top-level formula, but a
@@ -338,113 +315,74 @@ Nba temos::buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
     return -1;
   };
 
-  Expander Exp;
-
-  // Generalized automaton: states are obligation sets; expansion is
-  // memoized per state.
+  // Generalized automaton: states are obligation sets, numbered in
+  // discovery order; each state's transitions are deduplicated.
   struct GeneralizedTransition {
     LetterConstraint Guard;
     uint32_t Target = 0;
     uint64_t DeferMask = 0;
+    auto operator<=>(const GeneralizedTransition &) const = default;
   };
-  std::unordered_map<std::string, uint32_t> StateIds;
-  std::vector<FormulaSet> StateSets;
+  std::map<FormulaSet, uint32_t> StateIds;
+  std::vector<const FormulaSet *> StateSets;
   std::vector<std::vector<GeneralizedTransition>> Transitions;
 
   auto GetState = [&](const FormulaSet &Set) {
-    std::string Key = setKey(Set);
-    auto It = StateIds.find(Key);
-    if (It != StateIds.end())
-      return It->second;
-    uint32_t Id = static_cast<uint32_t>(StateSets.size());
-    StateIds.emplace(std::move(Key), Id);
-    StateSets.push_back(Set);
-    Transitions.emplace_back();
-    return Id;
+    auto [It, Inserted] =
+        StateIds.try_emplace(Set, static_cast<uint32_t>(StateSets.size()));
+    if (Inserted) {
+      StateSets.push_back(&It->first);
+      Transitions.emplace_back();
+    }
+    return It->second;
   };
 
-  // Key for duplicate-transition suppression: expansion of large
-  // conjunctions produces many branches that compile to the same
-  // (guard, target, defer) triple.
-  auto TransitionKey = [](const LetterConstraint &G, uint32_t Target,
-                          uint64_t Defer) {
-    std::string Key = std::to_string(G.InputCare) + "/" +
-                      std::to_string(G.InputValue) + "/";
-    for (const LetterConstraint::UpdateReq &R : G.Updates)
-      Key += std::to_string(R.Cell) + ":" + std::to_string(R.Option) +
-             (R.Positive ? "+" : "-") + ",";
-    Key += "@" + std::to_string(Target) + "#" + std::to_string(Defer);
-    return Key;
-  };
-
-  // Expansion + guard compilation for one state, cache-aware. The
-  // returned reference points into the cache (stable: entries are never
-  // mutated after insertion) or into Scratch for uncached builds.
+  // One state's branches, cache-aware. The returned reference points
+  // into the cache (entries are never mutated after insertion) or into
+  // Scratch for uncached builds.
+  Expander Exp(AB);
   const std::string SigKey = Cache ? AB.signatureKey() : std::string();
-  std::vector<CompiledBranch> Scratch;
-  auto ExpandCompiled =
-      [&](const FormulaSet &Set) -> const std::vector<CompiledBranch> & {
-    std::string Key;
-    if (Cache) {
-      Key = SigKey + "|" + setKey(Set);
-      auto It = Cache->I->Expansions.find(Key);
-      if (It != Cache->I->Expansions.end()) {
-        ++Cache->I->Hits;
-        return It->second;
-      }
-      ++Cache->I->Misses;
-    }
-    Scratch.clear();
-    for (Branch &B : Exp.expand(Set)) {
-      LetterConstraint Guard;
-      if (!compileGuard(B.Literals, AB, Guard))
-        continue;
-      Scratch.push_back({std::move(Guard), canonicalize(std::move(B.Next)),
-                         std::move(B.Deferred)});
-    }
+  std::vector<Branch> Scratch;
+  auto Expand = [&](const FormulaSet &Set) -> const std::vector<Branch> & {
     if (!Cache)
-      return Scratch;
-    if (Cache->I->Expansions.size() >= TableauCache::Impl::MaxEntries)
-      Cache->I->Expansions.clear();
-    return Cache->I->Expansions.emplace(std::move(Key), std::move(Scratch))
+      return Scratch = Exp.expand(Set);
+    TableauCache::Impl &C = *Cache->I;
+    std::pair<std::string, FormulaSet> Key(SigKey, Set);
+    if (auto It = C.Expansions.find(Key); It != C.Expansions.end()) {
+      ++C.Hits;
+      return It->second;
+    }
+    ++C.Misses;
+    if (C.Expansions.size() >= TableauCache::Impl::MaxEntries)
+      C.Expansions.clear();
+    return C.Expansions.emplace(std::move(Key), Exp.expand(Set))
         .first->second;
   };
 
-  uint32_t InitialGen = GetState(canonicalize({Nnf}));
+  uint32_t InitialGen = GetState({Nnf});
   size_t TotalTransitions = 0;
   for (uint32_t S = 0; S < StateSets.size(); ++S) {
     if (StateSets.size() > Limits.MaxGeneralizedStates ||
-        TotalTransitions > MaxTransitions) {
-      if (Stats)
-        Stats->BudgetExceeded = true;
-      return Nba();
-    }
-    if (Dl.expired()) {
-      if (Stats) {
-        Stats->BudgetExceeded = true;
-        Stats->TimedOut = true;
-      }
-      return Nba();
-    }
-    const std::vector<CompiledBranch> &Branches = ExpandCompiled(StateSets[S]);
-    std::set<std::string> Seen;
-    for (const CompiledBranch &B : Branches) {
+        TotalTransitions > MaxTransitions)
+      return Abort(false);
+    if (Dl.expired())
+      return Abort(true);
+    std::set<GeneralizedTransition> Seen;
+    for (const Branch &B : Expand(*StateSets[S])) {
       uint64_t DeferMask = 0;
       for (const Formula *D : B.Deferred)
         if (int Acc = acceptanceIndex(D); Acc >= 0)
           DeferMask |= uint64_t(1) << Acc;
-      uint32_t Target = GetState(B.Next);
-      if (!Seen.insert(TransitionKey(B.Guard, Target, DeferMask)).second)
-        continue;
-      Transitions[S].push_back({B.Guard, Target, DeferMask});
-      ++TotalTransitions;
+      GeneralizedTransition T{B.Guard, GetState(B.Next), DeferMask};
+      if (Seen.insert(T).second) {
+        Transitions[S].push_back(std::move(T));
+        ++TotalTransitions;
+      }
     }
   }
 
-  if (Stats) {
+  if (Stats)
     Stats->GeneralizedStates = StateSets.size();
-    Stats->AcceptanceSets = K;
-  }
 
   // Degeneralize: NBA state = (generalized state, level). From level j,
   // the level advances past every acceptance set satisfied in order; a
@@ -467,13 +405,8 @@ Nba temos::buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
   Result.setInitial(InitialNba);
   size_t TransitionCount = 0;
   while (!Pending.empty()) {
-    if (Dl.expired()) {
-      if (Stats) {
-        Stats->BudgetExceeded = true;
-        Stats->TimedOut = true;
-      }
-      return Nba();
-    }
+    if (Dl.expired())
+      return Abort(true);
     auto [Gen, Level] = Pending.back();
     Pending.pop_back();
     uint32_t From = NbaIds.at({Gen, Level});
@@ -488,12 +421,8 @@ Nba temos::buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
         NewLevel = 0;
       uint32_t To = GetNbaState(T.Target, NewLevel);
       Result.addTransition(From, {T.Guard, To, Accepting});
-      ++TransitionCount;
-      if (TransitionCount > MaxTransitions) {
-        if (Stats)
-          Stats->BudgetExceeded = true;
-        return Nba();
-      }
+      if (++TransitionCount > MaxTransitions)
+        return Abort(false);
     }
   }
 
@@ -512,5 +441,5 @@ std::optional<bool> temos::isSatisfiable(const Formula *F, Context &Ctx,
   Nba A = buildNba(F, Ctx, AB, &Stats, Limits, nullptr, Dl);
   if (Stats.BudgetExceeded)
     return std::nullopt;
-  return A.isNonEmpty(AB);
+  return A.isNonEmpty();
 }

@@ -7,11 +7,16 @@
 ///
 /// The construction follows the classic expansion-law scheme (Gerth et
 /// al. / Couvreur style): a state is the set of formulas that must hold
-/// now; expansion rewrites it into branches of (literals, next-state
-/// obligations); each Until/Finally subformula contributes one
-/// generalized acceptance set containing the transitions that do not
-/// defer it. The generalized automaton is then degeneralized with the
-/// usual level counter into a single transition-based Buechi condition.
+/// now. Expansion applies one table of laws (one alternative per
+/// disjunct: formulas now, an obligation for the next step, whether it
+/// defers an eventuality) and compiles each literal into the branch's
+/// letter guard as it meets it, pruning a branch at its first
+/// contradiction. A branch is thus (guard, next-state obligations,
+/// deferred eventualities). Each Until/Finally subformula contributes
+/// one generalized acceptance set containing the transitions that do
+/// not defer it; at most MaxAcceptanceSets of them. The generalized
+/// automaton is then degeneralized with the usual level counter into a
+/// single transition-based Buechi condition.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +26,7 @@
 #include "automata/Nba.h"
 #include "logic/Specification.h"
 #include "support/Deadline.h"
+#include "tsl2ltl/Alphabet.h"
 
 #include <memory>
 #include <optional>
@@ -40,6 +46,11 @@ struct TableauStats {
   /// not a state/transition count. Only meaningful with BudgetExceeded.
   bool TimedOut = false;
 };
+
+/// Acceptance sets one construction can track (one bit each in a
+/// transition's defer mask). A formula with more Until/Finally
+/// subformulas is refused: BudgetExceeded, with AcceptanceSets set.
+constexpr size_t MaxAcceptanceSets = 64;
 
 /// Resource budget for the construction (exceeded -> BudgetExceeded).
 struct TableauLimits {
@@ -61,16 +72,17 @@ Nba buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
 
 /// Cross-build memo for the tableau's per-state expansion work.
 ///
-/// A tableau state (a set of obligations) expands to the same compiled
-/// branches — guard, successor obligation set, deferred
-/// acceptance formulas — regardless of the *top-level* formula being
+/// The cached unit is a state's branch list: each branch with its
+/// compiled guard, its successor obligation set and its deferred
+/// acceptance formulas. A tableau state (a set of obligations) expands
+/// to the same branches regardless of the *top-level* formula being
 /// translated, because expansion only ever looks at the state set
-/// itself. Keys combine the alphabet signature (guards compile against
-/// concrete bit/choice indices) with the state's formula-id key, so a
-/// state that recurs in a later build replays its expansion instead of
-/// re-deriving it. (Measured on the bundled rows, eager and lazy, no
-/// state recurs: a grown formula's tableau states differ from the
-/// earlier formula's, and the cache serves no hit.)
+/// itself. Entries are keyed by (alphabet signature, state set): guards
+/// compile against concrete bit/choice indices. A state that recurs in
+/// a later build replays its expansion instead of re-deriving it.
+/// (Measured on the bundled rows, eager and lazy, no state recurs: a
+/// grown formula's tableau states differ from the earlier formula's,
+/// and the cache serves 0 hits on every row.)
 ///
 /// The cache is tied to one Context (formula ids are interning indices):
 /// never share an instance across Contexts. Not thread-safe; the

@@ -126,7 +126,12 @@ void recordReactiveFailure(PipelineResult &Result,
   FailureKind Kind = Reactive.Stats.TimedOut ? FailureKind::Timeout
                                              : FailureKind::StateBudget;
   std::string Detail;
-  if (Reactive.Stats.Tableau.BudgetExceeded)
+  const size_t AcceptanceSets = Reactive.Stats.Tableau.AcceptanceSets;
+  if (AcceptanceSets > MaxAcceptanceSets)
+    Detail = std::to_string(AcceptanceSets) +
+             " acceptance sets; the tableau tracks at most " +
+             std::to_string(MaxAcceptanceSets);
+  else if (Reactive.Stats.Tableau.BudgetExceeded)
     Detail = Reactive.Stats.TimedOut
                  ? "deadline expired during UCW construction"
                  : "tableau state/transition budget exceeded";
@@ -269,7 +274,8 @@ std::vector<RefinementCheck>
 Synthesizer::firstRoundChecks(const Specification &Spec,
                               const PipelineOptions &Options,
                               PipelineResult &Result) {
-  generateAssumptions(Spec, Options, Result, Deadline());
+  if (!generateAssumptions(Spec, Options, Result, Deadline()))
+    return {};
   Result.Assumptions = Result.ConsistencyAssumptions;
   for (const GeneratedAssumption &A : Result.SygusAssumptions)
     Result.Assumptions.push_back(A.Assumption);
@@ -283,7 +289,7 @@ Synthesizer::firstRoundChecks(const Specification &Spec,
   return Checks;
 }
 
-void Synthesizer::generateAssumptions(const Specification &Spec,
+bool Synthesizer::generateAssumptions(const Specification &Spec,
                                       const PipelineOptions &Options,
                                       PipelineResult &Result,
                                       const Deadline &Global) {
@@ -291,6 +297,15 @@ void Synthesizer::generateAssumptions(const Specification &Spec,
   Result.Stats.SpecSize = specSize(Spec);
   Result.Stats.PredicateCount = Decomp.PredicateLiterals.size();
   Result.Stats.UpdateTermCount = Decomp.UpdateTerms.size();
+  if (Result.Stats.PredicateCount > Alphabet::MaxPredicates) {
+    Result.Status = Realizability::Unknown;
+    Result.Stats.Failures.push_back(
+        {FailureKind::StateBudget, "decomposition",
+         std::to_string(Result.Stats.PredicateCount) +
+             " predicate terms; the explicit alphabet holds at most " +
+             std::to_string(Alphabet::MaxPredicates)});
+    return false;
+  }
 
   SolverService &Svc = ensureService(Spec.Th, Options);
   // The service deadline is (re)set at the start of every phase, so a
@@ -384,6 +399,7 @@ void Synthesizer::generateAssumptions(const Specification &Spec,
          std::to_string(TimedOutObligations) + " of " +
              std::to_string(Obs.size()) +
              " obligations unresolved (deadline expired mid-search)"});
+  return true;
 }
 
 void Synthesizer::recordReactiveRun(PipelineResult &Result,
@@ -414,9 +430,11 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
   Timer PsiTimer;
 
   // --- Decomposition, consistency checking, SyGuS (Secs. 4.1-4.3). -------
-  generateAssumptions(Spec, Options, Result, Global);
+  const bool Decomposed = generateAssumptions(Spec, Options, Result, Global);
   Result.Stats.PsiGenSeconds = PsiTimer.seconds();
   Result.Stats.PsiGenCpuSeconds = PsiTimer.cpuSeconds();
+  if (!Decomposed)
+    return Result;
 
   // --- Reactive synthesis + refinement loop (Sec. 4.4, Alg. 4). ----------
   Timer SynthTimer;

@@ -18,7 +18,7 @@ Alphabet Alphabet::build(const Specification &Spec, Context &Ctx,
       if (std::find(AB.Predicates.begin(), AB.Predicates.end(), P) ==
           AB.Predicates.end())
         AB.Predicates.push_back(P);
-  assert(AB.Predicates.size() <= 20 &&
+  assert(AB.Predicates.size() <= MaxPredicates &&
          "too many predicate terms for an explicit alphabet");
 
   // Updatable signals: declared cells and outputs, in declaration order.

@@ -47,6 +47,10 @@ struct Letter {
 /// specification.
 class Alphabet {
 public:
+  /// Input letters are the valuations of the predicate terms, one bit
+  /// each, enumerated explicitly: more terms than this are refused.
+  static constexpr size_t MaxPredicates = 20;
+
   /// A cell (or output signal) with its available update options.
   struct CellUpdates {
     std::string Cell;

@@ -2,8 +2,6 @@
 
 #include "automata/Nba.h"
 
-#include "logic/Parser.h"
-
 #include <gtest/gtest.h>
 
 using namespace temos;
@@ -12,17 +10,6 @@ namespace {
 
 class NbaTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    auto Parsed = parseSpecification(R"(
-      inputs { bool p; }
-      cells { int x = 0; }
-      always guarantee { G (p -> [x <- x]); }
-    )", Ctx);
-    ASSERT_TRUE(Parsed.ok()) << Parsed.error().str();
-    Spec = *Parsed;
-    AB = Alphabet::build(Spec, Ctx);
-  }
-
   /// Guard matching letters where input bit 0 equals \p P.
   LetterConstraint inputIs(bool P) {
     LetterConstraint G;
@@ -30,15 +17,11 @@ protected:
     G.InputValue = P ? 1 : 0;
     return G;
   }
-
-  Context Ctx;
-  Specification Spec;
-  Alphabet AB;
 };
 
 TEST_F(NbaTest, EmptyAutomatonIsEmpty) {
   Nba A;
-  EXPECT_FALSE(A.isNonEmpty(AB));
+  EXPECT_FALSE(A.isNonEmpty());
 }
 
 TEST_F(NbaTest, AcceptingSelfLoopIsNonEmpty) {
@@ -46,7 +29,7 @@ TEST_F(NbaTest, AcceptingSelfLoopIsNonEmpty) {
   uint32_t Q = A.addState();
   A.setInitial(Q);
   A.addTransition(Q, {LetterConstraint{}, Q, /*Accepting=*/true});
-  EXPECT_TRUE(A.isNonEmpty(AB));
+  EXPECT_TRUE(A.isNonEmpty());
 }
 
 TEST_F(NbaTest, NonAcceptingLoopIsEmpty) {
@@ -54,7 +37,7 @@ TEST_F(NbaTest, NonAcceptingLoopIsEmpty) {
   uint32_t Q = A.addState();
   A.setInitial(Q);
   A.addTransition(Q, {LetterConstraint{}, Q, /*Accepting=*/false});
-  EXPECT_FALSE(A.isNonEmpty(AB));
+  EXPECT_FALSE(A.isNonEmpty());
 }
 
 TEST_F(NbaTest, AcceptingTransitionOutsideCycleIsEmpty) {
@@ -64,7 +47,7 @@ TEST_F(NbaTest, AcceptingTransitionOutsideCycleIsEmpty) {
   uint32_t Q1 = A.addState();
   A.setInitial(Q0);
   A.addTransition(Q0, {LetterConstraint{}, Q1, /*Accepting=*/true});
-  EXPECT_FALSE(A.isNonEmpty(AB));
+  EXPECT_FALSE(A.isNonEmpty());
 }
 
 TEST_F(NbaTest, ReachableAcceptingCycle) {
@@ -77,7 +60,7 @@ TEST_F(NbaTest, ReachableAcceptingCycle) {
   A.addTransition(Q0, {LetterConstraint{}, Q1, false});
   A.addTransition(Q1, {LetterConstraint{}, Q2, true});
   A.addTransition(Q2, {LetterConstraint{}, Q1, false});
-  EXPECT_TRUE(A.isNonEmpty(AB));
+  EXPECT_TRUE(A.isNonEmpty());
 }
 
 TEST_F(NbaTest, UnreachableAcceptingCycleIsEmpty) {
@@ -86,38 +69,7 @@ TEST_F(NbaTest, UnreachableAcceptingCycleIsEmpty) {
   uint32_t Q1 = A.addState(); // Unreachable from Q0.
   A.setInitial(Q0);
   A.addTransition(Q1, {LetterConstraint{}, Q1, true});
-  EXPECT_FALSE(A.isNonEmpty(AB));
-}
-
-TEST_F(NbaTest, SuccessorsFilterByGuard) {
-  Nba A;
-  uint32_t Q0 = A.addState();
-  uint32_t Q1 = A.addState();
-  uint32_t Q2 = A.addState();
-  A.addTransition(Q0, {inputIs(true), Q1, false});
-  A.addTransition(Q0, {inputIs(false), Q2, true});
-
-  std::vector<unsigned> Choices = AB.decodeOutput(0);
-  auto OnTrue = A.successors(Q0, /*InputBits=*/1, Choices);
-  ASSERT_EQ(OnTrue.size(), 1u);
-  EXPECT_EQ(OnTrue[0].first, Q1);
-  EXPECT_FALSE(OnTrue[0].second);
-
-  auto OnFalse = A.successors(Q0, /*InputBits=*/0, Choices);
-  ASSERT_EQ(OnFalse.size(), 1u);
-  EXPECT_EQ(OnFalse[0].first, Q2);
-  EXPECT_TRUE(OnFalse[0].second);
-}
-
-TEST_F(NbaTest, SuccessorsMergeDuplicateTargets) {
-  Nba A;
-  uint32_t Q0 = A.addState();
-  uint32_t Q1 = A.addState();
-  A.addTransition(Q0, {LetterConstraint{}, Q1, false});
-  A.addTransition(Q0, {LetterConstraint{}, Q1, true});
-  auto Succ = A.successors(Q0, 0, AB.decodeOutput(0));
-  ASSERT_EQ(Succ.size(), 1u);
-  EXPECT_TRUE(Succ[0].second); // Strongest flag wins.
+  EXPECT_FALSE(A.isNonEmpty());
 }
 
 TEST_F(NbaTest, LiveStates) {
@@ -134,6 +86,16 @@ TEST_F(NbaTest, LiveStates) {
   EXPECT_TRUE(Live[Q0]);
   EXPECT_TRUE(Live[Q1]);
   EXPECT_FALSE(Live[Q2]);
+}
+
+TEST_F(NbaTest, GuardInputBits) {
+  // Only the cared-for bit decides; the others are free.
+  const std::vector<unsigned> NoChoices;
+  EXPECT_TRUE(inputIs(true).matches(/*InputBits=*/1, NoChoices));
+  EXPECT_TRUE(inputIs(true).matches(/*InputBits=*/3, NoChoices));
+  EXPECT_FALSE(inputIs(true).matches(/*InputBits=*/0, NoChoices));
+  EXPECT_TRUE(inputIs(false).matches(/*InputBits=*/2, NoChoices));
+  EXPECT_FALSE(inputIs(false).matches(/*InputBits=*/1, NoChoices));
 }
 
 TEST_F(NbaTest, GuardUpdateRequirements) {

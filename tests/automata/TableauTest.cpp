@@ -141,6 +141,22 @@ TEST_F(TableauTest, ExpiredDeadlineLeavesSatisfiabilityUndecided) {
   EXPECT_EQ(isSatisfiable(F, Ctx, A), std::optional<bool>(false));
 }
 
+TEST_F(TableauTest, TooManyAcceptanceSetsAreABudgetFailure) {
+  // F p && F X p && ... : one eventuality more than a defer mask tracks.
+  std::vector<const Formula *> Eventualities;
+  for (unsigned K = 0; K <= MaxAcceptanceSets; ++K)
+    Eventualities.push_back(Ctx.Formulas.finallyF(
+        Ctx.Formulas.nextN(formula("p"), K)));
+  const Formula *F = Ctx.Formulas.andF(Eventualities);
+  Alphabet A = Alphabet::build(Spec, Ctx, {F});
+  TableauStats Stats;
+  buildNba(F, Ctx, A, &Stats);
+  EXPECT_TRUE(Stats.BudgetExceeded);
+  EXPECT_FALSE(Stats.TimedOut);
+  EXPECT_EQ(Stats.AcceptanceSets, MaxAcceptanceSets + 1);
+  EXPECT_EQ(isSatisfiable(F, Ctx, A), std::nullopt);
+}
+
 TEST_F(TableauTest, NoAcceptanceSetsForSafety) {
   TableauStats Stats;
   buildNba(formula("G p"), Ctx, AB, &Stats);

@@ -12,10 +12,10 @@
 /// keep their meaning: a deadline ends the check undecided, a tableau
 /// budget falls through to the full check.
 ///
-/// A row whose unsat cores send full checks that take more than a few
-/// seconds in a RelWithDebInfo build (Automatic ~17 s, Load Balancer
-/// ~22 s) runs only when TEMOS_GOLDEN_SLOW is set, and so does CFS's
-/// pipeline run, mirroring the golden-file suite.
+/// A row whose unsat cores send full checks that take seconds in a
+/// RelWithDebInfo build (Automatic ~2 s, Load Balancer ~3 s) runs only
+/// when TEMOS_GOLDEN_SLOW is set, and so does CFS's pipeline run,
+/// mirroring the golden-file suite.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -345,6 +345,51 @@ TEST(Cli, ReplayOfAFileWithoutHeaderExitsTwo) {
   EXPECT_EQ(WEXITSTATUS(Status), 2);
 }
 
+/// Runs \p Spec (named \p Name) with an artifacts directory and checks
+/// the budget-refusal contract: exit 4, a state-budget record whose
+/// detail contains \p Detail, and the replayable artifact on disk.
+void expectBudgetRefusal(const std::string &Name, const std::string &Spec,
+                         const std::string &Detail) {
+  std::string Path = writeSpec("cli_" + Name + ".tslmt", Spec);
+  std::string Dir = ::testing::TempDir() + "/cli_artifacts_" + Name;
+  auto [Code, Err] = runCliStderr("--artifacts " + Dir + " " + Path);
+  EXPECT_EQ(Code, 4) << "stderr was: " << Err;
+  EXPECT_NE(Err.find("unknown"), std::string::npos) << "stderr was: " << Err;
+  EXPECT_NE(Err.find("failure: state-budget"), std::string::npos)
+      << "stderr was: " << Err;
+  EXPECT_NE(Err.find(Detail), std::string::npos) << "stderr was: " << Err;
+  std::ifstream In(Dir + "/temos-artifact-" + Name + ".tslmt");
+  EXPECT_TRUE(In.good()) << "no artifact; stderr was: " << Err;
+}
+
+TEST(Cli, TooManyAcceptanceSetsEndUnknown) {
+  // G (X^k p -> [c <- True()]) for k < 66: the negated spec has 66
+  // eventualities, two more than the tableau's defer mask tracks.
+  std::string Spec = "#LIA#\nspec ManyEventualities\ninputs { bool p; }\n"
+                     "cells { bool c; }\nalways guarantee {\n";
+  for (int K = 0; K < 66; ++K) {
+    std::string Next;
+    for (int I = 0; I < K; ++I)
+      Next += "X ";
+    Spec += "  G (" + Next + "p -> [c <- True()]);\n";
+  }
+  expectBudgetRefusal("ManyEventualities", Spec + "}\n",
+                      "66 acceptance sets; the tableau tracks at most 64");
+}
+
+TEST(Cli, TooManyPredicatesEndUnknown) {
+  // 21 boolean inputs, each a predicate term of its own guarantee.
+  std::string Spec = "#LIA#\nspec ManyPredicates\ninputs { bool p0";
+  for (int I = 1; I < 21; ++I)
+    Spec += ", p" + std::to_string(I);
+  Spec += "; }\ncells { bool c; }\nalways guarantee {\n";
+  for (int I = 0; I < 21; ++I)
+    Spec += "  p" + std::to_string(I) + " -> [c <- True()];\n";
+  expectBudgetRefusal(
+      "ManyPredicates", Spec + "}\n",
+      "21 predicate terms; the explicit alphabet holds at most 20");
+}
+
 TEST(Cli, DegradedSummaryListsFailures) {
   std::string Path = writeSpec("cli_counter.tslmt", CounterSpec);
   auto [Code, Err] = runCliStderr(
