@@ -18,7 +18,8 @@ empty-handed about why).
 With BASELINE.json, also fails when any deterministic counter differs
 from the baseline's (the spec sizes, refinements, reactive_runs,
 game_states, machine_states, js_loc, and each reactive entry's bound,
-game_states and tableau sizes), naming the key, and when the current synthesis wall time
+game_states, tableau sizes and game.letters_explored), naming the key,
+and when the current synthesis wall time
 regresses by more than 25% against the baseline. Timings below a 0.25s
 floor are never compared: at that scale the noise dwarfs the signal, so
 a freshly recorded tiny baseline can't flake the gate; the counters are
@@ -41,8 +42,9 @@ PHASE_KEYS = ["psi_gen_wall_s", "psi_gen_cpu_s", "synthesis_wall_s",
               "synthesis_cpu_s"]
 REACTIVE_KEYS = ["round", "status", "bound", "nba_cache_hit",
                  "arena_states_reused", "game_states", "nba_wall_s",
-                 "game_wall_s", "tableau"]
+                 "game_wall_s", "tableau", "game"]
 TABLEAU_KEYS = ["generalized_states", "nba_states", "nba_transitions"]
+GAME_KEYS = ["letters_explored"]
 FAILURE_KEYS = ["kind", "phase", "detail"]
 FAILURE_KINDS = ["timeout", "state-budget", "overflow", "worker-exception",
                  "internal"]
@@ -95,6 +97,9 @@ def check_shape(doc, expect_status="realizable"):
             if not isinstance(entry["tableau"].get(key), int):
                 fail(f"reactive entry's tableau.{key} missing or not an "
                      f"integer")
+        for key in GAME_KEYS:
+            if not isinstance(entry["game"].get(key), int):
+                fail(f"reactive entry's game.{key} missing or not an integer")
     check_failures(doc, expect_status)
     if doc["status"] != expect_status:
         fail(f"run was {doc['status']}, expected {expect_status}")
@@ -137,6 +142,9 @@ def check_counters(doc, baseline):
         for key in TABLEAU_KEYS:
             expected[f"reactive[{i}].tableau.{key}"] = ref["tableau"][key]
             actual[f"reactive[{i}].tableau.{key}"] = entry["tableau"][key]
+        for key in GAME_KEYS:
+            expected[f"reactive[{i}].game.{key}"] = ref["game"][key]
+            actual[f"reactive[{i}].game.{key}"] = entry["game"][key]
     for key, value in expected.items():
         if actual[key] != value:
             fail(f"counter {key} is {actual[key]}, baseline has {value}")

@@ -84,7 +84,8 @@ std::string statsBody(const PipelineStats &S, const std::string &Indent) {
          std::to_string(R.Tableau.GeneralizedStates) +
          ", \"nba_states\": " + std::to_string(R.Tableau.NbaStates) +
          ", \"nba_transitions\": " + std::to_string(R.Tableau.NbaTransitions) +
-         "}}";
+         "}, \"game\": {\"letters_explored\": " +
+         std::to_string(R.LettersExplored) + "}}";
   }
   J += S.ReactiveDetail.empty() ? "]" : "\n" + Indent + "]";
   J += ",\n";
