@@ -389,16 +389,23 @@ Specification Generator::randomSpec() {
 std::string Generator::pipelineSpecSource() {
   // Counter family: known-realizable shapes the bounded-synthesis layer
   // solves in milliseconds, varied across init value, reachability
-  // distance, step size and an optional second obligation. The point is
-  // determinism across (jobs, cache) configurations, not hard synthesis.
+  // distance, step size, an optional second obligation and an optional
+  // wide output alphabet. The point is determinism across (jobs, cache)
+  // configurations, not hard synthesis.
   int64_t Init = R.range(-1, 1);
   int64_t Start = R.range(-1, 1);
   int64_t Step = R.chance(75) ? 1 : 2;
   int64_t Dist = R.range(1, 2) * Step;
   int64_t Target = R.chance(50) ? Start + Dist : Start - Dist;
 
+  const bool Bounce = R.chance(35);
+  // Drawn last, so every iteration keeps the counter it had before wide
+  // specs existed.
+  const bool Wide = R.chance(30);
   std::string Src = "#LIA#\nspec FuzzPipe\ncells { int x = " +
-                    std::to_string(Init) + "; }\nalways guarantee {\n";
+                    std::to_string(Init) + ";" +
+                    (Wide ? " int m = 0; int n = 0;" : "") +
+                    " }\nalways guarantee {\n";
   Src += "  [x <- x + " + std::to_string(Step) + "] || [x <- x - " +
          std::to_string(Step) + "];\n";
   Src += "  x = " + std::to_string(Start) + " -> F (x = " +
@@ -410,9 +417,16 @@ std::string Generator::pipelineSpecSource() {
   // reason), but a *reverse* pair -- bounce back to where you started --
   // stays in the fast envelope, so that is the only two-obligation shape
   // the family emits.
-  if (R.chance(35))
+  if (Bounce)
     Src += "  x = " + std::to_string(Target) + " -> F (x = " +
            std::to_string(Start) + ");\n";
+  // Two more cells of five options each: 3 x 5 x 5 = 75 output letters,
+  // more than one 64-letter word of the game's successor masks.
+  if (Wide)
+    Src += "  [m <- 0] || [m <- 1] || [m <- 2] || [m <- m + 1];\n"
+           "  [n <- 0] || [n <- 1] || [n <- n + 1] || [n <- n - 1];\n"
+           "  [x <- x + " + std::to_string(Step) +
+           "] -> [m <- m + 1] || [n <- 0];\n";
   Src += "}\n";
   return Src;
 }

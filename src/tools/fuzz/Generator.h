@@ -65,7 +65,8 @@ public:
 
   /// Concrete source of a small specification from a family the
   /// bounded-synthesis pipeline handles quickly (counter-style), for the
-  /// pipeline determinism oracle.
+  /// pipeline determinism oracle. About a third carry two more cells,
+  /// for 75 output letters: more than one word of the game's masks.
   std::string pipelineSpecSource();
 
   /// Concrete source of a small counter specification for the CHECK-SAT

@@ -10,9 +10,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "tools/fuzz/Fuzz.h"
+#include "tools/fuzz/Generator.h"
+
+#include "tsl2ltl/Alphabet.h"
 
 #include <gtest/gtest.h>
 
+using namespace temos;
 using namespace temos::fuzz;
 
 namespace {
@@ -47,6 +51,24 @@ TEST(FuzzOracle, SynthesizedProgramsSurviveGroundCheck) {
 
 TEST(FuzzOracle, PipelineIsDeterministicAcrossConfigs) {
   expectClean(runPipelineOracle(smokeOptions(10)), 10);
+}
+
+// The game computes successors over masks of 64 output letters a word;
+// the pipeline oracle must reach specs that need more than one word.
+TEST(FuzzOracle, PipelineSpecsSpanSeveralMaskWords) {
+  unsigned Wide = 0;
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    Context Ctx;
+    Rng R(Seed);
+    Generator Gen(Ctx, R);
+    const std::string Source = Gen.pipelineSpecSource();
+    auto Spec = parseSpecification(Source, Ctx);
+    ASSERT_TRUE(Spec.ok()) << Spec.error().str() << "\n" << Source;
+    const size_t Letters = Alphabet::build(*Spec, Ctx).outputLetterCount();
+    Wide += Letters > 64;
+  }
+  EXPECT_GE(Wide, 3u);
+  EXPECT_LE(Wide, 12u);
 }
 
 TEST(FuzzOracle, CoreUnsatMeansFullUnsat) {
