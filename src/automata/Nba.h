@@ -54,7 +54,8 @@ struct LetterConstraint {
   }
 };
 
-/// An explicit NBA with transition-based Buechi acceptance.
+/// An explicit NBA with transition-based Buechi acceptance, read over
+/// the input letters it allows (see inputs()).
 class Nba {
 public:
   struct Transition {
@@ -80,9 +81,17 @@ public:
   uint32_t initial() const { return Initial; }
   void setInitial(uint32_t State) { Initial = State; }
 
+  /// The input letters the environment can produce, ascending: those
+  /// that satisfy every input-only invariant the tableau peeled off its
+  /// formula (all letters when there was none). Words over other
+  /// letters violate the formula, so the automaton, the game and the
+  /// extracted machine only ever read these.
+  const std::vector<uint32_t> &inputs() const { return Inputs; }
+  void setInputs(std::vector<uint32_t> Letters) { Inputs = std::move(Letters); }
+
   /// Nonemptiness: does the automaton accept some word? True iff a cycle
   /// through an accepting transition is reachable (every guard the
-  /// tableau emits matches some letter).
+  /// tableau emits matches some letter over the allowed inputs).
   bool isNonEmpty() const;
 
   /// For each state: can a run from it still cross an accepting
@@ -92,6 +101,7 @@ public:
 
 private:
   std::vector<std::vector<Transition>> States;
+  std::vector<uint32_t> Inputs;
   uint32_t Initial = 0;
 };
 

@@ -85,7 +85,8 @@ std::string statsBody(const PipelineStats &S, const std::string &Indent) {
          ", \"nba_states\": " + std::to_string(R.Tableau.NbaStates) +
          ", \"nba_transitions\": " + std::to_string(R.Tableau.NbaTransitions) +
          "}, \"game\": {\"letters_explored\": " +
-         std::to_string(R.LettersExplored) + "}}";
+         std::to_string(R.LettersExplored) +
+         ", \"input_letters\": " + std::to_string(R.InputLetters) + "}}";
   }
   J += S.ReactiveDetail.empty() ? "]" : "\n" + Indent + "]";
   J += ",\n";

@@ -111,14 +111,16 @@ std::string emitInputWord(const Alphabet &AB, const Specification &Spec,
 }
 
 /// One `case` per state, switching on the input word to each edge's
-/// cell updates and next state.
+/// cell updates and next state. Only the letters the machine answers
+/// get a `case`; on any other word no case matches, so the state and
+/// every cell keep their values, as MealyMachine specifies.
 std::string emitTransitions(const MealyMachine &M, const Alphabet &AB,
                             const Specification &Spec, Lang L) {
   std::string Out;
   for (uint32_t S = 0; S < M.stateCount(); ++S) {
     Out += "    case " + std::to_string(S) + ":\n";
     Out += "      switch (word) {\n";
-    for (uint32_t In = 0; In < M.inputCount(); ++In) {
+    for (uint32_t In : M.inputs()) {
       MealyMachine::Edge E = M.edge(S, In);
       Out += "      case " + std::to_string(In) + ":\n";
       std::vector<unsigned> Choices = AB.decodeOutput(E.Output);
@@ -150,7 +152,7 @@ std::string temos::emitJavaScript(const MealyMachine &M, const Alphabet &AB,
   Out += "// Synthesized by temoscpp from specification '" + Spec.Name +
          "' (TSL modulo " + theoryName(Spec.Th) + ").\n";
   Out += "// States: " + std::to_string(M.stateCount()) +
-         ", input letters: " + std::to_string(M.inputCount()) + ".\n";
+         ", input letters: " + std::to_string(M.inputs().size()) + ".\n";
   Out += "function createController(fns) {\n";
   Out += "  let state = " + std::to_string(M.initialState()) + ";\n";
   Out += "  const cells = {\n";

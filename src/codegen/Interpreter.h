@@ -45,9 +45,11 @@ public:
     std::vector<const Formula *> FiredUpdates;
   };
 
-  /// Executes one step with the given input-signal values. Returns
-  /// nullopt if some predicate or update term cannot be evaluated
-  /// concretely (e.g. uninterpreted functions without an
+  /// Executes one step with the given input-signal values. On a letter
+  /// the machine does not answer (MealyMachine::inputs()) the state is
+  /// kept and every cell fires its self-update, as in the emitted code.
+  /// Returns nullopt if some predicate or update term cannot be
+  /// evaluated concretely (e.g. uninterpreted functions without an
   /// interpretation).
   std::optional<StepOutcome> step(const Assignment &Inputs);
 

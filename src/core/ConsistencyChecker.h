@@ -4,14 +4,19 @@
 /// Consistency checking (Sec. 4.2): the environment can only produce
 /// input valuations that are satisfiable in the background theory, but
 /// the reactive layer treats predicates as opaque inputs. For every
-/// theory-unsatisfiable combination of predicate literals this pass
-/// emits the assumption G !(p1 && ... && pk), e.g. G !(x < y && y < x)
-/// for the mutex example.
+/// theory-unsatisfiable combination of predicate literals, of either
+/// polarity, this pass emits the assumption G !(l1 && ... && lk), e.g.
+/// G !(x < y && y < x) for the mutex example and
+/// G !(!(x <= 10) && !(x > 10)) for a pair of complementary
+/// predicates; a valid predicate p (core {!p}) comes out as G p. Every
+/// such assumption is an input-only invariant, which the tableau turns
+/// into the automaton's input-letter filter (automata/Tableau.h).
 ///
 /// The paper enumerates the full powerset (O(2^n) SMT queries). We
 /// support that, plus a minimal-core mode that suppresses subsumed
 /// combinations (if {a,b} is unsat, {a,b,c} adds nothing) -- the
-/// ablation bench compares the two.
+/// ablation bench compares the two. A combination never holds a
+/// predicate in both polarities.
 ///
 /// The subset checks are independent SMT queries, so when a
 /// SolverService with workers is supplied they are fanned out across
@@ -37,8 +42,9 @@ namespace temos {
 
 /// Consistency-checking tunables.
 struct ConsistencyOptions {
-  /// Largest literal combination checked (full powerset up to this
-  /// size). The paper's powerset corresponds to the predicate count.
+  /// Largest literal combination checked (every combination up to this
+  /// many literals). The paper's powerset corresponds to the predicate
+  /// count.
   unsigned MaxSubsetSize = 3;
   /// Emit only minimal unsatisfiable combinations (supersets of an
   /// already-unsat set are skipped). Off reproduces the paper's plain

@@ -20,7 +20,11 @@
 
 namespace temos {
 
-/// A deterministic Mealy machine over the factored alphabet.
+/// A deterministic Mealy machine over the factored alphabet. It answers
+/// the input letters the environment can produce (the game's allowed
+/// letters); on any other letter it keeps its state and fires every
+/// cell's self-update, which is what the emitted code does when no
+/// `case` matches.
 class MealyMachine {
 public:
   /// Reaction to one input letter.
@@ -30,11 +34,20 @@ public:
   };
 
   MealyMachine() = default;
-  MealyMachine(size_t NumStates, size_t NumInputs)
-      : Table(NumStates, std::vector<Edge>(NumInputs)) {}
+  /// A machine over \p NumInputs input letters that answers \p Answered
+  /// (ascending); until setEdge says otherwise, every letter keeps the
+  /// state and outputs \p Idle (Alphabet::idleOutput()).
+  MealyMachine(size_t NumStates, size_t NumInputs,
+               std::vector<uint32_t> Answered, uint32_t Idle)
+      : Table(NumStates), Answered(std::move(Answered)) {
+    for (uint32_t S = 0; S < NumStates; ++S)
+      Table[S].assign(NumInputs, Edge{Idle, S});
+  }
 
   size_t stateCount() const { return Table.size(); }
   size_t inputCount() const { return Table.empty() ? 0 : Table[0].size(); }
+  /// The input letters the machine answers, ascending.
+  const std::vector<uint32_t> &inputs() const { return Answered; }
   uint32_t initialState() const { return Initial; }
   void setInitialState(uint32_t S) { Initial = S; }
 
@@ -52,6 +65,7 @@ public:
 
 private:
   std::vector<std::vector<Edge>> Table;
+  std::vector<uint32_t> Answered;
   uint32_t Initial = 0;
 };
 

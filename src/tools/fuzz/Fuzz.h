@@ -12,7 +12,9 @@
 ///  * theory    -- random QF_LIA/QF_LRA/QF_UF literal conjunctions,
 ///                 SmtSolver vs. brute-force ground evaluation over a
 ///                 bounded model grid (delta-rational strict-bound cases
-///                 targeted explicitly);
+///                 targeted explicitly); the consistency checker's cores
+///                 over the case's atoms, of both polarities, must have
+///                 no grid model;
 ///  * roundtrip -- print -> parse -> print fixpoint for generated
 ///                 formulas and whole specifications via ParseResult;
 ///  * sygus     -- synthesized candidates re-verified by independent
@@ -77,6 +79,10 @@ enum class FaultKind {
   /// is no longer a sub-conjunction of the full formula and is always
   /// unsat (emulates a core builder that adds a constraint).
   CoreNotSubset,
+  /// Theory oracle: the first literal of the first consistency core is
+  /// handed to the ground check in the other polarity (emulates a core
+  /// emitter that writes p where the core holds !p).
+  FlipCoreLiteral,
 };
 
 const char *faultName(FaultKind K);

@@ -15,6 +15,7 @@
 #include "tools/fuzz/Generator.h"
 #include "tools/fuzz/Shrinker.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -46,6 +47,8 @@ const char *fuzz::faultName(FaultKind K) {
     return "spin-hang";
   case FaultKind::CoreNotSubset:
     return "core-not-subset";
+  case FaultKind::FlipCoreLiteral:
+    return "flip-core-literal";
   }
   return "?";
 }
@@ -54,7 +57,8 @@ bool fuzz::parseFaultKind(const std::string &Name, FaultKind &Out) {
   for (FaultKind K :
        {FaultKind::None, FaultKind::FlipStrict, FaultKind::DropConjunct,
         FaultKind::MutatePrint, FaultKind::SkipVerify, FaultKind::LazyConfig,
-        FaultKind::SpinHang, FaultKind::CoreNotSubset})
+        FaultKind::SpinHang, FaultKind::CoreNotSubset,
+        FaultKind::FlipCoreLiteral})
     if (Name == faultName(K)) {
       Out = K;
       return true;
@@ -312,6 +316,9 @@ enum class DiscKind {
   /// Solver said Sat and produced a model that does not evaluate to
   /// true on every literal.
   BadModel,
+  /// The consistency checker emitted a core (an unsat literal
+  /// combination) that has a grid model.
+  SatisfiableCore,
   /// Verdict was Unknown or the case was outside the grid's competence.
   Skipped,
 };
@@ -361,12 +368,68 @@ bool modelCheckable(const Term *T) {
   return true;
 }
 
-TheoryVerdict checkTheoryCase(TermFactory &TF, Theory Th,
+/// The literals of a consistency assumption G !(l1 && ... && lk), or of
+/// G p, the folded form of the core {!p}.
+std::vector<TheoryLiteral> coreLiterals(const Formula *Assumption) {
+  const Formula *Body = Assumption->child(0);
+  if (!Body->is(Formula::Kind::Not))
+    return {{Body->pred(), false}};
+  std::vector<const Formula *> Conjuncts = {Body->child(0)};
+  if (Body->child(0)->is(Formula::Kind::And))
+    Conjuncts = Body->child(0)->children();
+  std::vector<TheoryLiteral> Core;
+  for (const Formula *L : Conjuncts)
+    Core.push_back(L->is(Formula::Kind::Not)
+                       ? TheoryLiteral{L->child(0)->pred(), false}
+                       : TheoryLiteral{L->pred(), true});
+  return Core;
+}
+
+/// Atoms of one case handed to the consistency sweep: the bundled rows
+/// have at most five predicates, which keeps the sweep at <= 130
+/// queries per case.
+constexpr size_t MaxCoreAtoms = 5;
+
+/// Runs the Sec. 4.2 consistency sweep over the case's first atoms and
+/// checks every emitted core against the grid: the sweep found each one
+/// unsatisfiable, so a grid model refutes it.
+TheoryVerdict checkCores(Context &Ctx, Theory Th,
+                         const std::vector<TheoryLiteral> &Literals,
+                         FaultKind Fault) {
+  std::vector<const Term *> Atoms;
+  for (const TheoryLiteral &L : Literals)
+    if (Atoms.size() < MaxCoreAtoms &&
+        std::find(Atoms.begin(), Atoms.end(), L.Atom) == Atoms.end())
+      Atoms.push_back(L.Atom);
+  const std::vector<const Formula *> Cores =
+      checkConsistency(Atoms, Th, Ctx).Assumptions;
+  TheoryVerdict Out;
+  for (size_t I = 0; I < Cores.size(); ++I) {
+    std::vector<TheoryLiteral> Core = coreLiterals(Cores[I]);
+    if (Fault == FaultKind::FlipCoreLiteral && I == 0)
+      Core.front().Positive = !Core.front().Positive;
+    if (std::optional<Assignment> Model = bruteForceModel(Core)) {
+      Out.Kind = DiscKind::SatisfiableCore;
+      Out.Detail = "consistency core " + Cores[I]->str() +
+                   " (checked as";
+      for (const TheoryLiteral &L : Core)
+        Out.Detail += std::string(" ") + (L.Positive ? "" : "!") +
+                      L.Atom->str();
+      Out.Detail += ") has a ground model:";
+      for (const auto &[Name, V] : *Model)
+        Out.Detail += " " + Name + "=" + V.str();
+      return Out;
+    }
+  }
+  return Out;
+}
+
+TheoryVerdict checkTheoryCase(Context &Ctx, Theory Th,
                               const std::vector<TheoryLiteral> &Literals,
                               FaultKind Fault) {
   TheoryVerdict Out;
   std::vector<TheoryLiteral> SolverLits =
-      applyTheoryFault(TF, Literals, Fault);
+      applyTheoryFault(Ctx.Terms, Literals, Fault);
 
   SmtSolver Solver(Th);
   Assignment Model;
@@ -407,7 +470,7 @@ TheoryVerdict checkTheoryCase(TermFactory &TF, Theory Th,
       return Out;
     }
   }
-  return Out;
+  return checkCores(Ctx, Th, Literals, Fault);
 }
 
 /// Decimal rendering for repro files: "3/2" does not re-parse, "1.5"
@@ -500,7 +563,7 @@ std::string theoryReproSource(Theory Th,
 
 Finding theoryStep(Context &Ctx, Rng &, Generator &Gen, FaultKind Fault) {
   TheoryCase Case = Gen.theoryCase();
-  TheoryVerdict V = checkTheoryCase(Ctx.Terms, Case.Th, Case.Literals, Fault);
+  TheoryVerdict V = checkTheoryCase(Ctx, Case.Th, Case.Literals, Fault);
   if (V.Kind == DiscKind::Skipped)
     return {true, "", ""};
   if (V.Kind == DiscKind::None)
@@ -511,10 +574,10 @@ Finding theoryStep(Context &Ctx, Rng &, Generator &Gen, FaultKind Fault) {
       Ctx.Terms, Case.Literals,
       [&](const std::vector<TheoryLiteral> &Candidate) {
         return !Candidate.empty() &&
-               checkTheoryCase(Ctx.Terms, Case.Th, Candidate, Fault).Kind ==
+               checkTheoryCase(Ctx, Case.Th, Candidate, Fault).Kind ==
                    V.Kind;
       });
-  TheoryVerdict Final = checkTheoryCase(Ctx.Terms, Case.Th, Shrunk, Fault);
+  TheoryVerdict Final = checkTheoryCase(Ctx, Case.Th, Shrunk, Fault);
   return {false, Final.Detail.empty() ? V.Detail : Final.Detail,
           theoryReproSource(Case.Th, Shrunk)};
 }
@@ -541,7 +604,7 @@ ReplayResult replayTheory(const std::string &Text, FaultKind Fault) {
   if (Literals.empty())
     return unchecked("repro has no `always assume` literals");
 
-  TheoryVerdict V = checkTheoryCase(Ctx.Terms, Spec->Th, Literals, Fault);
+  TheoryVerdict V = checkTheoryCase(Ctx, Spec->Th, Literals, Fault);
   if (V.Kind == DiscKind::Skipped)
     return unchecked("solver verdict Unknown; nothing to compare");
   return checked(V.Detail);

@@ -50,7 +50,8 @@ int usage(const char *Argv0) {
       "                     'none' disables writing)\n"
       "  --inject-fault K   none|flip-strict|drop-conjunct|mutate-print|\n"
       "                     skip-verify|lazy-config|spin-hang|\n"
-      "                     core-not-subset; the run then\n"
+      "                     core-not-subset|flip-core-literal; the run\n"
+      "                     then\n"
       "                     FAILS unless the fault is detected (spin-hang\n"
       "                     plants a non-terminating SyGuS enumeration and\n"
       "                     requires the deadline machinery to trip within\n"

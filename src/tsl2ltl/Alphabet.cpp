@@ -106,6 +106,20 @@ uint32_t Alphabet::encodeOutput(const std::vector<unsigned> &Choices) const {
   return Index;
 }
 
+uint32_t Alphabet::idleOutput() const {
+  std::vector<unsigned> Choices;
+  for (const CellUpdates &CU : Cells) {
+    auto Self = std::find_if(
+        CU.Options.begin(), CU.Options.end(), [&](const Formula *U) {
+          return U->updateValue()->isSignal() &&
+                 U->updateValue()->name() == CU.Cell;
+        });
+    assert(Self != CU.Options.end() && "every cell has a self-update");
+    Choices.push_back(static_cast<unsigned>(Self - CU.Options.begin()));
+  }
+  return encodeOutput(Choices);
+}
+
 bool Alphabet::holds(const Formula *Atom, const Letter &L) const {
   if (Atom->is(Formula::Kind::Pred)) {
     int I = predicateIndex(Atom->pred());

@@ -82,6 +82,9 @@ public:
   std::vector<unsigned> decodeOutput(uint32_t OutputIndex) const;
   /// Inverse of decodeOutput.
   uint32_t encodeOutput(const std::vector<unsigned> &Choices) const;
+  /// The output letter in which every cell fires its self-update
+  /// [c <- c], i.e. keeps its value.
+  uint32_t idleOutput() const;
 
   /// Truth of an atom under \p L. The atom must be a Pred or Update node
   /// registered in this alphabet.

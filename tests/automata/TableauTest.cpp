@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace temos;
 
 namespace {
@@ -102,6 +104,30 @@ TEST_F(TableauTest, ReleaseSemantics) {
   EXPECT_TRUE(sat("p R q"));
   EXPECT_FALSE(sat("(p R q) && (! q)"));
   EXPECT_FALSE(sat("(false R q) && F (! q)")); // G q && F !q.
+}
+
+TEST_F(TableauTest, PeeledInvariantDecidesLikeTheUnpeeledConjunct) {
+  // At the top level, G !(p && q) is peeled off as the input-letter
+  // filter; !(p && q) W false says the same and is expanded like any
+  // other obligation. Both must decide alike, also where the rest needs
+  // a letter the invariant rules out.
+  for (std::string Rest :
+       {"F (p && q)", "G F p && G F q", "F (p && X q)", "G p && F q", "true"}) {
+    SCOPED_TRACE(Rest);
+    EXPECT_EQ(sat("G ! (p && q) && " + Rest),
+              sat("(! (p && q) W false) && " + Rest));
+  }
+  EXPECT_FALSE(sat("G ! (p && q) && F (p && q)"));
+  EXPECT_FALSE(sat("G ! (p && q) && G p && F q"));
+  EXPECT_TRUE(sat("G ! (p && q) && G F p && G F q"));
+
+  // The invariant adds no tableau state: only its letters are recorded.
+  const Formula *F = formula("G ! (p && q)");
+  Alphabet A = Alphabet::build(Spec, Ctx, {F});
+  TableauStats Stats;
+  Nba N = buildNba(F, Ctx, A, &Stats);
+  EXPECT_EQ(N.inputs().size(), A.inputLetterCount() - 1);
+  EXPECT_EQ(Stats.GeneralizedStates, 2u); // {true} and {}.
 }
 
 TEST_F(TableauTest, NextInteraction) {

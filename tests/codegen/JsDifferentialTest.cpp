@@ -150,4 +150,66 @@ TEST(JsDifferential, CounterControllerMatchesInterpreter) {
     EXPECT_EQ(Lines[I], Native[I]) << "step " << I;
 }
 
+TEST(JsDifferential, LetterOutsideTheAssumptionsKeepsStateAndCells) {
+  if (!nodeAvailable())
+    GTEST_SKIP() << "node not available";
+
+  Context Ctx;
+  auto Spec = parseSpecification(R"(
+    #LIA#
+    spec Guarded
+    inputs { int x; }
+    cells { int m = 0; }
+    always assume { x >= 0; x <= 9; }
+    always guarantee {
+      G (x < 5 -> X [m <- m + 1]);
+      G (x >= 5 -> X [m <- x]);
+    }
+  )", Ctx);
+  ASSERT_TRUE(Spec.ok()) << Spec.error().str();
+  Synthesizer Synth(Ctx);
+  PipelineResult R = Synth.run(*Spec);
+  ASSERT_EQ(R.Status, Realizability::Realizable);
+  // The assumption is an input-only invariant: the machine answers only
+  // letters with 0 <= x <= 9.
+  ASSERT_LT(R.Machine->inputs().size(), R.Machine->inputCount());
+
+  // x = 12 and x = -3 break the assumption: no case matches, so the
+  // state and every cell keep their values.
+  const int64_t Xs[] = {3, 7, 12, 2, -3, 6, 12, 1};
+  const size_t Steps = 8;
+  std::vector<std::string> Native;
+  Controller C(*R.Machine, R.AB, *Spec);
+  for (size_t I = 0; I < Steps; ++I) {
+    const uint32_t State = C.state();
+    const std::string Before = C.cell("m").str();
+    ASSERT_TRUE(C.step({{"x", Value::integer(Xs[I])}}).has_value());
+    Native.push_back(C.cell("m").str());
+    if (Xs[I] < 0 || Xs[I] > 9) {
+      EXPECT_EQ(C.state(), State) << "step " << I;
+      EXPECT_EQ(Native.back(), Before) << "step " << I;
+    }
+  }
+
+  std::string Js = emitJavaScript(*R.Machine, R.AB, *Spec);
+  std::string Script = Js + "\nconst c = createController({});\n";
+  for (size_t I = 0; I < Steps; ++I)
+    Script += "console.log(c.step({x: " + std::to_string(Xs[I]) + "}).m);\n";
+  std::string Path = ::testing::TempDir() + "/temos_guarded_diff.js";
+  {
+    std::ofstream Out(Path);
+    Out << Script;
+  }
+  std::string Output = runNode(Path);
+  ASSERT_FALSE(Output.empty());
+
+  std::vector<std::string> Lines;
+  for (const std::string &Line : split(Output, '\n'))
+    if (!trim(Line).empty())
+      Lines.push_back(trim(Line));
+  ASSERT_EQ(Lines.size(), Steps);
+  for (size_t I = 0; I < Steps; ++I)
+    EXPECT_EQ(Lines[I], Native[I]) << "step " << I;
+}
+
 } // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 using namespace temos;
 
 namespace {
@@ -29,12 +32,70 @@ TEST_F(ConsistencyCheckerTest, MutexExample) {
 }
 
 TEST_F(ConsistencyCheckerTest, ConsistentPredicatesProduceNothing) {
+  // Predicates over different signals: all four polarity combinations
+  // are satisfiable. (x < 5 and x > 0 are not such a pair: x >= 5 and
+  // x <= 0 contradict each other.)
   const Term *X = Ctx.Terms.signal("x", Sort::Int);
+  const Term *Y = Ctx.Terms.signal("y", Sort::Int);
   std::vector<const Term *> Preds = {cmp("<", X, Ctx.Terms.numeral(5)),
-                                     cmp(">", X, Ctx.Terms.numeral(0))};
+                                     cmp(">", Y, Ctx.Terms.numeral(0))};
   ConsistencyResult R = checkConsistency(Preds, Theory::LIA, Ctx);
   EXPECT_TRUE(R.Assumptions.empty());
-  EXPECT_GT(R.SolverQueries, 0u);
+  // Two single literals per predicate, four mixed pairs.
+  EXPECT_EQ(R.SolverQueries, 8u);
+}
+
+TEST_F(ConsistencyCheckerTest, MixedPolarityCore) {
+  // x <= 10 and x > 10 partition the integers: both true and both false
+  // are impossible, so the environment never produces either letter.
+  const Term *X = Ctx.Terms.signal("x", Sort::Int);
+  std::vector<const Term *> Preds = {cmp("<=", X, Ctx.Terms.numeral(10)),
+                                     cmp(">", X, Ctx.Terms.numeral(10))};
+  ConsistencyResult R = checkConsistency(Preds, Theory::LIA, Ctx);
+  ASSERT_EQ(R.Assumptions.size(), 2u);
+  EXPECT_EQ(R.Assumptions[0]->str(), "G ! ((x <= 10) && (x > 10))");
+  EXPECT_EQ(R.Assumptions[1]->str(), "G ! (! (x <= 10) && ! (x > 10))");
+}
+
+TEST_F(ConsistencyCheckerTest, ValidPredicateFoldsToAlways) {
+  // x <= x is valid: its negation alone is the core, emitted as G p.
+  const Term *X = Ctx.Terms.signal("x", Sort::Int);
+  std::vector<const Term *> Preds = {cmp("<=", X, X)};
+  ConsistencyResult R = checkConsistency(Preds, Theory::LIA, Ctx);
+  ASSERT_EQ(R.Assumptions.size(), 1u);
+  EXPECT_EQ(R.Assumptions[0]->str(), "G (x <= x)");
+}
+
+TEST_F(ConsistencyCheckerTest, WideMasksMatchAcrossThreadCounts) {
+  // Two mask bits per predicate: from 17 predicates on the masks pass
+  // 32 bits. x > i && !(x > j) is unsat exactly when j < i, so every
+  // pair of predicates has one mixed core, including the top ones.
+  for (size_t N : {17u, 20u}) {
+    const Term *X = Ctx.Terms.signal("x", Sort::Int);
+    std::vector<const Term *> Preds;
+    for (size_t I = 0; I < N; ++I)
+      Preds.push_back(
+          cmp(">", X, Ctx.Terms.numeral(static_cast<int64_t>(I))));
+    ConsistencyOptions Options;
+    Options.MaxSubsetSize = 2;
+    auto Render = [&](SolverService *Service) {
+      std::string Out;
+      for (const Formula *A :
+           checkConsistency(Preds, Theory::LIA, Ctx, Options, Service)
+               .Assumptions)
+        Out += A->str() + "\n";
+      return Out;
+    };
+    const std::string Serial = Render(nullptr);
+    SolverService::Config C;
+    C.NumThreads = 4;
+    SolverService Parallel(Theory::LIA, C);
+    EXPECT_EQ(Serial, Render(&Parallel)) << N << " predicates";
+    EXPECT_EQ(std::count(Serial.begin(), Serial.end(), '\n'),
+              static_cast<long>(N * (N - 1) / 2));
+    const std::string Top = "(x > " + std::to_string(N - 1) + ")";
+    EXPECT_NE(Serial.find(Top), std::string::npos) << Serial;
+  }
 }
 
 TEST_F(ConsistencyCheckerTest, SingleLiteralContradiction) {
@@ -62,8 +123,9 @@ TEST_F(ConsistencyCheckerTest, MinimalCoresSuppressSupersets) {
   ConsistencyOptions Full;
   Full.MinimalCoresOnly = false;
   ConsistencyResult RFull = checkConsistency(Preds, Theory::LIA, Ctx, Full);
-  // Powerset mode reports the pair and its size-3 superset.
-  EXPECT_EQ(RFull.Assumptions.size(), 2u);
+  // Powerset mode reports the pair and its two size-3 supersets (with
+  // z < 3 and with its negation).
+  EXPECT_EQ(RFull.Assumptions.size(), 3u);
   EXPECT_GE(RFull.SolverQueries, RMin.SolverQueries);
 }
 

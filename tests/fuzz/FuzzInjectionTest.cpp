@@ -70,6 +70,13 @@ TEST(FuzzInjection, CoreNotSubsetCaughtByCheckSatOracle) {
       "checksat-core");
 }
 
+/// A consistency core written with one literal in the wrong polarity
+/// is satisfiable: the theory oracle's ground check must catch it.
+TEST(FuzzInjection, FlipCoreLiteralCaughtByTheoryOracle) {
+  expectDetected(runTheoryOracle(faultOptions(FaultKind::FlipCoreLiteral, 100)),
+                 "theory");
+}
+
 /// The spin-hang probe is a liveness check on the deadline subsystem: a
 /// planted non-terminating SyGuS enumeration under a ~0.3s budget must
 /// come back with a sygus Timeout record within 2x the budget. A
@@ -94,7 +101,8 @@ TEST(FuzzInjection, FaultNamesRoundTrip) {
   const FaultKind Kinds[] = {FaultKind::FlipStrict, FaultKind::DropConjunct,
                              FaultKind::MutatePrint, FaultKind::SkipVerify,
                              FaultKind::LazyConfig, FaultKind::SpinHang,
-                             FaultKind::CoreNotSubset};
+                             FaultKind::CoreNotSubset,
+                             FaultKind::FlipCoreLiteral};
   for (FaultKind K : Kinds) {
     FaultKind Parsed = FaultKind::None;
     ASSERT_TRUE(parseFaultKind(faultName(K), Parsed)) << faultName(K);

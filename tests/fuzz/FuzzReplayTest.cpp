@@ -78,7 +78,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ReplayCase{FaultKind::LazyConfig, runPipelineOracle, 15},
                       ReplayCase{FaultKind::SpinHang, runPipelineOracle, 5},
                       ReplayCase{FaultKind::CoreNotSubset,
-                                 runCheckSatCoreOracle, 20}),
+                                 runCheckSatCoreOracle, 20},
+                      ReplayCase{FaultKind::FlipCoreLiteral, runTheoryOracle,
+                                 100}),
     [](const ::testing::TestParamInfo<ReplayCase> &Info) {
       std::string Name = faultName(Info.param.Fault);
       for (char &Ch : Name)

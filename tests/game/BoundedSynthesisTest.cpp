@@ -239,6 +239,22 @@ TEST_F(BoundedSynthesisTest, BudgetRecoveryAfterRaise) {
   EXPECT_EQ(Engine.synthesize(F, Ctx, AB).Status, Realizability::Realizable);
 }
 
+TEST_F(BoundedSynthesisTest, ContradictoryInputAssumptionsLeaveNoLetter) {
+  // G p && G !p: the environment cannot produce any letter, so every
+  // play already satisfies the specification. The machine answers no
+  // letter and idles on all of them.
+  auto R = synth("(G p && G ! p) -> G [x <- x + 1]");
+  ASSERT_EQ(R.Status, Realizability::Realizable);
+  EXPECT_EQ(R.Stats.InputLetters, 0u);
+  const MealyMachine &M = *R.Machine;
+  EXPECT_TRUE(M.inputs().empty());
+  EXPECT_EQ(M.stateCount(), 1u);
+  for (uint32_t In = 0; In < M.inputCount(); ++In) {
+    EXPECT_EQ(M.step(0, In).NextState, 0u);
+    EXPECT_EQ(M.step(0, In).Output, AB.idleOutput());
+  }
+}
+
 TEST_F(BoundedSynthesisTest, MachineEdgesAreTotal) {
   auto R = synth("G (p -> [x <- x + 1])");
   ASSERT_EQ(R.Status, Realizability::Realizable);
