@@ -155,18 +155,18 @@ struct LazyPin {
 };
 
 const LazyPin LazyPins[] = {
-    {"Vibrato", Realizability::Realizable, 3, 3, 45},
-    {"Modulation", Realizability::Realizable, 3, 3, 45},
-    {"Single-Player", Realizability::Realizable, 2, 2, 18},
-    {"Two-Player", Realizability::Realizable, 2, 2, 18},
-    {"Bouncing", Realizability::Realizable, 3, 3, 33},
-    {"Automatic", Realizability::Realizable, 2, 3, 18},
+    {"Vibrato", Realizability::Realizable, 3, 4, 15},
+    {"Modulation", Realizability::Realizable, 3, 4, 15},
+    {"Single-Player", Realizability::Realizable, 2, 5, 17},
+    {"Two-Player", Realizability::Realizable, 2, 5, 17},
+    {"Bouncing", Realizability::Realizable, 3, 3, 32},
+    {"Automatic", Realizability::Realizable, 2, 8, 17},
     {"Simple", Realizability::Realizable, 1, 0, 2},
     {"Counting", Realizability::Realizable, 1, 0, 2},
     {"Bidirectional", Realizability::Realizable, 1, 0, 2},
     {"Smart", Realizability::Realizable, 2, 1, 15},
-    {"Round Robin", Realizability::Realizable, 2, 2, 24},
-    {"Preemptive", Realizability::Realizable, 2, 2, 12},
+    {"Round Robin", Realizability::Realizable, 2, 3, 13},
+    {"Preemptive", Realizability::Realizable, 2, 3, 14},
 };
 
 TEST(SynthesizerLazyPin, BundledRows) {
