@@ -59,7 +59,7 @@ TEST(GoldenPipeline, IntroCounterArtifacts) {
 
   // Generated code is byte-stable.
   std::string Js = emitJavaScript(*R.Machine, R.AB, *Spec);
-  EXPECT_EQ(countLines(Js), 179u);
+  EXPECT_EQ(countLines(Js), 147u);
 }
 
 TEST(GoldenPipeline, VibratoArtifacts) {
@@ -82,14 +82,17 @@ TEST(GoldenPipeline, VibratoArtifacts) {
   PipelineResult R = Synth.run(*Spec);
   ASSERT_EQ(R.Status, Realizability::Realizable);
 
-  // The two threshold-crossing loop assumptions plus consistency.
-  ASSERT_EQ(R.Assumptions.size(), 3u);
+  // The two threshold-crossing loop assumptions plus consistency: the
+  // thresholds can hold neither both at once nor neither.
+  ASSERT_EQ(R.Assumptions.size(), 4u);
   EXPECT_EQ(R.Assumptions[0]->str(),
             "G ! ((lfoFreq <= 10) && (lfoFreq > 10))");
   EXPECT_EQ(R.Assumptions[1]->str(),
+            "G ! (! (lfoFreq <= 10) && ! (lfoFreq > 10))");
+  EXPECT_EQ(R.Assumptions[2]->str(),
             "G (((lfoFreq <= 10) && ([lfoFreq <- (lfoFreq + 1)] W "
             "(lfoFreq > 10))) -> F (lfoFreq > 10))");
-  EXPECT_EQ(R.Assumptions[2]->str(),
+  EXPECT_EQ(R.Assumptions[3]->str(),
             "G (((lfoFreq > 10) && ([lfoFreq <- (lfoFreq - 1)] W "
             "(lfoFreq <= 10))) -> F (lfoFreq <= 10))");
   EXPECT_EQ(R.Stats.PredicateCount, 2u);

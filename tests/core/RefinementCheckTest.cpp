@@ -132,7 +132,7 @@ TEST(RefinementCheckCfs, RefinementIsDecidedByTheCore) {
   EXPECT_EQ(R.Status, Realizability::Realizable);
   EXPECT_EQ(R.Stats.Refinements, 1u);
   ASSERT_TRUE(R.Machine.has_value());
-  EXPECT_EQ(R.Machine->stateCount(), 79u);
+  EXPECT_EQ(R.Machine->stateCount(), 78u);
   ASSERT_EQ(R.SygusAssumptions.size(), Round0.SygusAssumptions.size());
   for (size_t I = 0; I < R.SygusAssumptions.size(); ++I)
     EXPECT_EQ(R.SygusAssumptions[I].Assumption ==
