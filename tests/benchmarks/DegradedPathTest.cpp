@@ -11,8 +11,8 @@
 /// the deadline subsystem (polls are read-only; the budget is not part
 /// of any cache key).
 ///
-/// The three slowest benchmarks (Multi-effect, Load Balancer, CFS) only
-/// run their unfired-parity leg when TEMOS_GOLDEN_SLOW is set, mirroring
+/// The two slowest benchmarks (Load Balancer, CFS) only run their
+/// unfired-parity leg when TEMOS_GOLDEN_SLOW is set, mirroring
 /// the golden-file suite; the tiny-budget leg is cheap (it aborts within
 /// the budget) and always runs.
 ///
@@ -43,7 +43,7 @@ struct DegradedBenchmark {
 
 const DegradedBenchmark DegradedBenchmarks[] = {
     {"Vibrato", false},       {"Modulation", false},
-    {"Intertwined", false},   {"Multi-effect", true},
+    {"Intertwined", false},   {"Multi-effect", false},
     {"Single-Player", false}, {"Two-Player", false},
     {"Bouncing", false},      {"Automatic", false},
     {"Simple", false},        {"Counting", false},

@@ -11,8 +11,8 @@
 /// (NBA cache hits, arena states kept alive) without changing the
 /// output.
 ///
-/// The three slowest benchmarks (Multi-effect, Load Balancer, CFS) only
-/// run when TEMOS_GOLDEN_SLOW is set, mirroring the golden-file suite.
+/// The two slowest benchmarks (Load Balancer, CFS) only run when
+/// TEMOS_GOLDEN_SLOW is set, mirroring the golden-file suite.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +40,7 @@ struct ParityBenchmark {
 
 const ParityBenchmark ParityBenchmarks[] = {
     {"Vibrato", false},       {"Modulation", false},
-    {"Intertwined", false},   {"Multi-effect", true},
+    {"Intertwined", false},   {"Multi-effect", false},
     {"Single-Player", false}, {"Two-Player", false},
     {"Bouncing", false},      {"Automatic", false},
     {"Simple", false},        {"Counting", false},

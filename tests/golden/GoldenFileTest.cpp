@@ -9,9 +9,8 @@
 ///
 ///   scripts/regen_goldens.sh build/src/tools/temos
 ///
-/// The three slowest benchmarks (Multi-effect ~80s, Load Balancer,
-/// CFS) only run when TEMOS_GOLDEN_SLOW is set, so the default suite
-/// stays fast.
+/// The two slowest benchmarks (Load Balancer, CFS) only run when
+/// TEMOS_GOLDEN_SLOW is set, so the default suite stays fast.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +37,7 @@ const GoldenBenchmark Benchmarks[] = {
     {"Vibrato", "vibrato", false},
     {"Modulation", "modulation", false},
     {"Intertwined", "intertwined", false},
-    {"Multi-effect", "multi_effect", true},
+    {"Multi-effect", "multi_effect", false},
     {"Single-Player", "single_player", false},
     {"Two-Player", "two_player", false},
     {"Bouncing", "bouncing", false},
