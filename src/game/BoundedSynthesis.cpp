@@ -4,9 +4,10 @@
 // successor relation does not depend on the bound k -- only the overflow
 // cutoff does. Every explored move therefore records its *weight* (the
 // largest counter value it produces); a move is legal at bound B iff
-// weight <= B. Escalating the bound re-examines the moves that
-// overflowed at the old cutoff instead of re-deriving the reachable
-// graph, and solving restricts the fixpoint to moves of weight <= B.
+// weight <= B. Escalating the bound expands the states that had a move
+// past the old cutoff once more, through the same waves as the first
+// exploration, instead of re-deriving the reachable graph, and solving
+// restricts the fixpoint to moves of weight <= B.
 //
 // Successors are computed per (game state, input letter) for all output
 // letters at once. The successor cache keeps, per UCW state, one edge per
@@ -23,10 +24,12 @@
 //    move for k' >= k and produces the same successor), so the
 //    cumulative arena restricted to weight <= B is exactly the bound-B
 //    game, and the bound-B subgraph is closed under its own moves.
+//  * Re-expanding a state at a higher cutoff finds its legal targets
+//    again and interns the newly legal ones in (state, input, output)
+//    order, so state ids do not depend on the schedule's history.
 //  * The greatest fixpoint over the full arena therefore assigns every
 //    bound-B-reachable state the same winning value as the bound-B game
-//    would, and certificate pinning only ever pins truly winning states
-//    (winning transfers upward in k).
+//    would.
 //  * Strategy extraction renumbers states breadth-first from the
 //    initial state picking the least winning output per input, which is
 //    invariant under arena state numbering -- incremental and
@@ -187,8 +190,9 @@ SuccScratch &succScratch() {
 }
 
 /// The persistent counting-game arena for one (UCW, alphabet, budget).
-/// Interned states, weighted move lists, and the still-overflowing move
-/// list all survive bound escalation and repeated solve calls.
+/// Interned states, weighted move lists, and the list of states with a
+/// move past the cutoff all survive bound escalation and repeated solve
+/// calls.
 class GameArena {
 public:
   GameArena(std::shared_ptr<const Nba> UcwPtr, const Alphabet &AB,
@@ -203,24 +207,22 @@ public:
   GameArena &operator=(const GameArena &) = delete;
 
   /// Extends exploration so every move of weight <= \p B is present.
-  /// Returns false when the state budget is exhausted or \p Dl expired
-  /// (verdict: Unknown; timedOut() distinguishes). Successor cells of a
-  /// wave of frontier states are computed across \p Pool and merged in
-  /// wave order; the arena is identical for every pool width (an inline
-  /// pool expands one state per wave). Deadline polls happen only at
-  /// wave boundaries, where the arena is exactly a sequential-execution
-  /// prefix: an interrupted extension can be resumed (or the arena
-  /// reused) without breaking determinism.
+  /// Escalating the bound puts the states that had a move past the old
+  /// cutoff back at the front of the frontier, where they are expanded
+  /// again at cutoff \p B. Returns false when the state budget is
+  /// exhausted or \p Dl expired (verdict: Unknown; timedOut()
+  /// distinguishes); the arena is then a partial extension, not to be
+  /// used again. Successor cells of a wave of frontier states are
+  /// computed across \p Pool and merged in wave order; the arena is
+  /// identical for every pool width (an inline pool expands one state per
+  /// wave).
   bool extendTo(unsigned B, SolverPool &Pool, const Deadline &Dl);
 
-  /// Solves the bound-\p B safety game over the explored arena,
-  /// seeding the fixpoint with winning certificates of bounds <= B and
-  /// recording the result as the bound-B certificate. Requires a
-  /// successful extendTo(B). Returns null when \p Dl expires
-  /// mid-fixpoint; a partial fixpoint is an over-approximation of the
-  /// winning region, so it is neither returned nor recorded as a
-  /// certificate.
-  const std::vector<char> *solve(unsigned B, const Deadline &Dl);
+  /// Solves the bound-\p B safety game over the explored arena: the
+  /// winning flag of every state. Requires a successful extendTo(B).
+  /// Returns nullopt when \p Dl expires mid-fixpoint; a partial fixpoint
+  /// is an over-approximation of the winning region.
+  std::optional<std::vector<char>> solve(unsigned B, const Deadline &Dl);
 
   /// Whether the last failed extendTo()/solve() was stopped by the
   /// deadline rather than the state budget.
@@ -238,33 +240,12 @@ public:
   size_t stateBudget() const { return StateBudget; }
   /// (state, input, output) triples examined since construction.
   size_t lettersExplored() const { return LettersExplored; }
-  bool exhausted() const { return Exhausted; }
-
-  /// True if serving \p Schedule would need a bound this exhausted
-  /// arena can neither solve from its usable prefix nor extend to
-  /// (extension already failed at a higher bound, but a *smaller*
-  /// unexplored bound might still fit the budget from scratch).
-  bool needsRebuildFor(const std::vector<unsigned> &Schedule) const {
-    if (!Exhausted)
-      return false;
-    for (unsigned B : Schedule)
-      if (static_cast<int64_t>(B) > ExploredBound &&
-          static_cast<int64_t>(B) < ExhaustedBound)
-        return true;
-    return false;
-  }
 
 private:
   struct Move {
     uint32_t Out;
     uint32_t Target;
     uint32_t Weight;
-  };
-  /// In is a position in Inputs, as everywhere in the arena.
-  struct OverflowMove {
-    uint32_t S;
-    uint32_t In;
-    uint32_t Out;
   };
 
   /// Interns \p Counts, enqueueing new states for expansion (the range
@@ -284,14 +265,6 @@ private:
     Moves.emplace_back();
     Pending.push_back(Id);
     return Id;
-  }
-
-  void ensureSucc(const CountVector &Counts) {
-    for (const auto &[Q, Count] : Counts) {
-      (void)Count;
-      if (!Succ.filled(Q))
-        Succ.fill(Q);
-    }
   }
 
   /// Computes every output letter's successor of (Counts, In) with
@@ -369,19 +342,6 @@ private:
     }
   }
 
-  void insertMoveSorted(uint32_t S, uint32_t In, Move M) {
-    std::vector<Move> &List = Moves[S][In];
-    auto Pos = std::lower_bound(
-        List.begin(), List.end(), M,
-        [](const Move &A, const Move &B) { return A.Out < B.Out; });
-    List.insert(Pos, M);
-  }
-
-  void markExhausted(unsigned B) {
-    Exhausted = true;
-    ExhaustedBound = B;
-  }
-
   bool drainPending(unsigned B, SolverPool &Pool, const Deadline &Dl);
 
   std::shared_ptr<const Nba> UcwPtr;
@@ -398,22 +358,13 @@ private:
   /// Moves[state][input position], sorted by output letter; only moves
   /// whose weight fit the explored bound are present.
   std::vector<std::vector<std::vector<Move>>> Moves;
-  /// Moves that overflowed every cutoff tried so far, re-examined when
-  /// the bound escalates.
-  std::vector<OverflowMove> Overflow;
-  /// Interned-but-unexpanded frontier (FIFO).
+  /// States with a move past the explored bound's cutoff, in merge
+  /// order: expanded again when the bound escalates.
+  std::vector<uint32_t> Overflowing;
+  /// Frontier still to be expanded (FIFO).
   std::deque<uint32_t> Pending;
   /// Highest bound fully explored; -1 = nothing expanded yet.
   int64_t ExploredBound = -1;
-  bool Exhausted = false;
-  int64_t ExhaustedBound = -1;
-
-  /// Winning-region certificates: (bound, winning flags over the first
-  /// |cert| arena states at solve time). Winning transfers upward in
-  /// the bound, so any certificate of bound <= B pins states when
-  /// solving bound B.
-  std::vector<std::pair<unsigned, std::vector<char>>> Certificates;
-  std::vector<char> CurrentWinning;
   /// Last failure cause: deadline (true) vs. state budget (false).
   bool TimedOut = false;
   size_t LettersExplored = 0;
@@ -421,47 +372,13 @@ private:
 
 bool GameArena::extendTo(unsigned B, SolverPool &Pool, const Deadline &Dl) {
   TimedOut = false;
-  if (Exhausted) {
-    // The usable prefix (bounds <= ExploredBound) remains exact; any
-    // further extension already failed the budget.
-    return static_cast<int64_t>(B) <= ExploredBound;
-  }
   if (static_cast<int64_t>(B) <= ExploredBound)
     return true;
-  if (Dl.expired()) {
-    // Poll only before the overflow re-examination mutates anything:
-    // aborting mid-loop would leave duplicate moves on resume.
-    TimedOut = true;
-    return false;
-  }
-
-  // Re-examine previously overflowing moves at the new cutoff, one
-  // successor batch per run of the same (state, input): a state's moves
-  // overflow in (input, output) order. Entries whose source states were
-  // expanded earlier have their successor cache rows filled already.
-  std::vector<OverflowMove> Still;
-  Still.reserve(Overflow.size());
-  SuccessorBatch &Batch = succScratch().Batch;
-  for (size_t I = 0; I < Overflow.size(); ++I) {
-    const OverflowMove &OM = Overflow[I];
-    ++LettersExplored;
-    if (I == 0 || OM.S != Overflow[I - 1].S || OM.In != Overflow[I - 1].In) {
-      ensureSucc(States[OM.S]);
-      successors(States[OM.S], Inputs[OM.In], B, Batch);
-    }
-    if (!Batch.legal(OM.Out)) {
-      Still.push_back(OM);
-      continue;
-    }
-    std::optional<uint32_t> Target = internState(Batch.Next[OM.Out]);
-    if (!Target) {
-      markExhausted(B);
-      return false;
-    }
-    insertMoveSorted(OM.S, OM.In, {OM.Out, *Target, Batch.Weight[OM.Out]});
-  }
-  Overflow = std::move(Still);
-
+  // Pending is empty here unless nothing is expanded yet (then nothing
+  // overflows either): on escalation the overflowing states are the
+  // frontier, expanded again in merge order.
+  Pending.insert(Pending.begin(), Overflowing.begin(), Overflowing.end());
+  Overflowing.clear();
   if (!drainPending(B, Pool, Dl))
     return false;
   ExploredBound = B;
@@ -498,9 +415,6 @@ bool GameArena::drainPending(unsigned B, SolverPool &Pool,
 
   while (!Pending.empty()) {
     if (Dl.expired()) {
-      // Wave boundary: every popped wave is fully merged and Pending
-      // holds the untouched frontier, i.e. the arena is exactly some
-      // sequential-execution prefix. Safe to stop (and to resume).
       TimedOut = true;
       return false;
     }
@@ -558,57 +472,48 @@ bool GameArena::drainPending(unsigned B, SolverPool &Pool,
       const Slot &Sl = Slots[W];
       Moves[S].assign(NumInputs, {});
       LettersExplored += Sl.Items.size();
+      bool Overflows = false;
       for (const Item &It : Sl.Items) {
         if (!It.Legal) {
-          Overflow.push_back({S, It.In, It.Out});
+          Overflows = true;
           continue;
         }
         std::optional<uint32_t> Target =
             internState({Sl.Counts.data() + It.Offset, It.Length});
-        if (!Target) {
-          markExhausted(B);
+        if (!Target)
           return false;
-        }
         Moves[S][It.In].push_back({It.Out, *Target, It.Weight});
       }
+      if (Overflows)
+        Overflowing.push_back(S);
     }
   }
   return true;
 }
 
-const std::vector<char> *GameArena::solve(unsigned B, const Deadline &Dl) {
+std::optional<std::vector<char>> GameArena::solve(unsigned B,
+                                                  const Deadline &Dl) {
   // Greatest fixpoint: a state is winning while for every input some
-  // legal (weight <= B) output leads to a winning state. States covered
-  // by a certificate of a smaller-or-equal bound are winning a priori
-  // and pinned out of the iteration.
+  // legal (weight <= B) output leads to a winning state.
   TimedOut = false;
-  CurrentWinning.assign(States.size(), 1);
-  std::vector<char> Pinned(States.size(), 0);
-  for (const auto &[CertBound, Cert] : Certificates) {
-    if (CertBound > B)
-      continue;
-    for (size_t I = 0; I < Cert.size() && I < Pinned.size(); ++I)
-      if (Cert[I])
-        Pinned[I] = 1;
-  }
-
+  std::vector<char> Winning(States.size(), 1);
   bool Changed = true;
   while (Changed) {
     if (Dl.expired()) {
       // A partially-converged gfp over-approximates the winning region:
-      // unsound to report or to pin as a certificate. Drop it.
+      // unsound to report. Drop it.
       TimedOut = true;
-      return nullptr;
+      return std::nullopt;
     }
     Changed = false;
     for (uint32_t S = 0; S < States.size(); ++S) {
-      if (!CurrentWinning[S] || Pinned[S])
+      if (!Winning[S])
         continue;
       bool Safe = true;
       for (const std::vector<Move> &PerInput : Moves[S]) {
         bool SomeOutputWins = false;
         for (const Move &M : PerInput) {
-          if (M.Weight <= B && CurrentWinning[M.Target]) {
+          if (M.Weight <= B && Winning[M.Target]) {
             SomeOutputWins = true;
             break;
           }
@@ -619,19 +524,12 @@ const std::vector<char> *GameArena::solve(unsigned B, const Deadline &Dl) {
         }
       }
       if (!Safe) {
-        CurrentWinning[S] = 0;
+        Winning[S] = 0;
         Changed = true;
       }
     }
   }
-
-  for (auto &[CertBound, Cert] : Certificates)
-    if (CertBound == B) {
-      Cert = CurrentWinning;
-      return &CurrentWinning;
-    }
-  Certificates.emplace_back(B, CurrentWinning);
-  return &CurrentWinning;
+  return Winning;
 }
 
 MealyMachine GameArena::extract(unsigned B,
@@ -699,10 +597,6 @@ MealyMachine GameArena::extract(unsigned B,
   return M;
 }
 
-std::string limitsKey(const TableauLimits &Limits) {
-  return "g" + std::to_string(Limits.MaxGeneralizedStates);
-}
-
 } // namespace
 
 struct SynthesisEngine::Impl {
@@ -763,8 +657,10 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
   Entry *Memo = nullptr;
   if (Incremental) {
     const Formula *Nnf = Ctx.Formulas.toNNF(Negated);
-    std::string Key = AB.signatureKey() + "|" + limitsKey(Options.Tableau) +
-                      "|" + Nnf->str();
+    std::string Key =
+        AB.signatureKey() + "|g" +
+        std::to_string(Options.Tableau.MaxGeneralizedStates) + "|" +
+        Nnf->str();
     auto It = Entries.find(Key);
     if (It != Entries.end()) {
       Memo = &It->second;
@@ -808,10 +704,9 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
   std::unique_ptr<GameArena> Local;
   if (Incremental) {
     // The entry's arena is rebuilt in place for a different state
-    // budget, or when this schedule needs a bound it cannot serve.
+    // budget.
     std::unique_ptr<GameArena> &Kept = Memo->Arena;
-    if (!Kept || Kept->stateBudget() != Options.StateBudget ||
-        Kept->needsRebuildFor(Options.BoundSchedule))
+    if (!Kept || Kept->stateBudget() != Options.StateBudget)
       Kept = std::make_unique<GameArena>(Ucw, AB, Options.StateBudget);
     Arena = Kept.get();
     // The fresh arena holds just the interned initial state; anything
@@ -831,8 +726,8 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
       const size_t Letters0 = Arena->lettersExplored();
       const bool Explored = Arena->extendTo(Bound, Explore, Dl);
       Result.Stats.LettersExplored += Arena->lettersExplored() - Letters0;
-      const std::vector<char> *Winning =
-          Explored ? Arena->solve(Bound, Dl) : nullptr;
+      const std::optional<std::vector<char>> Winning =
+          Explored ? Arena->solve(Bound, Dl) : std::nullopt;
       if (Winning && Arena->initialWinning(*Winning)) {
         Result.Stats.BoundUsed = Bound;
         Result.Stats.GameStates = Arena->stateCount();
@@ -851,6 +746,10 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
     return Realizability::Unrealizable;
   };
   Result.Status = SolveSchedule();
+  // An Unknown call stopped mid-extension or mid-fixpoint: the next call
+  // starts over from a fresh arena.
+  if (Incremental && Result.Status == Realizability::Unknown)
+    Memo->Arena.reset();
   Result.Stats.GameSeconds = GameTimer.seconds();
   return Result;
 }

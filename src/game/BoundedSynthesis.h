@@ -11,7 +11,7 @@
 /// cell). A winning system strategy is extracted as a
 /// Mealy machine.
 ///
-/// The engine is *incremental* along three axes (see
+/// The engine is *incremental* along two axes (see
 /// docs/ARCHITECTURE.md):
 ///
 ///  * One memo entry per (alphabet, tableau limits, NNF rendering of the
@@ -24,13 +24,9 @@
 ///    tables, weighted move lists), kept alive across the whole bound
 ///    schedule and across calls: the counting transition relation does
 ///    not depend on k, only the overflow cutoff does, so escalating the
-///    bound merely re-examines previously overflowing moves instead of
-///    re-deriving the reachable graph.
-///  * Solving bound k' >= k is seeded with the winning-region
-///    certificate of bound k. Winning transfers upward (a bound-k
-///    strategy also keeps counters <= k'), so certified states are
-///    pinned and the fixpoint only iterates on the rest. (The losing
-///    region does *not* transfer upward, so it is never reused.)
+///    bound expands again just the states that had a move past the old
+///    cutoff instead of re-deriving the reachable graph. A call that
+///    ends Unknown drops the arena.
 ///
 /// The arena's successor relation answers every output letter of one
 /// (game state, input letter) in a single pass: each UCW state's edges
@@ -119,9 +115,9 @@ struct SynthesisStats {
   /// started (0 for a fresh arena).
   size_t ArenaStatesReused = 0;
   /// (game state, input letter, output letter) triples this call
-  /// examined: every letter of each expanded state plus every overflowed
-  /// move re-examined at a higher bound. A property of the explored
-  /// game, not of how the successors are computed.
+  /// examined: every letter of each expansion, a state expanded again at
+  /// a higher bound counted again. A property of the explored game, not
+  /// of how the successors are computed.
   size_t LettersExplored = 0;
   /// Input letters the game offered the environment: the UCW's allowed
   /// letters (Nba::inputs()).
@@ -166,9 +162,8 @@ public:
   /// is served from / recorded into the engine's caches. \p Dl bounds
   /// the UCW construction and is polled at wave boundaries of arena
   /// exploration and per gfp iteration; expiry degrades to Unknown with
-  /// Stats.TimedOut set. An interrupted build is never cached, and an
-  /// interrupted extension leaves the arena at a consistent
-  /// sequential-prefix state without certificates, so reuse stays
+  /// Stats.TimedOut set. An interrupted build is never cached, and a
+  /// call that ends Unknown drops its arena, so reuse stays
   /// byte-identical.
   SynthesisResult synthesize(const Formula *Spec, Context &Ctx,
                              const Alphabet &AB,

@@ -8,8 +8,8 @@
 /// pipeline hands it to the engine), CFS's refined round, and synthetic
 /// specs whose output alphabets have exactly 64, exactly 65 and more than
 /// 128 letters (the word boundaries of a 64-letter mask) or whose game
-/// fails bound 1 and escalates to bound 3 (which re-examines the moves
-/// that overflowed bound 1).
+/// fails bound 1 and escalates to bound 3 (which expands the states with
+/// a move past bound 1's cutoff again).
 ///
 /// Each input is solved with jobs 1, with jobs 4 and with
 /// SynthesisOptions::Incremental off, each from a fresh engine. Every
