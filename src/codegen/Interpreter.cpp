@@ -64,7 +64,7 @@ Controller::step(const Assignment &Inputs) {
       Outcome.InputBits |= uint32_t(1) << I;
   }
 
-  MealyMachine::Edge E = M.step(State, Outcome.InputBits);
+  const MealyMachine::Edge &E = M.edge(State, Outcome.InputBits);
   Outcome.OutputLetter = E.Output;
 
   // Apply the chosen updates simultaneously (right-hand sides all read

@@ -58,11 +58,6 @@ public:
     Table[State][InputBits] = E;
   }
 
-  /// Runs one step from \p State on \p InputBits.
-  Edge step(uint32_t State, uint32_t InputBits) const {
-    return Table[State][InputBits];
-  }
-
 private:
   std::vector<std::vector<Edge>> Table;
   std::vector<uint32_t> Answered;

@@ -58,8 +58,9 @@ TEST_P(RationalProperties, FieldAxioms) {
     EXPECT_EQ(A + Rational(0), A);
     EXPECT_EQ(A * Rational(1), A);
     EXPECT_EQ(A - A, Rational(0));
-    if (!B.isZero())
+    if (!B.isZero()) {
       EXPECT_EQ((A / B) * B, A);
+    }
     // Order consistency.
     EXPECT_EQ(A < B, !(B <= A));
     // Floor/ceil bracket the value.
