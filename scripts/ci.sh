@@ -90,8 +90,21 @@ fi
 echo "== programs: examples and Fig. 4 panels run to completion =="
 # Each exits non-zero when its synthesis or case-study check fails; they
 # read BenchmarkRun and PipelineStats, which no unit test drives whole.
-for prog in examples/quickstart examples/escalator examples/pong_game \
-  examples/music_synthesizer bench/fig4_escalator bench/fig4_pong; do
+# The examples run as scripts/run_all.sh runs them, and what they print
+# must match the checked-in examples_output.txt up to reported times.
+normalise_times() { sed -E 's/[0-9]+\.[0-9]+s/<T>s/g'; }
+for e in "$BUILD_DIR"/examples/*; do
+  if [ -f "$e" ] && [ -x "$e" ]; then
+    "$e" 2>&1
+  fi
+done > "$SMOKE_DIR/examples_output.txt"
+if ! diff -u <(normalise_times <examples_output.txt) \
+  <(normalise_times <"$SMOKE_DIR/examples_output.txt"); then
+  echo "the examples' output drifted from examples_output.txt" \
+    "(re-record it with scripts/run_all.sh)"
+  exit 1
+fi
+for prog in bench/fig4_escalator bench/fig4_pong; do
   "$BUILD_DIR/$prog" >/dev/null
 done
 
