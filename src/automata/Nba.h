@@ -2,80 +2,63 @@
 ///
 /// \file
 /// Explicit nondeterministic Buechi automata with transition-based
-/// acceptance over the factored TSL alphabet. Produced by the tableau
-/// (automata/Tableau.h) from the negated specification; consumed
-/// universally (as a universal co-Buechi automaton) by the bounded
-/// synthesis game (game/BoundedSynthesis.h), and directly by the LTL
-/// satisfiability check the refinement loop needs (Alg. 4).
+/// acceptance over the factored TSL alphabet, in the one form both
+/// consumers read: per state, one edge per (target, accepting flag,
+/// input cube) with a bitmask of the output letters it admits. Produced
+/// by the tableau (automata/Tableau.h) from the negated specification;
+/// consumed universally (as a universal co-Buechi automaton) by the
+/// bounded synthesis game (game/BoundedSynthesis.h), and directly by the
+/// LTL satisfiability check the refinement loop needs (Alg. 4).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TEMOS_AUTOMATA_NBA_H
 #define TEMOS_AUTOMATA_NBA_H
 
-#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace temos {
 
-/// A compiled guard over letters: input bits that must match plus
-/// per-cell update requirements. The tableau adds each literal of a
-/// branch as it meets it, so evaluation per letter is O(#requirements).
-/// Ordered member-wise (the tableau deduplicates transitions with it).
-struct LetterConstraint {
-  /// Input bits that are constrained (care mask) and their values.
-  uint32_t InputCare = 0;
-  uint32_t InputValue = 0;
-  /// Per-cell requirements: (cell, option, positive). Positive means the
-  /// cell's choice must equal the option; negative means it must differ.
-  struct UpdateReq {
-    uint16_t Cell = 0;
-    uint16_t Option = 0;
-    bool Positive = true;
-    auto operator<=>(const UpdateReq &) const = default;
-  };
-  std::vector<UpdateReq> Updates;
-
-  auto operator<=>(const LetterConstraint &) const = default;
-
-  /// True if the guard matches the letter (inputs + decoded choices).
-  bool matches(uint32_t InputBits,
-               const std::vector<unsigned> &Choices) const {
-    if ((InputBits & InputCare) != InputValue)
-      return false;
-    for (const UpdateReq &R : Updates) {
-      bool Equal = Choices[R.Cell] == R.Option;
-      if (Equal != R.Positive)
-        return false;
-    }
-    return true;
-  }
-};
-
 /// An explicit NBA with transition-based Buechi acceptance, read over
-/// the input letters it allows (see inputs()).
+/// the input letters it allows (see inputs()). Each state keeps one edge
+/// per (target, accepting flag, input cube); an edge carries the output
+/// letters it admits as a mask of outputWords() words, bit O % 64 of
+/// word O / 64 standing for output letter O.
 class Nba {
 public:
-  struct Transition {
-    LetterConstraint Guard;
+  struct Edge {
     uint32_t Target = 0;
-    /// Transition-based Buechi mark (set after degeneralization).
+    /// Transition-based Buechi mark (set by degeneralization).
     bool Accepting = false;
+    /// Input bits that are constrained (care mask) and their values.
+    uint32_t InputCare = 0;
+    uint32_t InputValue = 0;
+    bool operator==(const Edge &) const = default;
   };
+
+  /// An automaton whose masks have \p OutputWords words (one per 64
+  /// output letters).
+  explicit Nba(size_t OutputWords = 1) : Words(OutputWords) {}
 
   uint32_t addState() {
     States.emplace_back();
     return static_cast<uint32_t>(States.size() - 1);
   }
-  void addTransition(uint32_t From, Transition T) {
-    States[From].push_back(std::move(T));
-  }
+  /// ORs \p Outputs (outputWords() words) into \p From's edge with the
+  /// same target, accepting flag and input cube as \p E, or appends \p E
+  /// with that mask. True if the edge is new.
+  bool addEdge(uint32_t From, const Edge &E, const uint64_t *Outputs);
 
   size_t stateCount() const { return States.size(); }
-  const std::vector<Transition> &transitions(uint32_t State) const {
-    return States[State];
+  size_t outputWords() const { return Words; }
+  const std::vector<Edge> &edges(uint32_t State) const {
+    return States[State].Edges;
+  }
+  /// The output-letter mask of edges(State)[I]: outputWords() words.
+  const uint64_t *outputs(uint32_t State, size_t I) const {
+    return &States[State].Masks[I * Words];
   }
 
   uint32_t initial() const { return Initial; }
@@ -90,17 +73,30 @@ public:
   void setInputs(std::vector<uint32_t> Letters) { Inputs = std::move(Letters); }
 
   /// Nonemptiness: does the automaton accept some word? True iff a cycle
-  /// through an accepting transition is reachable (every guard the
-  /// tableau emits matches some letter over the allowed inputs).
+  /// through an accepting edge is reachable (every edge the tableau
+  /// emits has an output letter and an allowed input letter).
   bool isNonEmpty() const;
 
-  /// For each state: can a run from it still cross an accepting
-  /// transition? Runs through non-live states never reject, so the
-  /// counting game drops them from its tracking sets.
+  /// For each state: can a run from it still cross an accepting edge?
   std::vector<bool> liveStates() const;
 
+  /// Removes every edge into a state liveStates() marks non-live and
+  /// returns the number of edges that remain. Every state on an
+  /// accepting lasso is live, so isNonEmpty() does not change; runs
+  /// through non-live states never reject, so read universally (the
+  /// game's UCW) the automaton rejects the same runs. One pass: a state
+  /// whose accepting edges all led into non-live states loses them but
+  /// keeps its other edges, and edges into it stay.
+  size_t dropDeadEdges();
+
 private:
-  std::vector<std::vector<Transition>> States;
+  struct StateEdges {
+    std::vector<Edge> Edges;
+    /// Edge I's output letters are Masks[I * Words, (I + 1) * Words).
+    std::vector<uint64_t> Masks;
+  };
+  std::vector<StateEdges> States;
+  size_t Words;
   std::vector<uint32_t> Inputs;
   uint32_t Initial = 0;
 };

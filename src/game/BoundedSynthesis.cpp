@@ -10,14 +10,15 @@
 // restricts the fixpoint to moves of weight <= B.
 //
 // Successors are computed per (game state, input letter) for all output
-// letters at once. The successor cache keeps, per UCW state, one edge per
-// (live target, accepting flag, input guard) with the output letters it
-// admits as a mask of ceil(|Out| / 64) words. One pass over the active
-// (UCW state, counter) pairs ORs each matching edge's mask into the row
-// of (counter + accepting, target); the rows are then scattered, targets
-// in ascending id and levels from the top down, into every letter's
-// successor, which comes out sorted and equal to the letter-by-letter
-// definition (the largest counter per target, illegal past the cutoff).
+// letters at once. The tableau emits the UCW in the form this needs:
+// per state, one edge per (live target, accepting flag, input cube) with
+// the output letters it admits as a mask (Nba::edges(), Nba::outputs()).
+// One pass over the active (UCW state, counter) pairs ORs each matching
+// edge's mask into the row of (counter + accepting, target); the rows
+// are then scattered, targets in ascending id and levels from the top
+// down, into every letter's successor, which comes out sorted and equal
+// to the letter-by-letter definition (the largest counter per target,
+// illegal past the cutoff).
 //
 // Parity with the from-scratch engine is structural, not accidental:
 //  * Reachable sets are monotone in k (a bound-k move is a bound-k'
@@ -74,90 +75,6 @@ std::string countKey(std::span<const CountEntry> Counts) {
 /// stands for output letter O.
 using LetterMask = std::vector<uint64_t>;
 
-/// Mask-based UCW successor cache. Per UCW state, one edge per (live
-/// target, accepting flag, input guard): the output letters its
-/// transitions admit, as a mask. Entries are filled at most once; because
-/// each fill writes only its own preallocated slot, distinct states can
-/// be filled from pool workers concurrently without synchronization.
-struct SuccessorCache {
-  struct Edge {
-    uint32_t Target;
-    uint32_t InputCare;
-    uint32_t InputValue;
-    uint8_t Accepting;
-    bool operator==(const Edge &) const = default;
-  };
-  struct Entry {
-    bool Filled = false;
-    std::vector<Edge> Edges;
-    /// Edge I's output letters are Masks[I * Words, (I + 1) * Words).
-    std::vector<uint64_t> Masks;
-  };
-
-  SuccessorCache(const Nba &Ucw, const Alphabet &AB)
-      : Ucw(Ucw), Live(Ucw.liveStates()),
-        Words((AB.outputLetterCount() + 63) / 64),
-        AllLetters(Words, 0) {
-    const size_t NumOutputs = AB.outputLetterCount();
-    OptionLetters.resize(AB.cells().size());
-    for (size_t C = 0; C < AB.cells().size(); ++C)
-      OptionLetters[C].assign(AB.cells()[C].Options.size(), LetterMask(Words));
-    for (uint32_t O = 0; O < NumOutputs; ++O) {
-      const std::vector<unsigned> Choices = AB.decodeOutput(O);
-      for (size_t C = 0; C < Choices.size(); ++C)
-        OptionLetters[C][Choices[C]][O / 64] |= uint64_t(1) << (O % 64);
-      AllLetters[O / 64] |= uint64_t(1) << (O % 64);
-    }
-    Entries.resize(Ucw.stateCount());
-  }
-
-  bool filled(uint32_t Q) const { return Entries[Q].Filled; }
-
-  /// Computes the edges of UCW state \p Q: each transition's update
-  /// requirements become a mask, and transitions that share a target,
-  /// an accepting flag and an input guard share one edge. Idempotent;
-  /// touches only Entries[Q].
-  void fill(uint32_t Q) {
-    Entry &E = Entries[Q];
-    if (E.Filled)
-      return;
-    LetterMask Mask;
-    for (const Nba::Transition &T : Ucw.transitions(Q)) {
-      // Runs through non-live states never reject: drop them.
-      if (!Live[T.Target])
-        continue;
-      Mask = AllLetters;
-      for (const LetterConstraint::UpdateReq &R : T.Guard.Updates) {
-        const LetterMask &Option = OptionLetters[R.Cell][R.Option];
-        for (size_t W = 0; W < Words; ++W)
-          Mask[W] &= R.Positive ? Option[W] : ~Option[W];
-      }
-      if (std::all_of(Mask.begin(), Mask.end(),
-                      [](uint64_t W) { return W == 0; }))
-        continue;
-      const Edge Key{T.Target, T.Guard.InputCare, T.Guard.InputValue,
-                     static_cast<uint8_t>(T.Accepting)};
-      const size_t I =
-          std::find(E.Edges.begin(), E.Edges.end(), Key) - E.Edges.begin();
-      if (I == E.Edges.size()) {
-        E.Edges.push_back(Key);
-        E.Masks.resize(E.Masks.size() + Words, 0);
-      }
-      for (size_t W = 0; W < Words; ++W)
-        E.Masks[I * Words + W] |= Mask[W];
-    }
-    E.Filled = true;
-  }
-
-  const Nba &Ucw;
-  std::vector<bool> Live;
-  size_t Words;
-  /// OptionLetters[cell][option]: the letters choosing that option.
-  std::vector<std::vector<LetterMask>> OptionLetters;
-  LetterMask AllLetters;
-  std::vector<Entry> Entries;
-};
-
 /// Every output letter's successor of one (game state, input letter).
 /// A letter is legal unless some counter it produces exceeds the cutoff;
 /// a legal letter's successor is Next[letter] (sorted by UCW state) and
@@ -198,7 +115,7 @@ public:
   GameArena(std::shared_ptr<const Nba> UcwPtr, const Alphabet &AB,
             size_t StateBudget)
       : UcwPtr(std::move(UcwPtr)), Ucw(*this->UcwPtr), Inputs(Ucw.inputs()),
-        AB(AB), StateBudget(StateBudget), Succ(Ucw, AB) {
+        AB(AB), StateBudget(StateBudget) {
     CountVector InitialCounts = {{Ucw.initial(), 0}};
     (void)internState(InitialCounts);
   }
@@ -270,10 +187,9 @@ private:
   /// Computes every output letter's successor of (Counts, In) with
   /// overflow cutoff \p Cutoff into \p Batch (the file comment gives the
   /// pass). A letter's first row for a target, walking levels down, holds
-  /// its counter there; walking targets up sorts each Next. Requires
-  /// successor-cache entries for every state in \p Counts; uses
-  /// per-thread scratch only, so concurrent calls for different game
-  /// states are safe.
+  /// its counter there; walking targets up sorts each Next. Reads the
+  /// UCW and per-thread scratch only, so concurrent calls for different
+  /// game states are safe.
   void successors(const CountVector &Counts, uint32_t In, unsigned Cutoff,
                   SuccessorBatch &Batch) const {
     SuccScratch &SS = succScratch();
@@ -281,7 +197,7 @@ private:
       SS.RowOf.resize(Ucw.stateCount(), -1);
     SS.Touched.clear();
     const size_t NumOutputs = AB.outputLetterCount();
-    const size_t Words = Succ.Words;
+    const size_t Words = Ucw.outputWords();
     Batch.Overflow.assign(Words, 0);
     Batch.Weight.assign(NumOutputs, 0);
     Batch.Next.resize(NumOutputs);
@@ -296,12 +212,12 @@ private:
     const size_t Levels = std::min(MaxCount + 1, Cutoff) + 1;
 
     for (const auto &[Q, Count] : Counts) {
-      const SuccessorCache::Entry &E = Succ.Entries[Q];
-      for (size_t I = 0; I < E.Edges.size(); ++I) {
-        const SuccessorCache::Edge &Ed = E.Edges[I];
+      const std::vector<Nba::Edge> &Edges = Ucw.edges(Q);
+      for (size_t I = 0; I < Edges.size(); ++I) {
+        const Nba::Edge &Ed = Edges[I];
         if ((In & Ed.InputCare) != Ed.InputValue)
           continue;
-        const uint64_t *Mask = &E.Masks[I * Words];
+        const uint64_t *Mask = Ucw.outputs(Q, I);
         const unsigned Level = Count + Ed.Accepting;
         uint64_t *Into = Batch.Overflow.data();
         if (Level <= Cutoff) {
@@ -351,7 +267,6 @@ private:
   const std::vector<uint32_t> &Inputs;
   Alphabet AB; // Own copy: callers' alphabets are per-round temporaries.
   size_t StateBudget;
-  SuccessorCache Succ;
 
   std::vector<CountVector> States;
   std::unordered_map<std::string, uint32_t> StateIds;
@@ -411,7 +326,6 @@ bool GameArena::drainPending(unsigned B, SolverPool &Pool,
   };
   std::vector<Slot> Slots;
   std::vector<uint32_t> Wave;
-  std::vector<uint32_t> NeedFill;
 
   while (!Pending.empty()) {
     if (Dl.expired()) {
@@ -424,24 +338,9 @@ bool GameArena::drainPending(unsigned B, SolverPool &Pool,
     if (Slots.size() < WaveLen)
       Slots.resize(WaveLen);
 
-    // Phase 1: fill the successor-cache rows this wave needs. Each row
-    // is an independent slot, so the fills fan out across the pool.
-    NeedFill.clear();
-    for (uint32_t S : Wave)
-      for (const auto &[Q, Count] : States[S]) {
-        (void)Count;
-        if (!Succ.filled(Q))
-          NeedFill.push_back(Q);
-      }
-    std::sort(NeedFill.begin(), NeedFill.end());
-    NeedFill.erase(std::unique(NeedFill.begin(), NeedFill.end()),
-                   NeedFill.end());
-    Pool.forEach(NeedFill.size(), [&](size_t I) { Succ.fill(NeedFill[I]); });
-
-    // Phase 2: compute every (allowed input, output) successor of every
-    // wave state, one batch per input. Reads are confined to the (now
-    // filled) successor cache and the immutable States prefix; writes go
-    // to the state's own slot.
+    // Compute every (allowed input, output) successor of every wave
+    // state, one batch per input. Reads are confined to the UCW and the
+    // immutable States prefix; writes go to the state's own slot.
     Pool.forEach(WaveLen, [&](size_t W) {
       const CountVector &Counts = States[Wave[W]];
       Slot &Sl = Slots[W];
@@ -464,7 +363,7 @@ bool GameArena::drainPending(unsigned B, SolverPool &Pool,
       }
     });
 
-    // Phase 3: merge sequentially in wave order. Interning order is
+    // Then merge sequentially in wave order. Interning order is
     // exactly the state-by-state order, so state ids -- and everything
     // downstream -- are identical for every pool width.
     for (size_t W = 0; W < WaveLen; ++W) {

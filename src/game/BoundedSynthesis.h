@@ -29,10 +29,11 @@
 ///    ends Unknown drops the arena.
 ///
 /// The arena's successor relation answers every output letter of one
-/// (game state, input letter) in a single pass: each UCW state's edges
-/// carry the output letters they admit as a bitmask (one word per 64
-/// letters), and the pass ORs those masks into one row per (counter,
-/// target) before it scatters them into each letter's successor.
+/// (game state, input letter) in a single pass: the tableau emits each
+/// UCW state's edges with the output letters they admit as a bitmask
+/// (one word per 64 letters, Nba::outputs()), and the pass ORs those
+/// masks into one row per (counter, target) before it scatters them into
+/// each letter's successor.
 ///
 /// Extraction renumbers machine states by a breadth-first walk of the
 /// chosen strategy, which makes the emitted Mealy machine independent of

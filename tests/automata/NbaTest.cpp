@@ -10,12 +10,11 @@ namespace {
 
 class NbaTest : public ::testing::Test {
 protected:
-  /// Guard matching letters where input bit 0 equals \p P.
-  LetterConstraint inputIs(bool P) {
-    LetterConstraint G;
-    G.InputCare = 1;
-    G.InputValue = P ? 1 : 0;
-    return G;
+  /// Adds an edge reading every letter: no input bit cared for, output
+  /// mask all ones.
+  static void addEdge(Nba &A, uint32_t From, uint32_t To, bool Accepting) {
+    const uint64_t All = ~uint64_t(0);
+    A.addEdge(From, {To, Accepting, 0, 0}, &All);
   }
 };
 
@@ -28,7 +27,7 @@ TEST_F(NbaTest, AcceptingSelfLoopIsNonEmpty) {
   Nba A;
   uint32_t Q = A.addState();
   A.setInitial(Q);
-  A.addTransition(Q, {LetterConstraint{}, Q, /*Accepting=*/true});
+  addEdge(A, Q, Q, /*Accepting=*/true);
   EXPECT_TRUE(A.isNonEmpty());
 }
 
@@ -36,7 +35,7 @@ TEST_F(NbaTest, NonAcceptingLoopIsEmpty) {
   Nba A;
   uint32_t Q = A.addState();
   A.setInitial(Q);
-  A.addTransition(Q, {LetterConstraint{}, Q, /*Accepting=*/false});
+  addEdge(A, Q, Q, /*Accepting=*/false);
   EXPECT_FALSE(A.isNonEmpty());
 }
 
@@ -46,7 +45,7 @@ TEST_F(NbaTest, AcceptingTransitionOutsideCycleIsEmpty) {
   uint32_t Q0 = A.addState();
   uint32_t Q1 = A.addState();
   A.setInitial(Q0);
-  A.addTransition(Q0, {LetterConstraint{}, Q1, /*Accepting=*/true});
+  addEdge(A, Q0, Q1, /*Accepting=*/true);
   EXPECT_FALSE(A.isNonEmpty());
 }
 
@@ -57,9 +56,9 @@ TEST_F(NbaTest, ReachableAcceptingCycle) {
   uint32_t Q1 = A.addState();
   uint32_t Q2 = A.addState();
   A.setInitial(Q0);
-  A.addTransition(Q0, {LetterConstraint{}, Q1, false});
-  A.addTransition(Q1, {LetterConstraint{}, Q2, true});
-  A.addTransition(Q2, {LetterConstraint{}, Q1, false});
+  addEdge(A, Q0, Q1, false);
+  addEdge(A, Q1, Q2, true);
+  addEdge(A, Q2, Q1, false);
   EXPECT_TRUE(A.isNonEmpty());
 }
 
@@ -68,7 +67,7 @@ TEST_F(NbaTest, UnreachableAcceptingCycleIsEmpty) {
   uint32_t Q0 = A.addState();
   uint32_t Q1 = A.addState(); // Unreachable from Q0.
   A.setInitial(Q0);
-  A.addTransition(Q1, {LetterConstraint{}, Q1, true});
+  addEdge(A, Q1, Q1, true);
   EXPECT_FALSE(A.isNonEmpty());
 }
 
@@ -78,8 +77,8 @@ TEST_F(NbaTest, LiveStates) {
   uint32_t Q0 = A.addState();
   uint32_t Q1 = A.addState();
   uint32_t Q2 = A.addState();
-  A.addTransition(Q0, {LetterConstraint{}, Q1, false});
-  A.addTransition(Q1, {LetterConstraint{}, Q1, true});
+  addEdge(A, Q0, Q1, false);
+  addEdge(A, Q1, Q1, true);
   (void)Q2;
   auto Live = A.liveStates();
   ASSERT_EQ(Live.size(), 3u);
@@ -88,29 +87,56 @@ TEST_F(NbaTest, LiveStates) {
   EXPECT_FALSE(Live[Q2]);
 }
 
-TEST_F(NbaTest, GuardInputBits) {
-  // Only the cared-for bit decides; the others are free.
-  const std::vector<unsigned> NoChoices;
-  EXPECT_TRUE(inputIs(true).matches(/*InputBits=*/1, NoChoices));
-  EXPECT_TRUE(inputIs(true).matches(/*InputBits=*/3, NoChoices));
-  EXPECT_FALSE(inputIs(true).matches(/*InputBits=*/0, NoChoices));
-  EXPECT_TRUE(inputIs(false).matches(/*InputBits=*/2, NoChoices));
-  EXPECT_FALSE(inputIs(false).matches(/*InputBits=*/1, NoChoices));
+TEST_F(NbaTest, AddEdgeMergesOnTargetAcceptanceAndCube) {
+  Nba A(/*OutputWords=*/2);
+  uint32_t Q0 = A.addState();
+  uint32_t Q1 = A.addState();
+  const Nba::Edge E{Q1, /*Accepting=*/false, /*InputCare=*/1,
+                    /*InputValue=*/1};
+  const uint64_t Low[2] = {0x5, 0};
+  const uint64_t High[2] = {0x1, 0x8};
+  EXPECT_TRUE(A.addEdge(Q0, E, Low));
+  // Same (target, accepting, cube): the masks are ORed.
+  EXPECT_FALSE(A.addEdge(Q0, E, High));
+  ASSERT_EQ(A.edges(Q0).size(), 1u);
+  EXPECT_EQ(A.outputs(Q0, 0)[0], 0x5u);
+  EXPECT_EQ(A.outputs(Q0, 0)[1], 0x8u);
+  // Another cube, or another acceptance flag, is another edge.
+  EXPECT_TRUE(A.addEdge(Q0, {Q1, false, 1, 0}, Low));
+  EXPECT_TRUE(A.addEdge(Q0, {Q1, true, 1, 1}, High));
+  ASSERT_EQ(A.edges(Q0).size(), 3u);
+  EXPECT_EQ(A.edges(Q0)[1].InputValue, 0u);
+  EXPECT_EQ(A.outputs(Q0, 1)[0], 0x5u);
+  EXPECT_TRUE(A.edges(Q0)[2].Accepting);
+  EXPECT_EQ(A.outputs(Q0, 2)[1], 0x8u);
+  EXPECT_TRUE(A.edges(Q1).empty());
 }
 
-TEST_F(NbaTest, GuardUpdateRequirements) {
-  // Guard requiring cell 0's option 0 positively, and one forbidding it.
-  LetterConstraint Want;
-  Want.Updates.push_back({0, 0, true});
-  LetterConstraint Forbid;
-  Forbid.Updates.push_back({0, 0, false});
-
-  std::vector<unsigned> Choice0 = {0};
-  std::vector<unsigned> Choice1 = {1};
-  EXPECT_TRUE(Want.matches(0, Choice0));
-  EXPECT_FALSE(Want.matches(0, Choice1));
-  EXPECT_FALSE(Forbid.matches(0, Choice0));
-  EXPECT_TRUE(Forbid.matches(0, Choice1));
+TEST_F(NbaTest, DropDeadEdgesRemovesEdgesIntoDeadStates) {
+  // q0 -> q1 --accepting--> q1, q0 -> q2 -> q2 (never accepting), and
+  // q0 -> q3 --accepting--> q2. Only q2 is dead: its self-loop and the
+  // edges from q0 and q3 into it go. One pass: q3 was live when the pass
+  // began, so the edge from q0 into it stays.
+  Nba A;
+  uint32_t Q0 = A.addState();
+  uint32_t Q1 = A.addState();
+  uint32_t Q2 = A.addState();
+  uint32_t Q3 = A.addState();
+  A.setInitial(Q0);
+  addEdge(A, Q0, Q1, false);
+  addEdge(A, Q0, Q2, false);
+  addEdge(A, Q0, Q3, false);
+  addEdge(A, Q1, Q1, true);
+  addEdge(A, Q2, Q2, false);
+  addEdge(A, Q3, Q2, true);
+  EXPECT_EQ(A.dropDeadEdges(), 3u);
+  ASSERT_EQ(A.edges(Q0).size(), 2u);
+  EXPECT_EQ(A.edges(Q0)[0].Target, Q1);
+  EXPECT_EQ(A.edges(Q0)[1].Target, Q3);
+  EXPECT_EQ(A.edges(Q1).size(), 1u);
+  EXPECT_TRUE(A.edges(Q2).empty());
+  EXPECT_TRUE(A.edges(Q3).empty());
+  EXPECT_TRUE(A.isNonEmpty());
 }
 
 } // namespace
