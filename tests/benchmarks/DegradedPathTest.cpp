@@ -11,11 +11,6 @@
 /// the deadline subsystem (polls are read-only; the budget is not part
 /// of any cache key).
 ///
-/// The two slowest benchmarks (Load Balancer, CFS) only run their
-/// unfired-parity leg when TEMOS_GOLDEN_SLOW is set, mirroring
-/// the golden-file suite; the tiny-budget leg is cheap (it aborts within
-/// the budget) and always runs.
-///
 //===----------------------------------------------------------------------===//
 
 #include "benchmarks/Benchmarks.h"
@@ -27,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdlib>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -38,18 +32,13 @@ namespace {
 
 struct DegradedBenchmark {
   const char *Name; ///< As accepted by findBenchmark.
-  bool Slow;        ///< Parity leg gated behind TEMOS_GOLDEN_SLOW.
 };
 
 const DegradedBenchmark DegradedBenchmarks[] = {
-    {"Vibrato", false},       {"Modulation", false},
-    {"Intertwined", false},   {"Multi-effect", false},
-    {"Single-Player", false}, {"Two-Player", false},
-    {"Bouncing", false},      {"Automatic", false},
-    {"Simple", false},        {"Counting", false},
-    {"Bidirectional", false}, {"Smart", false},
-    {"Round Robin", false},   {"Load Balancer", true},
-    {"Preemptive", false},    {"CFS", true},
+    {"Vibrato"}, {"Modulation"}, {"Intertwined"}, {"Multi-effect"},
+    {"Single-Player"}, {"Two-Player"}, {"Bouncing"}, {"Automatic"}, {"Simple"},
+    {"Counting"}, {"Bidirectional"}, {"Smart"}, {"Round Robin"},
+    {"Load Balancer"}, {"Preemptive"}, {"CFS"},
 };
 
 /// Prints a row as its benchmark name. gtest's fallback prints the
@@ -123,8 +112,6 @@ TEST_P(DegradedPath, TinyBudgetDegradesCleanly) {
 /// all, at jobs=1 and jobs=4.
 TEST_P(DegradedPath, UnfiredDeadlineIsByteIdentical) {
   const DegradedBenchmark &P = GetParam();
-  if (P.Slow && !std::getenv("TEMOS_GOLDEN_SLOW"))
-    GTEST_SKIP() << "set TEMOS_GOLDEN_SLOW to run " << P.Name;
   const BenchmarkSpec *B = findBenchmark(P.Name);
   ASSERT_NE(B, nullptr);
 

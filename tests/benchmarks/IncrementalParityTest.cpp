@@ -11,9 +11,6 @@
 /// (NBA cache hits, arena states kept alive) without changing the
 /// output.
 ///
-/// The two slowest benchmarks (Load Balancer, CFS) only run when
-/// TEMOS_GOLDEN_SLOW is set, mirroring the golden-file suite.
-///
 //===----------------------------------------------------------------------===//
 
 #include "benchmarks/Benchmarks.h"
@@ -24,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdlib>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -35,18 +31,13 @@ namespace {
 
 struct ParityBenchmark {
   const char *Name; ///< As accepted by findBenchmark.
-  bool Slow;        ///< Gated behind TEMOS_GOLDEN_SLOW.
 };
 
 const ParityBenchmark ParityBenchmarks[] = {
-    {"Vibrato", false},       {"Modulation", false},
-    {"Intertwined", false},   {"Multi-effect", false},
-    {"Single-Player", false}, {"Two-Player", false},
-    {"Bouncing", false},      {"Automatic", false},
-    {"Simple", false},        {"Counting", false},
-    {"Bidirectional", false}, {"Smart", false},
-    {"Round Robin", false},   {"Load Balancer", true},
-    {"Preemptive", false},    {"CFS", true},
+    {"Vibrato"}, {"Modulation"}, {"Intertwined"}, {"Multi-effect"},
+    {"Single-Player"}, {"Two-Player"}, {"Bouncing"}, {"Automatic"}, {"Simple"},
+    {"Counting"}, {"Bidirectional"}, {"Smart"}, {"Round Robin"},
+    {"Load Balancer"}, {"Preemptive"}, {"CFS"},
 };
 
 /// Prints a row as its benchmark name. gtest's fallback prints the
@@ -87,8 +78,6 @@ class IncrementalParity : public ::testing::TestWithParam<ParityBenchmark> {};
 
 TEST_P(IncrementalParity, MatchesFromScratch) {
   const ParityBenchmark &P = GetParam();
-  if (P.Slow && !std::getenv("TEMOS_GOLDEN_SLOW"))
-    GTEST_SKIP() << "set TEMOS_GOLDEN_SLOW to run " << P.Name;
   const BenchmarkSpec *B = findBenchmark(P.Name);
   ASSERT_NE(B, nullptr);
 
@@ -118,12 +107,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Game exploration merges each wave in wave order and SyGuS merges
 /// each batch in obligation order, so every pool width must yield the
-/// same assumptions and the same machine. Covers every row not gated by
-/// TEMOS_GOLDEN_SLOW.
+/// same assumptions and the same machine, on every row.
 TEST(IncrementalParity, JobsFourMatchesJobsOne) {
   for (const ParityBenchmark &P : ParityBenchmarks) {
-    if (P.Slow)
-      continue;
     const BenchmarkSpec *B = findBenchmark(P.Name);
     ASSERT_NE(B, nullptr);
 

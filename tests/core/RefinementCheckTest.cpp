@@ -12,11 +12,6 @@
 /// keep their meaning: a deadline ends the check undecided, a tableau
 /// budget falls through to the full check.
 ///
-/// A row whose unsat cores send full checks that take seconds in a
-/// RelWithDebInfo build (Automatic ~2 s, Load Balancer ~3 s) runs only
-/// when TEMOS_GOLDEN_SLOW is set, and so does CFS's pipeline run,
-/// mirroring the golden-file suite.
-///
 //===----------------------------------------------------------------------===//
 
 #include "core/Synthesizer.h"
@@ -28,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdlib>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -47,18 +41,13 @@ std::vector<RefinementCheck> eagerRoundChecks(const Specification &Spec,
 
 struct RefinementRow {
   const char *Name; ///< As accepted by findBenchmark.
-  bool Slow;        ///< Gated behind TEMOS_GOLDEN_SLOW.
 };
 
 const RefinementRow Rows[] = {
-    {"Vibrato", false},       {"Modulation", false},
-    {"Intertwined", false},   {"Multi-effect", false},
-    {"Single-Player", false}, {"Two-Player", false},
-    {"Bouncing", false},      {"Automatic", true},
-    {"Simple", false},        {"Counting", false},
-    {"Bidirectional", false}, {"Smart", false},
-    {"Round Robin", false},   {"Load Balancer", true},
-    {"Preemptive", false},    {"CFS", false},
+    {"Vibrato"}, {"Modulation"}, {"Intertwined"}, {"Multi-effect"},
+    {"Single-Player"}, {"Two-Player"}, {"Bouncing"}, {"Automatic"}, {"Simple"},
+    {"Counting"}, {"Bidirectional"}, {"Smart"}, {"Round Robin"},
+    {"Load Balancer"}, {"Preemptive"}, {"CFS"},
 };
 
 /// Prints a row as its benchmark name, not as the struct's raw bytes
@@ -71,8 +60,6 @@ class RefinementCheckRows : public ::testing::TestWithParam<RefinementRow> {};
 /// assumption of the row's eager round.
 TEST_P(RefinementCheckRows, CoreUnsatImpliesFullUnsat) {
   const RefinementRow &Row = GetParam();
-  if (Row.Slow && !std::getenv("TEMOS_GOLDEN_SLOW"))
-    GTEST_SKIP() << "set TEMOS_GOLDEN_SLOW to run " << Row.Name;
   const BenchmarkSpec *B = findBenchmark(Row.Name);
   ASSERT_NE(B, nullptr);
   Context Ctx;
@@ -125,8 +112,6 @@ TEST(RefinementCheckCfs, RefinementIsDecidedByTheCore) {
             std::optional<bool>(false))
       << "the refinement should be decided by the core";
 
-  if (!std::getenv("TEMOS_GOLDEN_SLOW"))
-    GTEST_SKIP() << "set TEMOS_GOLDEN_SLOW to run CFS's pipeline";
   Synthesizer Synth(Ctx);
   PipelineResult R = Synth.run(*Spec);
   EXPECT_EQ(R.Status, Realizability::Realizable);

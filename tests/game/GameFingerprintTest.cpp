@@ -16,9 +16,7 @@
 /// configuration must give the recorded verdict, bound, game-state count
 /// and a hash of the extracted Mealy machine (every edge in order).
 ///
-/// Each (input, configuration) is its own test. Inputs whose games take
-/// seconds run only when TEMOS_GOLDEN_SLOW is set, mirroring the
-/// golden-file suite.
+/// Each (input, configuration) is its own test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +32,6 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -130,16 +127,14 @@ const Synthetic Synthetics[] = {
      8},
 };
 
-/// A recorded fingerprint: input, verdict, bound, game states, machine
-/// hash, and whether its games take seconds (gated behind
-/// TEMOS_GOLDEN_SLOW).
+/// A recorded fingerprint: input, verdict, bound, game states and
+/// machine hash.
 struct Recorded {
   const char *Input;
   Realizability Status;
   unsigned Bound;
   size_t GameStates;
   uint64_t Hash;
-  bool Slow;
 };
 
 constexpr Realizability Real = Realizability::Realizable;
@@ -148,27 +143,27 @@ constexpr Realizability Unreal = Realizability::Unrealizable;
 // Recorded when the game began offering the environment only the UCW's
 // allowed input letters.
 const Recorded Expected[] = {
-    {"Vibrato", Real, 1, 188, 0x3a5fe1ad90ec670dull, false},
-    {"Modulation", Real, 1, 188, 0x56a6fec00b5f0f66ull, false},
-    {"Intertwined", Real, 1, 368, 0xcc3e939b813a7319ull, false},
-    {"Multi-effect", Real, 1, 1159, 0x4c5b6e4fe0863f91ull, false},
-    {"Single-Player", Real, 1, 37, 0x1f219cc8ebc448cdull, false},
-    {"Two-Player", Real, 1, 67, 0xb314f8c148955379ull, false},
-    {"Bouncing", Real, 1, 138, 0xee7e2b2517489affull, false},
-    {"Automatic", Real, 1, 81, 0xa65a8b3d53ec8009ull, false},
-    {"Simple", Real, 1, 3, 0xd44271c2c320c266ull, false},
-    {"Counting", Real, 1, 3, 0x5d314903842a9f27ull, false},
-    {"Bidirectional", Real, 1, 3, 0xe3b2f0c2dd7acea7ull, false},
-    {"Smart", Real, 1, 45, 0x22a81be684753d8cull, false},
-    {"Round Robin", Real, 1, 198, 0xecbad0b0806d344cull, false},
-    {"Load Balancer", Real, 1, 180, 0xace9ecdbb67434f4ull, true},
-    {"Preemptive", Real, 1, 180, 0xaf620df417ff97c6ull, false},
-    {"CFS", Unreal, 0, 2589, 0xcbf29ce484222325ull, true},
-    {"CFS refined", Real, 1, 591, 0xd41b39489fd0610dull, true},
-    {"Out64", Real, 3, 215, 0xbdcd5199640faa22ull, false},
-    {"Out65", Real, 1, 25, 0x71f9883bf75a8be1ull, false},
-    {"Out243", Real, 1, 37, 0x2d6767e55979e786ull, false},
-    {"Escalate", Real, 3, 78, 0x0c6336a3fb4661e0ull, false},
+    {"Vibrato", Real, 1, 188, 0x3a5fe1ad90ec670dull},
+    {"Modulation", Real, 1, 188, 0x56a6fec00b5f0f66ull},
+    {"Intertwined", Real, 1, 368, 0xcc3e939b813a7319ull},
+    {"Multi-effect", Real, 1, 1159, 0x4c5b6e4fe0863f91ull},
+    {"Single-Player", Real, 1, 37, 0x1f219cc8ebc448cdull},
+    {"Two-Player", Real, 1, 67, 0xb314f8c148955379ull},
+    {"Bouncing", Real, 1, 138, 0xee7e2b2517489affull},
+    {"Automatic", Real, 1, 81, 0xa65a8b3d53ec8009ull},
+    {"Simple", Real, 1, 3, 0xd44271c2c320c266ull},
+    {"Counting", Real, 1, 3, 0x5d314903842a9f27ull},
+    {"Bidirectional", Real, 1, 3, 0xe3b2f0c2dd7acea7ull},
+    {"Smart", Real, 1, 45, 0x22a81be684753d8cull},
+    {"Round Robin", Real, 1, 198, 0xecbad0b0806d344cull},
+    {"Load Balancer", Real, 1, 180, 0xace9ecdbb67434f4ull},
+    {"Preemptive", Real, 1, 180, 0xaf620df417ff97c6ull},
+    {"CFS", Unreal, 0, 2589, 0xcbf29ce484222325ull},
+    {"CFS refined", Real, 1, 591, 0xd41b39489fd0610dull},
+    {"Out64", Real, 3, 215, 0xbdcd5199640faa22ull},
+    {"Out65", Real, 1, 25, 0x71f9883bf75a8be1ull},
+    {"Out243", Real, 1, 37, 0x2d6767e55979e786ull},
+    {"Escalate", Real, 3, 78, 0x0c6336a3fb4661e0ull},
 };
 
 /// How the engine is run.
@@ -246,8 +241,6 @@ class GameFingerprint
 
 TEST_P(GameFingerprint, MatchesTheRecordedGame) {
   const auto &[Want, How] = GetParam();
-  if (Want.Slow && !std::getenv("TEMOS_GOLDEN_SLOW"))
-    GTEST_SKIP() << "set TEMOS_GOLDEN_SLOW to run " << Want.Input;
   Context Ctx;
   std::optional<GameInput> In = syntheticInput(Want.Input, Ctx);
   if (!In)

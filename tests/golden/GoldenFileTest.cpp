@@ -9,9 +9,6 @@
 ///
 ///   scripts/regen_goldens.sh build/src/tools/temos
 ///
-/// The two slowest benchmarks (Load Balancer, CFS) only run when
-/// TEMOS_GOLDEN_SLOW is set, so the default suite stays fast.
-///
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
@@ -30,26 +27,25 @@ namespace {
 struct GoldenBenchmark {
   const char *Name; ///< As accepted by temos --benchmark.
   const char *Slug; ///< File stem under tests/golden/.
-  bool Slow;        ///< Gated behind TEMOS_GOLDEN_SLOW.
 };
 
 const GoldenBenchmark Benchmarks[] = {
-    {"Vibrato", "vibrato", false},
-    {"Modulation", "modulation", false},
-    {"Intertwined", "intertwined", false},
-    {"Multi-effect", "multi_effect", false},
-    {"Single-Player", "single_player", false},
-    {"Two-Player", "two_player", false},
-    {"Bouncing", "bouncing", false},
-    {"Automatic", "automatic", false},
-    {"Simple", "simple", false},
-    {"Counting", "counting", false},
-    {"Bidirectional", "bidirectional", false},
-    {"Smart", "smart", false},
-    {"Round Robin", "round_robin", false},
-    {"Load Balancer", "load_balancer", true},
-    {"Preemptive", "preemptive", false},
-    {"CFS", "cfs", true},
+    {"Vibrato", "vibrato"},
+    {"Modulation", "modulation"},
+    {"Intertwined", "intertwined"},
+    {"Multi-effect", "multi_effect"},
+    {"Single-Player", "single_player"},
+    {"Two-Player", "two_player"},
+    {"Bouncing", "bouncing"},
+    {"Automatic", "automatic"},
+    {"Simple", "simple"},
+    {"Counting", "counting"},
+    {"Bidirectional", "bidirectional"},
+    {"Smart", "smart"},
+    {"Round Robin", "round_robin"},
+    {"Load Balancer", "load_balancer"},
+    {"Preemptive", "preemptive"},
+    {"CFS", "cfs"},
 };
 
 /// Prints a row as its benchmark name. gtest's fallback prints the
@@ -97,8 +93,6 @@ class GoldenFileTest : public ::testing::TestWithParam<GoldenBenchmark> {};
 
 TEST_P(GoldenFileTest, AssumptionsMatchCorpus) {
   const GoldenBenchmark &B = GetParam();
-  if (B.Slow && !std::getenv("TEMOS_GOLDEN_SLOW"))
-    GTEST_SKIP() << "slow benchmark; set TEMOS_GOLDEN_SLOW=1 to run";
   auto Expected = readGolden(B.Slug, "assumptions");
   ASSERT_TRUE(Expected.has_value())
       << "missing golden file for " << B.Slug
@@ -113,8 +107,6 @@ TEST_P(GoldenFileTest, AssumptionsMatchCorpus) {
 
 TEST_P(GoldenFileTest, SummaryMatchesCorpus) {
   const GoldenBenchmark &B = GetParam();
-  if (B.Slow && !std::getenv("TEMOS_GOLDEN_SLOW"))
-    GTEST_SKIP() << "slow benchmark; set TEMOS_GOLDEN_SLOW=1 to run";
   auto Expected = readGolden(B.Slug, "summary");
   ASSERT_TRUE(Expected.has_value())
       << "missing golden file for " << B.Slug
