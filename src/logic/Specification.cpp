@@ -49,7 +49,7 @@ const Formula *Specification::guaranteeFormula(Context &Ctx) const {
 }
 
 std::string Specification::str() const {
-  std::string Out = "#" + std::string(theoryName(Th)) + "#\n";
+  std::string Out = std::string("#") + theoryName(Th) + "#\n";
   if (Name != "spec")
     Out += "spec " + Name + "\n";
   auto EmitSignals = [&](const char *Block,

@@ -19,10 +19,14 @@ std::string Term::str() const {
       return Name + "()";
     // Operators render infix so printed terms re-parse ((x + 1), x < y).
     if (Args.size() == 2 && findBuiltin(Name))
-      return "(" + Args[0]->str() + " " + Name + " " + Args[1]->str() + ")";
+      return std::string("(")
+          .append(Args[0]->str())
+          .append(" " + Name + " ")
+          .append(Args[1]->str())
+          .append(")");
     std::string Result = "(" + Name;
     for (const Term *Arg : Args)
-      Result += " " + Arg->str();
+      Result.append(" ").append(Arg->str());
     return Result + ")";
   }
   }

@@ -14,7 +14,7 @@ QueryCache::canonicalKey(const std::string &TheoryTag,
   std::vector<std::string> Rendered;
   Rendered.reserve(Literals.size());
   for (auto &[Text, Positive] : Literals)
-    Rendered.push_back((Positive ? "+" : "-") + std::move(Text));
+    Rendered.push_back(std::string(1, Positive ? '+' : '-').append(Text));
   std::sort(Rendered.begin(), Rendered.end());
   Rendered.erase(std::unique(Rendered.begin(), Rendered.end()),
                  Rendered.end());

@@ -175,7 +175,7 @@ bool SygusSolver::verifySequential(const SygusQuery &Query,
   auto HavocInputs = [&](const Term *T, size_t J) {
     return J == 0 ? T
                   : havocInputs(Ctx.Terms, T, CellNames,
-                                "#" + std::to_string(J));
+                                std::string("#").append(std::to_string(J)));
   };
 
   std::vector<const Formula *> Parts;

@@ -81,7 +81,7 @@ std::optional<Value> Evaluator::evaluate(const Term *T,
   // arguments (term-model semantics -> congruence holds by construction).
   std::string Canonical = "(" + F;
   for (const Value &Arg : Args)
-    Canonical += " " + Arg.str();
+    Canonical.append(" ").append(Arg.str());
   Canonical += ")";
   if (T->sort() == Sort::Bool) {
     // Boolean UF applications have no truth value under the term model;

@@ -28,9 +28,10 @@ protected:
         continue;
       if (Ob.Pre.size() != 1 || Ob.Post.size() != 1)
         continue;
-      std::string Pre = (Ob.Pre[0].Positive ? "" : "!") + Ob.Pre[0].Atom->str();
-      std::string Post =
-          (Ob.Post[0].Positive ? "" : "!") + Ob.Post[0].Atom->str();
+      std::string Pre = std::string(Ob.Pre[0].Positive ? "" : "!")
+                            .append(Ob.Pre[0].Atom->str());
+      std::string Post = std::string(Ob.Post[0].Positive ? "" : "!")
+                             .append(Ob.Post[0].Atom->str());
       if (Pre == PreStr && Post == PostStr)
         return true;
     }

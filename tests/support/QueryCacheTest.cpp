@@ -117,7 +117,7 @@ TEST(QueryCache, ConcurrentUseUnderCapacityPressureStaysCoherent) {
   SolverPool Pool(4);
   std::atomic<int> Bad{0};
   Pool.forEach(256, [&](size_t I) {
-    std::string Key = "k" + std::to_string(I % 16);
+    std::string Key = std::string("k").append(std::to_string(I % 16));
     if (std::optional<int> Verdict = Cache.lookup(Key)) {
       if (*Verdict != int(I % 16))
         ++Bad;
@@ -137,7 +137,7 @@ TEST(QueryCache, ConcurrentMixedUseKeepsCountsConsistent) {
   SolverPool Pool(4);
   std::atomic<int> Bad{0};
   Pool.forEach(64, [&](size_t I) {
-    std::string Key = "k" + std::to_string(I % 8);
+    std::string Key = std::string("k").append(std::to_string(I % 8));
     if (std::optional<int> Verdict = Cache.lookup(Key)) {
       if (*Verdict != int(I % 8))
         ++Bad;
