@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
 echo "== tier 1: build + ctest =="
-cmake -B "$BUILD_DIR" -S . -G Ninja >/dev/null
+cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 

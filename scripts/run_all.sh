@@ -3,7 +3,7 @@
 # (ctest) and bench_output.txt (bench binaries), which git does not
 # keep, and examples_output.txt (runnable examples), which it does.
 cd "$(dirname "$0")/.."
-cmake -B build -G Ninja && cmake --build build
+cmake -B build -S . && cmake --build build
 ctest --test-dir build --timeout 600 2>&1 | tee test_output.txt
 { for b in build/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] && "$b"
