@@ -15,7 +15,6 @@
 
 #include "benchmarks/Runner.h"
 #include "core/AssumptionCore.h"
-#include "support/Timer.h"
 
 #include <cstdio>
 #include <string>
@@ -49,30 +48,8 @@ inline int runFig4Family(const std::string &Family, int argc, char **argv) {
       ++Failures;
       continue;
     }
-    // Greedy core minimization costs |psi|+2 realizability checks, each
-    // comparable to one synthesis run; for the heavyweight rows we keep
-    // the bench bounded by timing the oracle on the full assumption set
-    // (an upper bound on the true oracle, so the reported ratio is a
-    // lower bound -- stated in the output).
-    const double SkipMinimizationAboveSeconds = 45.0;
-    bool SkipMinimization =
-        Stats.SynthesisSeconds > SkipMinimizationAboveSeconds;
-    OracleResult Oracle;
-    if (SkipMinimization) {
-      Timer OracleTimer;
-      Synthesizer Synth(*Run.Ctx);
-      const Formula *Phi =
-          Synth.formulaWithAssumptions(Run.Spec, Run.Result.Assumptions);
-      std::vector<const Formula *> ForAlphabet = Run.Result.Assumptions;
-      ForAlphabet.push_back(Phi);
-      Alphabet AB = Alphabet::build(Run.Spec, *Run.Ctx, ForAlphabet);
-      synthesizeLtl(Phi, *Run.Ctx, AB);
-      Oracle.Status = Realizability::Realizable;
-      Oracle.Core = Run.Result.Assumptions;
-      Oracle.OracleSynthesisSeconds = OracleTimer.seconds();
-    } else {
-      Oracle = computeOracle(Run.Spec, Run.Result.Assumptions, *Run.Ctx);
-    }
+    const OracleResult Oracle =
+        computeOracle(Run.Spec, Run.Result.Assumptions, *Run.Ctx);
     double Total = Run.seconds();
     double OracleTime = Oracle.OracleSynthesisSeconds;
     double Ratio = OracleTime > 0 ? Total / OracleTime : 0;
@@ -84,16 +61,10 @@ inline int runFig4Family(const std::string &Family, int argc, char **argv) {
     std::printf("%-14s %10.3f %10.3f %10.3f %12.3f %6.2fx\n", B.Name,
                 Stats.PsiGenSeconds, Stats.SynthesisSeconds, Total,
                 OracleTime, Ratio);
-    if (SkipMinimization)
-      std::printf("               (core minimization skipped above %.0fs; "
-                  "oracle timed on the full set => ratio is a lower "
-                  "bound)\n",
-                  SkipMinimizationAboveSeconds);
-    else
-      std::printf("               core: %zu of %zu assumptions needed "
-                  "(%zu realizability checks, %.3fs minimization)\n",
-                  Oracle.Core.size(), Run.Result.Assumptions.size(),
-                  Oracle.RealizabilityChecks, Oracle.MinimizationSeconds);
+    std::printf("               core: %zu of %zu assumptions needed "
+                "(%zu realizability checks, %.3fs minimization)\n",
+                Oracle.Core.size(), Run.Result.Assumptions.size(),
+                Oracle.RealizabilityChecks, Oracle.MinimizationSeconds);
   }
 
   std::printf("\nworst temos/oracle ratio in family (rows with > 2s "
