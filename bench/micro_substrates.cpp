@@ -32,8 +32,10 @@ void BM_SimplexChain(benchmark::State &State) {
   for (auto _ : State) {
     Simplex S;
     for (int I = 0; I < N; ++I) {
-      LinearExpr E = LinearExpr::variable("x" + std::to_string(I)) -
-                     LinearExpr::variable("x" + std::to_string((I + 1) % N));
+      LinearExpr E =
+          LinearExpr::variable(std::string("x").append(std::to_string(I))) -
+          LinearExpr::variable(
+              std::string("x").append(std::to_string((I + 1) % N)));
       S.assertAtom({E, LinearRel::LT}, false);
     }
     benchmark::DoNotOptimize(S.check());
