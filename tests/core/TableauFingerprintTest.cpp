@@ -15,7 +15,8 @@
 /// care/value bits, target, accepting flag and the mask of output
 /// letters).
 ///
-/// Each input is its own test.
+/// Each input is its own test. Besides the bundled rows, a synthetic
+/// row pins two inputs whose closures are wider than any row's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -181,6 +182,9 @@ const Recorded Expected[] = {
     {"CFS", "full 0", 81, 0xc8deb771531352f3ull},
     {"CFS", "core 1", 16, 0x330e02f0d00fe1afull},
     {"CFS", "full 1", 265, 0x566fe5aee4bbfc87ull},
+    // Synthetic: closures wider than one and two words (wideInputs).
+    {"Wide closure", "over 64", 69, 0xfccf4bb0ba4d6588ull},
+    {"Wide closure", "over 128", 190, 0x43b95630b1051bf4ull},
 };
 
 void PrintTo(const Recorded &R, std::ostream *OS) {
@@ -194,6 +198,82 @@ struct Input {
   const Formula *F;
   Alphabet AB;
 };
+
+/// The synthetic row whose inputs have wider closures than any bundled
+/// row's (Multi-effect's, 66 formulas, is the widest).
+constexpr const char *WideRow = "Wide closure";
+
+/// A chain of \p Depth nested obligations, each level one of F, U, W or
+/// R over a rotating literal, ending in G F q and conjoined with a
+/// response invariant. Every F and U level is an acceptance set, and
+/// each level adds its own connective, conjunction and Next to the
+/// closure.
+std::string wideChain(unsigned Depth) {
+  const char *Literals[] = {"p",  "! q",  "[x <- x + 1]",
+                            "q",  "! [x <- x - 1]", "! p"};
+  std::string Chain = "G (F q)";
+  for (unsigned I = Depth; I-- > 0;) {
+    const std::string A = Literals[I % 6], B = Literals[(I + 3) % 6];
+    const std::string Step = "(" + A + " && X " + Chain + ")";
+    switch (I % 4) {
+    case 0:
+      Chain = "(F " + Step + ")";
+      break;
+    case 1:
+      Chain = "(" + B + " U " + Step + ")";
+      break;
+    case 2:
+      Chain = "(" + B + " W " + Step + ")";
+      break;
+    default:
+      Chain = "(" + Step + " R " + B + ")";
+      break;
+    }
+  }
+  return Chain + " && G (p -> X (q || [x <- x - 1]))";
+}
+
+/// The wide-closure inputs: chains whose NNF closures cross the second
+/// and third 64-formula word, the deeper one with more than 32
+/// acceptance sets.
+std::vector<Input> wideInputs(Context &Ctx) {
+  auto Spec = parseSpecification(R"(
+    #LIA#
+    inputs { bool p, q; }
+    cells { int x = 0; }
+    always guarantee {
+      G (p -> [x <- x + 1]);
+      G (q -> [x <- x - 1]);
+    }
+  )", Ctx);
+  EXPECT_TRUE(Spec.ok()) << Spec.error().str();
+  std::vector<Input> Inputs;
+  for (auto [Label, Depth] : {std::pair<const char *, unsigned>{"over 64", 24},
+                              {"over 128", 68}}) {
+    auto F = parseFormula(wideChain(Depth), *Spec, Ctx);
+    EXPECT_TRUE(F.ok()) << F.error().str();
+    Inputs.push_back({Label, *F, Alphabet::build(*Spec, Ctx, {*F})});
+  }
+  return Inputs;
+}
+
+/// Distinct subformulas of \p F, and how many of them are Until or
+/// Finally (the tableau's acceptance sets).
+std::pair<size_t, size_t> closureSize(const Formula *F) {
+  std::set<const Formula *> Seen;
+  size_t Acceptance = 0;
+  std::vector<const Formula *> Stack = {F};
+  while (!Stack.empty()) {
+    const Formula *G = Stack.back();
+    Stack.pop_back();
+    if (!Seen.insert(G).second)
+      continue;
+    Acceptance +=
+        G->is(Formula::Kind::Until) || G->is(Formula::Kind::Finally);
+    Stack.insert(Stack.end(), G->children().begin(), G->children().end());
+  }
+  return {Seen.size(), Acceptance};
+}
 
 std::vector<Input> rowInputs(const Specification &Spec, Context &Ctx) {
   Synthesizer Synth(Ctx);
@@ -218,13 +298,17 @@ class TableauFingerprint : public ::testing::TestWithParam<Recorded> {};
 
 TEST_P(TableauFingerprint, MatchesTheRecordedNba) {
   const Recorded &Want = GetParam();
-  const BenchmarkSpec *B = findBenchmark(Want.Row);
-  ASSERT_NE(B, nullptr);
   Context Ctx;
-  auto Spec = parseSpecification(B->Source, Ctx);
-  ASSERT_TRUE(Spec.ok()) << Spec.error().str();
-
-  const std::vector<Input> Inputs = rowInputs(*Spec, Ctx);
+  std::vector<Input> Inputs;
+  if (std::string(Want.Row) == WideRow) {
+    Inputs = wideInputs(Ctx);
+  } else {
+    const BenchmarkSpec *B = findBenchmark(Want.Row);
+    ASSERT_NE(B, nullptr);
+    auto Spec = parseSpecification(B->Source, Ctx);
+    ASSERT_TRUE(Spec.ok()) << Spec.error().str();
+    Inputs = rowInputs(*Spec, Ctx);
+  }
   size_t RecordedInputs = 0;
   for (const Recorded &R : Expected)
     RecordedInputs += std::string(R.Row) == Want.Row;
@@ -253,6 +337,23 @@ TEST_P(TableauFingerprint, MatchesTheRecordedNba) {
   EXPECT_EQ(Uncached, Pinned) << "built: " << Line;
   EXPECT_EQ(Fresh, Pinned) << "fresh cache";
   EXPECT_EQ(Warm, Pinned) << "warm cache";
+}
+
+/// The wide inputs cross the word boundaries they are there for: a
+/// closure of more than 64 and of more than 128 formulas, the second
+/// with more than 32 acceptance sets.
+TEST(TableauWideClosure, CrossesTheWordBoundaries) {
+  Context Ctx;
+  const std::vector<Input> Inputs = wideInputs(Ctx);
+  ASSERT_EQ(Inputs.size(), 2u);
+  auto [Over64, Acc64] = closureSize(Ctx.Formulas.toNNF(Inputs[0].F));
+  EXPECT_GT(Over64, 64u);
+  EXPECT_LE(Over64, 128u);
+  EXPECT_GT(Acc64, 0u);
+  auto [Over128, Acc128] = closureSize(Ctx.Formulas.toNNF(Inputs[1].F));
+  EXPECT_GT(Over128, 128u);
+  EXPECT_GT(Acc128, 32u);
+  EXPECT_LE(Acc128, MaxAcceptanceSets);
 }
 
 /// The edge form on each row's UCW (its negated first-round input): every
