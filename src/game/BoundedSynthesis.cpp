@@ -13,8 +13,11 @@
 // letters at once. The tableau emits the UCW in the form this needs:
 // per state, one edge per (live target, accepting flag, input cube) with
 // the output letters it admits as a mask (Nba::edges(), Nba::outputs()).
-// One pass over the active (UCW state, counter) pairs ORs each matching
-// edge's mask into the row of (counter + accepting, target); the rows
+// The arena indexes those edges once per (UCW state, allowed input
+// letter), merging the cubes that admit the letter per (target,
+// accepting flag): an input row. One pass over the active (UCW state,
+// counter) pairs ORs each edge of their input rows into the row of
+// (counter + accepting, target); the rows
 // are then scattered, targets in ascending id and levels from the top
 // down, into every letter's successor, which comes out sorted and equal
 // to the letter-by-letter definition (the largest counter per target,
@@ -116,6 +119,7 @@ public:
             size_t StateBudget)
       : UcwPtr(std::move(UcwPtr)), Ucw(*this->UcwPtr), Inputs(Ucw.inputs()),
         AB(AB), StateBudget(StateBudget) {
+    indexInputRows();
     CountVector InitialCounts = {{Ucw.initial(), 0}};
     (void)internState(InitialCounts);
   }
@@ -165,6 +169,50 @@ private:
     uint32_t Weight;
   };
 
+  /// One edge of an input row: a UCW target and accepting flag, its
+  /// output letters at the same position in InputRowMasks.
+  struct InputRowEdge {
+    uint32_t Target;
+    bool Accepting;
+  };
+
+  /// Indexes the UCW's edges per (state, allowed input position): input
+  /// row Q * Inputs.size() + In holds one edge per (target, accepting
+  /// flag) among Q's edges whose cube admits Inputs[In], with their
+  /// output letters ORed.
+  void indexInputRows() {
+    const size_t Words = Ucw.outputWords();
+    std::vector<int32_t> SlotOf(2 * Ucw.stateCount(), -1);
+    InputRowBegin.reserve(Ucw.stateCount() * Inputs.size() + 1);
+    for (uint32_t Q = 0; Q < Ucw.stateCount(); ++Q) {
+      const std::vector<Nba::Edge> &Edges = Ucw.edges(Q);
+      for (uint32_t In : Inputs) {
+        const size_t Begin = InputRowEdges.size();
+        InputRowBegin.push_back(Begin);
+        for (size_t I = 0; I < Edges.size(); ++I) {
+          const Nba::Edge &Ed = Edges[I];
+          if ((In & Ed.InputCare) != Ed.InputValue)
+            continue;
+          int32_t &Slot = SlotOf[2 * Ed.Target + Ed.Accepting];
+          if (Slot < 0) {
+            Slot = static_cast<int32_t>(InputRowEdges.size() - Begin);
+            InputRowEdges.push_back({Ed.Target, Ed.Accepting});
+            InputRowMasks.resize(InputRowMasks.size() + Words, 0);
+          }
+          const uint64_t *Mask = Ucw.outputs(Q, I);
+          uint64_t *Into = &InputRowMasks[(Begin + Slot) * Words];
+          for (size_t W = 0; W < Words; ++W)
+            Into[W] |= Mask[W];
+        }
+        for (size_t I = Begin; I < InputRowEdges.size(); ++I) {
+          const InputRowEdge &Ed = InputRowEdges[I];
+          SlotOf[2 * Ed.Target + Ed.Accepting] = -1;
+        }
+      }
+    }
+    InputRowBegin.push_back(InputRowEdges.size());
+  }
+
   /// Interns \p Counts, enqueueing new states for expansion (the range
   /// is copied into States only for a new state). Returns nullopt when
   /// the state is new and the budget is already full (the arena never
@@ -184,12 +232,12 @@ private:
     return Id;
   }
 
-  /// Computes every output letter's successor of (Counts, In) with
-  /// overflow cutoff \p Cutoff into \p Batch (the file comment gives the
-  /// pass). A letter's first row for a target, walking levels down, holds
-  /// its counter there; walking targets up sorts each Next. Reads the
-  /// UCW and per-thread scratch only, so concurrent calls for different
-  /// game states are safe.
+  /// Computes every output letter's successor of (Counts, Inputs[In])
+  /// with overflow cutoff \p Cutoff into \p Batch (the file comment gives
+  /// the pass). A letter's first row for a target, walking levels down,
+  /// holds its counter there; walking targets up sorts each Next. Reads
+  /// the input rows and per-thread scratch only, so concurrent calls for
+  /// different game states are safe.
   void successors(const CountVector &Counts, uint32_t In, unsigned Cutoff,
                   SuccessorBatch &Batch) const {
     SuccScratch &SS = succScratch();
@@ -212,12 +260,10 @@ private:
     const size_t Levels = std::min(MaxCount + 1, Cutoff) + 1;
 
     for (const auto &[Q, Count] : Counts) {
-      const std::vector<Nba::Edge> &Edges = Ucw.edges(Q);
-      for (size_t I = 0; I < Edges.size(); ++I) {
-        const Nba::Edge &Ed = Edges[I];
-        if ((In & Ed.InputCare) != Ed.InputValue)
-          continue;
-        const uint64_t *Mask = Ucw.outputs(Q, I);
+      const size_t Row = size_t(Q) * Inputs.size() + In;
+      for (size_t I = InputRowBegin[Row]; I < InputRowBegin[Row + 1]; ++I) {
+        const InputRowEdge &Ed = InputRowEdges[I];
+        const uint64_t *Mask = &InputRowMasks[I * Words];
         const unsigned Level = Count + Ed.Accepting;
         uint64_t *Into = Batch.Overflow.data();
         if (Level <= Cutoff) {
@@ -267,6 +313,13 @@ private:
   const std::vector<uint32_t> &Inputs;
   Alphabet AB; // Own copy: callers' alphabets are per-round temporaries.
   size_t StateBudget;
+  /// The UCW's edges per (state, input position) (see indexInputRows):
+  /// input row R is InputRowEdges[InputRowBegin[R], InputRowBegin[R + 1]),
+  /// edge I's output letters InputRowMasks[I * W, (I + 1) * W) with W the
+  /// UCW's outputWords().
+  std::vector<size_t> InputRowBegin;
+  std::vector<InputRowEdge> InputRowEdges;
+  std::vector<uint64_t> InputRowMasks;
 
   std::vector<CountVector> States;
   std::unordered_map<std::string, uint32_t> StateIds;
@@ -348,7 +401,7 @@ bool GameArena::drainPending(unsigned B, SolverPool &Pool,
       Sl.Counts.clear();
       SuccessorBatch &Batch = succScratch().Batch;
       for (uint32_t In = 0; In < NumInputs; ++In) {
-        successors(Counts, Inputs[In], B, Batch);
+        successors(Counts, In, B, Batch);
         for (uint32_t Out = 0; Out < NumOutputs; ++Out) {
           Item It{In, Out, Batch.Weight[Out],
                   static_cast<uint32_t>(Sl.Counts.size()), 0,
