@@ -6,10 +6,10 @@
 /// the pipeline with SynthesisOptions::Incremental on and off yields
 /// the same verdict, the same generated assumptions, and byte-identical
 /// emitted JavaScript and C++. A second group pins jobs=4 to jobs=1
-/// under the incremental engine, and a third runs one Synthesizer twice
-/// (eager Counting, lazy Vibrato) to pin the per-call reuse counters
-/// (NBA cache hits, arena states kept alive) without changing the
-/// output.
+/// under the incremental engine, one test per row, and a third runs one
+/// Synthesizer twice (eager Counting, lazy Vibrato) to pin the per-call
+/// reuse counters (NBA cache hits, arena states kept alive) without
+/// changing the output.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,24 +108,23 @@ INSTANTIATE_TEST_SUITE_P(
 /// Game exploration merges each wave in wave order and SyGuS merges
 /// each batch in obligation order, so every pool width must yield the
 /// same assumptions and the same machine, on every row.
-TEST(IncrementalParity, JobsFourMatchesJobsOne) {
-  for (const ParityBenchmark &P : ParityBenchmarks) {
-    const BenchmarkSpec *B = findBenchmark(P.Name);
-    ASSERT_NE(B, nullptr);
+TEST_P(IncrementalParity, JobsFourMatchesJobsOne) {
+  const ParityBenchmark &P = GetParam();
+  const BenchmarkSpec *B = findBenchmark(P.Name);
+  ASSERT_NE(B, nullptr);
 
-    PipelineOptions One;
-    One.Parallelism.NumThreads = 1;
-    PipelineOptions Four;
-    Four.Parallelism.NumThreads = 4;
+  PipelineOptions One;
+  One.Parallelism.NumThreads = 1;
+  PipelineOptions Four;
+  Four.Parallelism.NumThreads = 4;
 
-    RunArtifacts Serial = runOnce(*B, One);
-    RunArtifacts Parallel = runOnce(*B, Four);
+  RunArtifacts Serial = runOnce(*B, One);
+  RunArtifacts Parallel = runOnce(*B, Four);
 
-    EXPECT_EQ(Serial.Status, Parallel.Status) << P.Name;
-    EXPECT_EQ(Serial.Assumptions, Parallel.Assumptions) << P.Name;
-    EXPECT_EQ(Serial.Js, Parallel.Js) << P.Name;
-    EXPECT_EQ(Serial.Cpp, Parallel.Cpp) << P.Name;
-  }
+  EXPECT_EQ(Serial.Status, Parallel.Status) << P.Name;
+  EXPECT_EQ(Serial.Assumptions, Parallel.Assumptions) << P.Name;
+  EXPECT_EQ(Serial.Js, Parallel.Js) << P.Name;
+  EXPECT_EQ(Serial.Cpp, Parallel.Cpp) << P.Name;
 }
 
 /// Two runs on one Synthesizer: the second must hit the NBA cache on
