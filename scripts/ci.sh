@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full CI ladder: tier-1 build + ctest, ThreadSanitizer on the
-# concurrency-sensitive tests, and a bounded differential-fuzz sweep.
+# concurrency-sensitive tests, AddressSanitizer and UBSan on the tableau
+# and game tests, and a bounded differential-fuzz sweep.
 # Fails on the first broken rung. See docs/TESTING.md for the tier map.
 #
 # Usage: scripts/ci.sh [build-dir]
@@ -116,6 +117,9 @@ python3 perfbench/run.py --self-test
 
 echo "== tier 5: ThreadSanitizer on the solver-service tests =="
 scripts/run_tsan.sh
+
+echo "== tier 5: ASan+UBSan on the tableau and game tests =="
+scripts/run_asan.sh
 
 echo "== tier 3: differential fuzz sweep (500 iterations/oracle) =="
 "$BUILD_DIR/src/tools/temos-fuzz" --seed "${TEMOS_SEED:-1}" --iters 500

@@ -1,0 +1,33 @@
+#!/usr/bin/env bash
+# Builds the automata and game tests and the tableau identity tests
+# under AddressSanitizer and UndefinedBehaviorSanitizer, with libstdc++'s
+# bounds-checked containers, and runs them. The tableau expands over an
+# explicit stack of reused frames and the game reads flat edge indexes,
+# so an out-of-bounds word, a reference kept into a stack that grew, or
+# a frame read after reuse would show here before it shows as a wrong
+# automaton.
+#
+# Usage: scripts/run_asan.sh [build-dir]
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+BUILD_DIR="${1:-build-asan}"
+
+# ASan and UBSan cost ~2-3x wall clock; the timeout backstop gets a
+# matching raise.
+cmake -B "$BUILD_DIR" -S . -DTEMOS_SANITIZE=address,undefined \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
+      -DTEMOS_TEST_TIMEOUT=1800
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target test_automata test_game test_core
+
+export ASAN_OPTIONS="halt_on_error=1 detect_stack_use_after_return=1"
+export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
+
+# test_automata (TableauTest, NbaTest), test_game (BoundedSynthesisTest,
+# EscalationReuseTest, GameFingerprint) and test_core's tableau inputs
+# (TableauFingerprint, TableauEdges, TableauWideClosure).
+(cd "$BUILD_DIR" && ctest --output-on-failure -j"$(nproc)" \
+    -R "TableauTest|NbaTest|BoundedSynthesisTest|EscalationReuseTest|GameFingerprint|TableauFingerprint|TableauEdges|TableauWideClosure")
+
+echo "ASan+UBSan run clean."
