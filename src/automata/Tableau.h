@@ -7,9 +7,11 @@
 ///
 /// The construction follows the classic expansion-law scheme (Gerth et
 /// al. / Couvreur style): a state is the set of formulas that must hold
-/// now. Expansion applies one table of laws (one alternative per
-/// disjunct: formulas now, an obligation for the next step, whether it
-/// defers an eventuality) and compiles each literal as it meets it: a
+/// now, a bitset over the root formula's NNF closure (indexed once per
+/// construction, in formula-id order). Expansion applies one table of
+/// laws (one alternative per disjunct: formulas now, an obligation for
+/// the next step, whether it defers an eventuality), depth first over
+/// an explicit stack of frames, and compiles each literal as it meets it: a
 /// predicate fixes a bit of the branch's input cube, an update ANDs the
 /// output letters choosing (or not choosing) its option into the
 /// branch's letter mask. The branch dies at its first contradiction (an
@@ -90,12 +92,13 @@ Nba buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
 ///
 /// The cached unit is a state's branch list: each branch with its input
 /// cube, its output-letter mask, its successor obligation set and its
-/// deferred acceptance formulas. A tableau state (a set of obligations) expands
-/// to the same branches regardless of the *top-level* formula being
-/// translated, because expansion only ever looks at the state set
-/// itself. Entries are keyed by (alphabet signature, state set): cubes
-/// and masks compile against concrete bit and letter indices. A state
-/// that recurs in a later build replays its expansion instead of
+/// defer mask. A construction indexes the closure of its root (the
+/// peeled NNF formula) and represents state sets, successor sets and
+/// defer masks over that index, so entries are keyed by (alphabet
+/// signature, root formula, state set): cubes and masks compile against
+/// concrete bit and letter indices, and a branch replays only into a
+/// build of the same closure. A state that recurs in a later build of
+/// the same root and alphabet replays its expansion instead of
 /// re-deriving it.
 /// (Measured on the bundled rows, eager and lazy, no state recurs: a
 /// grown formula's tableau states differ from the earlier formula's,
