@@ -141,6 +141,19 @@ TEST_F(TableauTest, UpdateLiveness) {
   EXPECT_FALSE(sat("G [x <- x + 1] && F [x <- x - 1]"));
 }
 
+TEST_F(TableauTest, UpdateOutsideTheAlphabetNeverFires) {
+  // The fixture's alphabet offers x + 1, x - 1 and the self-update only:
+  // an update to x + 2 chooses no output letter.
+  auto Sat = [&](const std::string &Source) {
+    return isSatisfiable(formula(Source), Ctx, AB).value();
+  };
+  EXPECT_FALSE(Sat("[x <- x + 2]"));
+  EXPECT_FALSE(Sat("F [x <- x + 2]"));
+  EXPECT_TRUE(Sat("! [x <- x + 2]"));
+  EXPECT_TRUE(Sat("G (! [x <- x + 2]) && G F [x <- x + 1]"));
+  EXPECT_FALSE(Sat("G (! [x <- x + 2]) && [x <- x + 2] W p && G ! p"));
+}
+
 TEST_F(TableauTest, ImplicationChains) {
   // The mutex example shape (Sec. 4.2): without consistency assumptions
   // both guards can be true simultaneously, forcing both updates: unsat
