@@ -194,6 +194,24 @@ TEST_F(BoundedSynthesisTest, TinyStateBudgetReportsUnknown) {
   EXPECT_LE(R.Stats.GameStates, Tiny.StateBudget);
 }
 
+TEST_F(BoundedSynthesisTest, ZeroStateBudgetReportsUnknown) {
+  // A budget of 0 refuses the initial state itself: that is budget
+  // exhaustion (Unknown, not timed out), not an empty game to solve.
+  const Formula *F = formula("G (p -> X [x <- x + 1])");
+  AB = Alphabet::build(Spec, Ctx, {F});
+  for (bool Incremental : {true, false}) {
+    SynthesisOptions Zero;
+    Zero.StateBudget = 0;
+    Zero.Incremental = Incremental;
+    SynthesisEngine Engine;
+    auto R = Engine.synthesize(F, Ctx, AB, Zero);
+    EXPECT_EQ(R.Status, Realizability::Unknown) << Incremental;
+    EXPECT_FALSE(R.Stats.TimedOut) << Incremental;
+    EXPECT_FALSE(R.Machine.has_value()) << Incremental;
+    EXPECT_EQ(R.Stats.GameStates, 0u) << Incremental;
+  }
+}
+
 TEST_F(BoundedSynthesisTest, TinyStateBudgetUnknownThroughEngine) {
   // Same through a held engine, both incremental modes.
   const Formula *F = formula("G (p -> X [x <- x + 1])");
