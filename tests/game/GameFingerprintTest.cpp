@@ -9,7 +9,11 @@
 /// specs whose output alphabets have exactly 64, exactly 65 and more than
 /// 128 letters (the word boundaries of a 64-letter mask) or whose game
 /// fails bound 1 and escalates to bound 3 (which expands the states with
-/// a move past bound 1's cutoff again).
+/// a move past bound 1's cutoff again). Their UCWs cross the word
+/// boundaries of a game state's counter planes (one bit per UCW state,
+/// one plane per counter value): UCWs of at most 64 states, UCWs whose
+/// state count is not a multiple of 64, and a UCW of more than 64 states
+/// at bound 3 (four planes).
 ///
 /// Each input is solved with jobs 1, with jobs 4 and with
 /// SynthesisOptions::Incremental off, each from a fresh engine. Every
@@ -125,6 +129,14 @@ const Synthetic Synthetics[] = {
      "G F [x <- 1] && G ([x <- 1] -> X [x <- 2]) && "
      "G ([x <- 2] -> X [x <- 3]) && G (p -> F [y <- y + 1])",
      8},
+    // Escalate under an assumption on q's history: a UCW of more than 64
+    // states whose game, like Escalate's, fails bound 1 and is won at
+    // bound 3.
+    {"Escalate wide", "#LIA#\ninputs { bool p; bool q; }\ncells { int x = 0; "
+                      "int y = 0; }\n",
+     "(G (q -> X X X X q)) -> (G F [x <- 1] && G ([x <- 1] -> X [x <- 2]) && "
+     "G ([x <- 2] -> X [x <- 3]) && G (p -> F [y <- y + 1]))",
+     8},
 };
 
 /// A recorded fingerprint: input, verdict, bound, game states and
@@ -164,6 +176,7 @@ const Recorded Expected[] = {
     {"Out65", Real, 1, 25, 0x71f9883bf75a8be1ull},
     {"Out243", Real, 1, 37, 0x2d6767e55979e786ull},
     {"Escalate", Real, 3, 78, 0x0c6336a3fb4661e0ull},
+    {"Escalate wide", Real, 3, 1710, 0x584bad9d22f60865ull},
 };
 
 /// How the engine is run.
@@ -234,6 +247,30 @@ std::optional<GameInput> rowInput(const std::string &Name, Context &Ctx) {
       Synth.alphabetFormulas(*Spec, Result.Assumptions);
   return GameInput{ForAlphabet.back(),
                    Alphabet::build(*Spec, Ctx, ForAlphabet)};
+}
+
+/// The number of states of \p Name's UCW (the NBA of the negated input).
+size_t ucwStates(const std::string &Name) {
+  Context Ctx;
+  std::optional<GameInput> In = syntheticInput(Name, Ctx);
+  if (!In)
+    In = rowInput(Name, Ctx);
+  if (!In)
+    return 0;
+  TableauStats Stats;
+  const Nba Ucw = buildNba(Ctx.Formulas.notF(In->F), Ctx, In->AB, &Stats);
+  EXPECT_FALSE(Stats.BudgetExceeded) << Name;
+  return Ucw.stateCount();
+}
+
+/// The inputs cross the word boundaries of a game state's counter planes
+/// (one word per 64 UCW states): one-word planes, a partly used last
+/// word, and more than one word at bound 3.
+TEST(GameFingerprintInputs, CrossThePlaneWordBoundaries) {
+  EXPECT_LE(ucwStates("Escalate"), 64u);
+  EXPECT_NE(ucwStates("Vibrato") % 64, 0u);
+  const size_t Wide = ucwStates("Escalate wide");
+  EXPECT_TRUE(Wide > 64 && Wide % 64 != 0) << Wide;
 }
 
 class GameFingerprint
