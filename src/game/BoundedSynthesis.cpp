@@ -9,20 +9,28 @@
 // exploration, instead of re-deriving the reachable graph, and solving
 // restricts the fixpoint to moves of weight <= B.
 //
+// A game state is packed: plane c is the bitset (one bit per UCW state)
+// of the UCW states whose counter is exactly c, for c from 0 up to the
+// largest counter. The planes of all states sit in one flat word array,
+// interned by an open-addressing table of ids over a cached hash.
+//
 // Successors are computed per (game state, input letter) for all output
 // letters at once. The tableau emits the UCW in the form this needs:
 // per state, one edge per (live target, accepting flag, input cube) with
 // the output letters it admits as a mask (Nba::edges(), Nba::outputs()).
 // The arena indexes those edges once per (UCW state, allowed input
 // letter), merging the cubes that admit the letter per (target,
-// accepting flag): an input row. One pass over the active (UCW state,
-// counter) pairs ORs each edge of their input rows into the row of
-// (counter + accepting, target); the rows
-// are then scattered, targets in ascending id and levels from the top
-// down, into every letter's successor, which comes out sorted and equal
-// to the letter-by-letter definition (the largest counter per target,
-// illegal past the cutoff).
-//
+// accepting flag): an input row. One pass over the set bits of the
+// planes ORs each edge of their input rows into the row of (counter +
+// accepting, target). Each row then sets the target's bit in the level
+// plane of every letter no higher level of the target admits: the
+// letter's successor, equal to the letter-by-letter definition (the
+// largest counter per target, illegal past the cutoff), whose top plane
+// is its weight. Both passes are order-free (OR commutes), so targets
+// are visited in whatever order the first pass touched them. The pool
+// task also hashes every legal letter's planes, so the serial merge
+// only probes.
+
 // Parity with the from-scratch engine is structural, not accidental:
 //  * Reachable sets are monotone in k (a bound-k move is a bound-k'
 //    move for k' >= k and produces the same successor), so the
@@ -48,49 +56,27 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <deque>
-#include <span>
 #include <unordered_map>
 
 using namespace temos;
 
 namespace {
 
-/// A state of the k-counting game: counters for the *active* UCW states
-/// only, sorted by state id (sparse -- UCWs run to thousands of states
-/// while only a handful are active at a time).
-using CountEntry = std::pair<uint32_t, uint8_t>;
-using CountVector = std::vector<CountEntry>;
-
-std::string countKey(std::span<const CountEntry> Counts) {
-  std::string Key(Counts.size() * 5, '\0');
-  char *At = Key.data();
-  for (const auto &[State, Count] : Counts) {
-    std::memcpy(At, &State, 4);
-    At[4] = static_cast<char>(Count);
-    At += 5;
-  }
-  return Key;
-}
-
 /// One machine word per 64 output letters: bit O % 64 of word O / 64
 /// stands for output letter O.
 using LetterMask = std::vector<uint64_t>;
 
-/// Every output letter's successor of one (game state, input letter).
-/// A letter is legal unless some counter it produces exceeds the cutoff;
-/// a legal letter's successor is Next[letter] (sorted by UCW state) and
-/// its weight the largest counter in it (0 when it is empty).
-struct SuccessorBatch {
-  LetterMask Overflow;
-  std::vector<uint32_t> Weight;
-  std::vector<CountVector> Next;
-
-  bool legal(uint32_t Out) const {
-    return !((Overflow[Out / 64] >> (Out % 64)) & 1);
-  }
-};
+/// The hash of a game state's planes (Length words at Key).
+uint64_t planesHash(const uint64_t *Key, size_t Length) {
+  uint64_t Hash = Length;
+  for (size_t W = 0; W < Length; ++W)
+    Hash = (Hash + Key[W]) * 0x9e3779b97f4a7c15ull;
+  // splitmix64's finalizer, so the low bits depend on every word.
+  Hash = (Hash ^ (Hash >> 30)) * 0xbf58476d1ce4e5b9ull;
+  Hash = (Hash ^ (Hash >> 27)) * 0x94d049bb133111ebull;
+  return Hash ^ (Hash >> 31);
+}
 
 /// Per-thread scratch for successors(): which UCW targets the pass has
 /// touched, and for each touched target one row of output-letter words
@@ -100,8 +86,10 @@ struct SuccScratch {
   std::vector<int32_t> RowOf;
   std::vector<uint32_t> Touched;
   std::vector<uint64_t> Rows;
+  LetterMask Overflow;
   LetterMask Seen;
-  SuccessorBatch Batch;
+  /// Per level, the letters some touched target's row holds there.
+  std::vector<uint64_t> LevelLetters;
 };
 
 SuccScratch &succScratch() {
@@ -118,10 +106,15 @@ public:
   GameArena(std::shared_ptr<const Nba> UcwPtr, const Alphabet &AB,
             size_t StateBudget)
       : UcwPtr(std::move(UcwPtr)), Ucw(*this->UcwPtr), Inputs(Ucw.inputs()),
-        AB(AB), StateBudget(StateBudget) {
+        AB(AB), StateBudget(StateBudget),
+        PlaneWords((Ucw.stateCount() + 63) / 64), Table(64, NoState) {
     indexInputRows();
-    CountVector InitialCounts = {{Ucw.initial(), 0}};
-    (void)internState(InitialCounts);
+    std::vector<uint64_t> Initial(PlaneWords, 0);
+    Initial[Ucw.initial() / 64] = uint64_t(1) << (Ucw.initial() % 64);
+    // A zero budget refuses even the initial state: extendTo() then
+    // reports the budget exhausted.
+    (void)internState(planesHash(Initial.data(), PlaneWords), Initial.data(),
+                      1);
   }
 
   GameArena(const GameArena &) = delete;
@@ -131,12 +124,12 @@ public:
   /// Escalating the bound puts the states that had a move past the old
   /// cutoff back at the front of the frontier, where they are expanded
   /// again at cutoff \p B. Returns false when the state budget is
-  /// exhausted or \p Dl expired (verdict: Unknown; timedOut()
-  /// distinguishes); the arena is then a partial extension, not to be
-  /// used again. Successor cells of a wave of frontier states are
-  /// computed across \p Pool and merged in wave order; the arena is
-  /// identical for every pool width (an inline pool expands one state per
-  /// wave).
+  /// exhausted (the initial state included) or \p Dl expired (verdict:
+  /// Unknown; timedOut() distinguishes); the arena is then a partial
+  /// extension, not to be used again. Successor cells of a wave of
+  /// frontier states are computed across \p Pool and merged in wave
+  /// order; the arena is identical for every pool width (an inline pool
+  /// expands one state per wave).
   bool extendTo(unsigned B, SolverPool &Pool, const Deadline &Dl);
 
   /// Solves the bound-\p B safety game over the explored arena: the
@@ -161,6 +154,8 @@ public:
   size_t stateBudget() const { return StateBudget; }
   /// (state, input, output) triples examined since construction.
   size_t lettersExplored() const { return LettersExplored; }
+  /// The most (UCW state, counter) pairs in any interned state.
+  size_t maxActive() const { return MaxActive; }
 
 private:
   struct Move {
@@ -175,6 +170,38 @@ private:
     uint32_t Target;
     bool Accepting;
   };
+
+  /// A state of the k-counting game, packed: plane c < Planes is the
+  /// bitset of the UCW states whose counter is exactly c, PlaneWords
+  /// words at StateWords[Offset + c * PlaneWords]. The top plane is not
+  /// empty (no active UCW state: no plane), so equal states have equal
+  /// planes. Hash is planesHash of the planes.
+  struct State {
+    size_t Offset;
+    uint64_t Hash;
+    uint32_t Planes;
+  };
+
+  /// One output letter's successor of a (wave state, input position). A
+  /// legal letter's successor has Planes planes at Slot::Keys[Offset,
+  /// Offset + Planes * PlaneWords); its weight is its top counter,
+  /// Planes - 1 (0 without planes).
+  struct Item {
+    size_t Offset;
+    uint64_t Hash;
+    uint32_t Planes;
+    bool Legal;
+  };
+
+  /// Per wave position, reused across waves: written by one pool task,
+  /// read by the merge. Items[In * output letters + Out] is letter
+  /// (Inputs[In], Out)'s successor.
+  struct Slot {
+    std::vector<Item> Items;
+    std::vector<uint64_t> Keys;
+  };
+
+  static constexpr uint32_t NoState = ~uint32_t(0);
 
   /// Indexes the UCW's edges per (state, allowed input position): input
   /// row Q * Inputs.size() + In holds one edge per (target, accepting
@@ -213,95 +240,167 @@ private:
     InputRowBegin.push_back(InputRowEdges.size());
   }
 
-  /// Interns \p Counts, enqueueing new states for expansion (the range
-  /// is copied into States only for a new state). Returns nullopt when
-  /// the state is new and the budget is already full (the arena never
-  /// holds more than StateBudget states).
-  std::optional<uint32_t> internState(std::span<const CountEntry> Counts) {
-    std::string Key = countKey(Counts);
-    auto It = StateIds.find(Key);
-    if (It != StateIds.end())
-      return It->second;
+  /// The position in Table of the state with \p Planes planes \p Key and
+  /// hash \p Hash, or of the empty entry where it would go.
+  size_t probe(uint64_t Hash, const uint64_t *Key, uint32_t Planes) const {
+    const size_t Mask = Table.size() - 1;
+    const size_t Length = size_t(Planes) * PlaneWords;
+    for (size_t I = Hash & Mask;; I = (I + 1) & Mask) {
+      if (Table[I] == NoState)
+        return I;
+      const State &St = States[Table[I]];
+      if (St.Hash == Hash && St.Planes == Planes &&
+          std::equal(Key, Key + Length, StateWords.data() + St.Offset))
+        return I;
+    }
+  }
+
+  /// Interns the state with \p Planes planes \p Key and hash \p Hash,
+  /// enqueueing a new state for expansion (its planes are copied into
+  /// StateWords only then). Returns nullopt when the state is new and
+  /// the budget is already full (the arena never holds more than
+  /// StateBudget states).
+  std::optional<uint32_t> internState(uint64_t Hash, const uint64_t *Key,
+                                      uint32_t Planes) {
+    const size_t I = probe(Hash, Key, Planes);
+    if (Table[I] != NoState)
+      return Table[I];
     if (States.size() >= StateBudget)
       return std::nullopt;
-    uint32_t Id = static_cast<uint32_t>(States.size());
-    StateIds.emplace(std::move(Key), Id);
-    States.emplace_back(Counts.begin(), Counts.end());
+    const uint32_t Id = static_cast<uint32_t>(States.size());
+    const size_t Length = size_t(Planes) * PlaneWords;
+    States.push_back({StateWords.size(), Hash, Planes});
+    StateWords.insert(StateWords.end(), Key, Key + Length);
+    size_t Active = 0;
+    for (size_t W = 0; W < Length; ++W)
+      Active += std::popcount(Key[W]);
+    MaxActive = std::max(MaxActive, Active);
+    Table[I] = Id;
+    if (2 * States.size() > Table.size())
+      growTable();
     Moves.emplace_back();
     Pending.push_back(Id);
     return Id;
   }
 
-  /// Computes every output letter's successor of (Counts, Inputs[In])
-  /// with overflow cutoff \p Cutoff into \p Batch (the file comment gives
-  /// the pass). A letter's first row for a target, walking levels down,
-  /// holds its counter there; walking targets up sorts each Next. Reads
-  /// the input rows and per-thread scratch only, so concurrent calls for
-  /// different game states are safe.
-  void successors(const CountVector &Counts, uint32_t In, unsigned Cutoff,
-                  SuccessorBatch &Batch) const {
+  /// Doubles Table and re-inserts every state by its cached hash.
+  void growTable() {
+    Table.assign(2 * Table.size(), NoState);
+    const size_t Mask = Table.size() - 1;
+    for (uint32_t Id = 0; Id < States.size(); ++Id) {
+      size_t I = States[Id].Hash & Mask;
+      while (Table[I] != NoState)
+        I = (I + 1) & Mask;
+      Table[I] = Id;
+    }
+  }
+
+  /// Appends every output letter's successor of (\p St, Inputs[In]) with
+  /// overflow cutoff \p Cutoff to \p Sl (the file comment gives the
+  /// pass): one Item per letter and, for a legal one, its planes and
+  /// hash. A letter's first row for a target, walking levels down, holds
+  /// its counter there. Reads the input rows, the interned states and
+  /// per-thread scratch only, so concurrent calls for different slots
+  /// are safe.
+  void successors(const State &St, uint32_t In, unsigned Cutoff,
+                  Slot &Sl) const {
     SuccScratch &SS = succScratch();
     if (SS.RowOf.size() < Ucw.stateCount())
       SS.RowOf.resize(Ucw.stateCount(), -1);
     SS.Touched.clear();
     const size_t NumOutputs = AB.outputLetterCount();
     const size_t Words = Ucw.outputWords();
-    Batch.Overflow.assign(Words, 0);
-    Batch.Weight.assign(NumOutputs, 0);
-    Batch.Next.resize(NumOutputs);
-    for (CountVector &Next : Batch.Next)
-      Next.clear();
+    SS.Overflow.assign(Words, 0);
 
     // Counters never exceed the cutoff, so levels run up to one past the
-    // largest of them, and that one only while it is within the cutoff.
-    unsigned MaxCount = 0;
-    for (const auto &[Q, Count] : Counts)
-      MaxCount = std::max<unsigned>(MaxCount, Count);
-    const size_t Levels = std::min(MaxCount + 1, Cutoff) + 1;
+    // top plane, and that one only while it is within the cutoff.
+    const size_t Levels = std::min<size_t>(St.Planes, Cutoff) + 1;
 
-    for (const auto &[Q, Count] : Counts) {
-      const size_t Row = size_t(Q) * Inputs.size() + In;
-      for (size_t I = InputRowBegin[Row]; I < InputRowBegin[Row + 1]; ++I) {
-        const InputRowEdge &Ed = InputRowEdges[I];
-        const uint64_t *Mask = &InputRowMasks[I * Words];
-        const unsigned Level = Count + Ed.Accepting;
-        uint64_t *Into = Batch.Overflow.data();
-        if (Level <= Cutoff) {
-          int32_t &Row = SS.RowOf[Ed.Target];
-          if (Row < 0) {
-            Row = static_cast<int32_t>(SS.Touched.size());
-            SS.Touched.push_back(Ed.Target);
-            if (SS.Rows.size() < SS.Touched.size() * Levels * Words)
-              SS.Rows.resize(SS.Touched.size() * Levels * Words, 0);
+    const uint64_t *Planes = StateWords.data() + St.Offset;
+    for (uint32_t Count = 0; Count < St.Planes; ++Count) {
+      for (size_t PW = 0; PW < PlaneWords; ++PW) {
+        for (uint64_t Bits = Planes[Count * PlaneWords + PW]; Bits;
+             Bits &= Bits - 1) {
+          const size_t Q = PW * 64 + std::countr_zero(Bits);
+          const size_t Row = Q * Inputs.size() + In;
+          for (size_t I = InputRowBegin[Row]; I < InputRowBegin[Row + 1];
+               ++I) {
+            const InputRowEdge &Ed = InputRowEdges[I];
+            const uint64_t *Mask = &InputRowMasks[I * Words];
+            const unsigned Level = Count + Ed.Accepting;
+            uint64_t *Into = SS.Overflow.data();
+            if (Level <= Cutoff) {
+              int32_t &TargetRow = SS.RowOf[Ed.Target];
+              if (TargetRow < 0) {
+                TargetRow = static_cast<int32_t>(SS.Touched.size());
+                SS.Touched.push_back(Ed.Target);
+                if (SS.Rows.size() < SS.Touched.size() * Levels * Words)
+                  SS.Rows.resize(SS.Touched.size() * Levels * Words, 0);
+              }
+              Into = &SS.Rows[(TargetRow * Levels + Level) * Words];
+            }
+            for (size_t W = 0; W < Words; ++W)
+              Into[W] |= Mask[W];
           }
-          Into = &SS.Rows[(Row * Levels + Level) * Words];
         }
-        for (size_t W = 0; W < Words; ++W)
-          Into[W] |= Mask[W];
       }
     }
 
-    std::sort(SS.Touched.begin(), SS.Touched.end());
-    SS.Seen.resize(Words);
+    // A legal letter's top plane is the highest level any target's row
+    // admits it at: lay out each legal letter's planes in Sl.Keys.
+    const size_t Base = Sl.Items.size();
+    for (size_t Out = 0; Out < NumOutputs; ++Out)
+      Sl.Items.push_back(
+          {0, 0, 0, !((SS.Overflow[Out / 64] >> (Out % 64)) & 1)});
+    Item *Items = &Sl.Items[Base];
+    SS.LevelLetters.assign(Levels * Words, 0);
+    for (uint32_t Target : SS.Touched) {
+      const uint64_t *Row = &SS.Rows[SS.RowOf[Target] * Levels * Words];
+      for (size_t W = 0; W < Levels * Words; ++W)
+        SS.LevelLetters[W] |= Row[W];
+    }
+    SS.Seen.assign(Words, 0);
+    for (size_t Level = Levels; Level-- > 0;) {
+      const uint64_t *Letters = &SS.LevelLetters[Level * Words];
+      for (size_t W = 0; W < Words; ++W) {
+        uint64_t New = Letters[W] & ~SS.Seen[W] & ~SS.Overflow[W];
+        SS.Seen[W] |= New;
+        for (; New; New &= New - 1)
+          Items[W * 64 + std::countr_zero(New)].Planes =
+              static_cast<uint32_t>(Level + 1);
+      }
+    }
+    size_t End = Sl.Keys.size();
+    for (size_t Out = 0; Out < NumOutputs; ++Out) {
+      Items[Out].Offset = End;
+      if (Items[Out].Legal)
+        End += Items[Out].Planes * PlaneWords;
+    }
+    Sl.Keys.resize(End, 0);
+
+    // Then scatter: each (target, level) row sets the target's bit in the
+    // level plane of the letters no higher level of it admits.
     for (uint32_t Target : SS.Touched) {
       int32_t &Row = SS.RowOf[Target];
       std::fill(SS.Seen.begin(), SS.Seen.end(), 0);
       for (size_t Level = Levels; Level-- > 0;) {
         uint64_t *Letters = &SS.Rows[(Row * Levels + Level) * Words];
+        const size_t At = Level * PlaneWords + Target / 64;
+        const uint64_t Bit = uint64_t(1) << (Target % 64);
         for (size_t W = 0; W < Words; ++W) {
-          uint64_t New = Letters[W] & ~SS.Seen[W] & ~Batch.Overflow[W];
+          uint64_t New = Letters[W] & ~SS.Seen[W] & ~SS.Overflow[W];
           SS.Seen[W] |= Letters[W];
           Letters[W] = 0;
-          for (; New; New &= New - 1) {
-            const size_t Out = W * 64 + std::countr_zero(New);
-            Batch.Next[Out].emplace_back(Target, static_cast<uint8_t>(Level));
-            Batch.Weight[Out] =
-                std::max(Batch.Weight[Out], static_cast<uint32_t>(Level));
-          }
+          for (; New; New &= New - 1)
+            Sl.Keys[Items[W * 64 + std::countr_zero(New)].Offset + At] |= Bit;
         }
       }
       Row = -1;
     }
+    for (size_t Out = 0; Out < NumOutputs; ++Out)
+      if (Items[Out].Legal)
+        Items[Out].Hash = planesHash(Sl.Keys.data() + Items[Out].Offset,
+                                     Items[Out].Planes * PlaneWords);
   }
 
   bool drainPending(unsigned B, SolverPool &Pool, const Deadline &Dl);
@@ -321,8 +420,14 @@ private:
   std::vector<InputRowEdge> InputRowEdges;
   std::vector<uint64_t> InputRowMasks;
 
-  std::vector<CountVector> States;
-  std::unordered_map<std::string, uint32_t> StateIds;
+  /// Words per counter plane: one bit per UCW state.
+  const size_t PlaneWords;
+  /// The interned states by id, their planes in one flat array.
+  std::vector<State> States;
+  std::vector<uint64_t> StateWords;
+  /// Open addressing over States by hash, linear probing; NoState marks
+  /// an empty entry. At most half full, so every probe ends.
+  std::vector<uint32_t> Table;
   /// Moves[state][input position], sorted by output letter; only moves
   /// whose weight fit the explored bound are present.
   std::vector<std::vector<std::vector<Move>>> Moves;
@@ -336,10 +441,14 @@ private:
   /// Last failure cause: deadline (true) vs. state budget (false).
   bool TimedOut = false;
   size_t LettersExplored = 0;
+  size_t MaxActive = 0;
 };
 
 bool GameArena::extendTo(unsigned B, SolverPool &Pool, const Deadline &Dl) {
   TimedOut = false;
+  // The budget refused the initial state.
+  if (States.empty())
+    return false;
   if (static_cast<int64_t>(B) <= ExploredBound)
     return true;
   // Pending is empty here unless nothing is expanded yet (then nothing
@@ -360,23 +469,6 @@ bool GameArena::drainPending(unsigned B, SolverPool &Pool,
   // Wave size: how many frontier states are expanded per round. 1 on an
   // inline pool, which makes every wave boundary a state boundary.
   const size_t WaveCap = Pool.workerCount() > 0 ? 256 : 1;
-
-  /// One (input position, output) successor of a wave state; a legal
-  /// move's counts are Slot.Counts[Offset, Offset + Length).
-  struct Item {
-    uint32_t In;
-    uint32_t Out;
-    uint32_t Weight;
-    uint32_t Offset;
-    uint32_t Length;
-    bool Legal;
-  };
-  /// Per wave position, reused across waves: written by one pool task,
-  /// read by the merge.
-  struct Slot {
-    std::vector<Item> Items;
-    CountVector Counts;
-  };
   std::vector<Slot> Slots;
   std::vector<uint32_t> Wave;
 
@@ -392,49 +484,40 @@ bool GameArena::drainPending(unsigned B, SolverPool &Pool,
       Slots.resize(WaveLen);
 
     // Compute every (allowed input, output) successor of every wave
-    // state, one batch per input. Reads are confined to the UCW and the
-    // immutable States prefix; writes go to the state's own slot.
+    // state, planes and hash. Reads are confined to the UCW and the
+    // immutable interned states; writes go to the state's own slot.
     Pool.forEach(WaveLen, [&](size_t W) {
-      const CountVector &Counts = States[Wave[W]];
       Slot &Sl = Slots[W];
       Sl.Items.clear();
-      Sl.Counts.clear();
-      SuccessorBatch &Batch = succScratch().Batch;
-      for (uint32_t In = 0; In < NumInputs; ++In) {
-        successors(Counts, In, B, Batch);
-        for (uint32_t Out = 0; Out < NumOutputs; ++Out) {
-          Item It{In, Out, Batch.Weight[Out],
-                  static_cast<uint32_t>(Sl.Counts.size()), 0,
-                  Batch.legal(Out)};
-          if (It.Legal) {
-            Sl.Counts.insert(Sl.Counts.end(), Batch.Next[Out].begin(),
-                             Batch.Next[Out].end());
-            It.Length = static_cast<uint32_t>(Batch.Next[Out].size());
-          }
-          Sl.Items.push_back(It);
-        }
-      }
+      Sl.Keys.clear();
+      for (uint32_t In = 0; In < NumInputs; ++In)
+        successors(States[Wave[W]], In, B, Sl);
     });
 
-    // Then merge sequentially in wave order. Interning order is
-    // exactly the state-by-state order, so state ids -- and everything
-    // downstream -- are identical for every pool width.
+    // Then merge sequentially in wave order: only probes, as the hashes
+    // are computed. Interning order is exactly the state-by-state order,
+    // so state ids -- and everything downstream -- are identical for
+    // every pool width.
     for (size_t W = 0; W < WaveLen; ++W) {
-      uint32_t S = Wave[W];
+      const uint32_t S = Wave[W];
       const Slot &Sl = Slots[W];
       Moves[S].assign(NumInputs, {});
       LettersExplored += Sl.Items.size();
       bool Overflows = false;
-      for (const Item &It : Sl.Items) {
-        if (!It.Legal) {
-          Overflows = true;
-          continue;
+      for (uint32_t In = 0; In < NumInputs; ++In) {
+        for (uint32_t Out = 0; Out < NumOutputs; ++Out) {
+          const Item &It = Sl.Items[size_t(In) * NumOutputs + Out];
+          if (!It.Legal) {
+            Overflows = true;
+            continue;
+          }
+          std::optional<uint32_t> Target =
+              internState(It.Hash, Sl.Keys.data() + It.Offset, It.Planes);
+          if (!Target)
+            return false;
+          Moves[S][In].push_back(
+              {Out, *Target, It.Planes > 0 ? It.Planes - 1 : 0});
         }
-        std::optional<uint32_t> Target =
-            internState({Sl.Counts.data() + It.Offset, It.Length});
-        if (!Target)
-          return false;
-        Moves[S][It.In].push_back({It.Out, *Target, It.Weight});
       }
       if (Overflows)
         Overflowing.push_back(S);
@@ -678,6 +761,8 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
       const size_t Letters0 = Arena->lettersExplored();
       const bool Explored = Arena->extendTo(Bound, Explore, Dl);
       Result.Stats.LettersExplored += Arena->lettersExplored() - Letters0;
+      Result.Stats.MaxActive =
+          std::max(Result.Stats.MaxActive, Arena->maxActive());
       const std::optional<std::vector<char>> Winning =
           Explored ? Arena->solve(Bound, Dl) : std::nullopt;
       if (Winning && Arena->initialWinning(*Winning)) {
