@@ -18,7 +18,8 @@ empty-handed about why).
 With BASELINE.json, also fails when any deterministic counter differs
 from the baseline's (the spec sizes, refinements, reactive_runs,
 game_states, machine_states, js_loc, and each reactive entry's bound,
-game_states, tableau sizes, game.letters_explored and game.input_letters),
+game_states, tableau sizes, game.letters_explored, game.input_letters and
+game.max_active),
 naming the key,
 and when the current synthesis wall time
 regresses by more than 25% against the baseline. Timings below a 0.25s
@@ -45,7 +46,7 @@ REACTIVE_KEYS = ["round", "status", "bound", "nba_cache_hit",
                  "arena_states_reused", "game_states", "nba_wall_s",
                  "game_wall_s", "tableau", "game"]
 TABLEAU_KEYS = ["generalized_states", "nba_states", "nba_transitions"]
-GAME_KEYS = ["letters_explored", "input_letters"]
+GAME_KEYS = ["letters_explored", "input_letters", "max_active"]
 FAILURE_KEYS = ["kind", "phase", "detail"]
 FAILURE_KINDS = ["timeout", "state-budget", "overflow", "worker-exception",
                  "internal"]

@@ -86,7 +86,8 @@ std::string statsBody(const PipelineStats &S, const std::string &Indent) {
          ", \"nba_transitions\": " + std::to_string(R.Tableau.NbaTransitions) +
          "}, \"game\": {\"letters_explored\": " +
          std::to_string(R.LettersExplored) +
-         ", \"input_letters\": " + std::to_string(R.InputLetters) + "}}";
+         ", \"input_letters\": " + std::to_string(R.InputLetters) +
+         ", \"max_active\": " + std::to_string(R.MaxActive) + "}}";
   }
   J += S.ReactiveDetail.empty() ? "]" : "\n" + Indent + "]";
   J += ",\n";
