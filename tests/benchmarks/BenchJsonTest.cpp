@@ -25,6 +25,7 @@ ReactiveRunStats reactiveRun(Realizability Status, bool NbaCacheHit,
   R.Tableau.NbaTransitions = NbaStates * 3;
   R.LettersExplored = GameStates * 16;
   R.InputLetters = 3;
+  R.MaxActive = NbaStates / 10;
   R.Status = Status;
   R.NbaCacheHit = NbaCacheHit;
   R.ArenaStatesReused = Reused;
@@ -84,8 +85,8 @@ TEST(BenchJson, RendersTheDocumentByteForByte) {
   "nba_cache": {"hits": 0, "misses": 2},
   "expansion_cache": {"hits": 0, "misses": 31},
   "reactive": [
-    {"round": 0, "status": "unrealizable", "bound": 0, "nba_cache_hit": false, "arena_states_reused": 0, "game_states": 40, "nba_wall_s": 0.125000, "game_wall_s": 0.750000, "tableau": {"generalized_states": 45, "nba_states": 90, "nba_transitions": 270}, "game": {"letters_explored": 640, "input_letters": 3}},
-    {"round": 1, "status": "realizable", "bound": 3, "nba_cache_hit": false, "arena_states_reused": 0, "game_states": 12, "nba_wall_s": 0.062500, "game_wall_s": 0.250000, "tableau": {"generalized_states": 50, "nba_states": 100, "nba_transitions": 300}, "game": {"letters_explored": 192, "input_letters": 3}}
+    {"round": 0, "status": "unrealizable", "bound": 0, "nba_cache_hit": false, "arena_states_reused": 0, "game_states": 40, "nba_wall_s": 0.125000, "game_wall_s": 0.750000, "tableau": {"generalized_states": 45, "nba_states": 90, "nba_transitions": 270}, "game": {"letters_explored": 640, "input_letters": 3, "max_active": 9}},
+    {"round": 1, "status": "realizable", "bound": 3, "nba_cache_hit": false, "arena_states_reused": 0, "game_states": 12, "nba_wall_s": 0.062500, "game_wall_s": 0.250000, "tableau": {"generalized_states": 50, "nba_states": 100, "nba_transitions": 300}, "game": {"letters_explored": 192, "input_letters": 3, "max_active": 10}}
   ],
   "failures": [
     {"kind": "timeout", "phase": "sygus", "detail": "1 of 3 \"obligations\""}
@@ -99,7 +100,7 @@ TEST(BenchJson, RendersTheDocumentByteForByte) {
     "nba_cache": {"hits": 1, "misses": 0},
     "expansion_cache": {"hits": 0, "misses": 0},
     "reactive": [
-      {"round": 0, "status": "realizable", "bound": 3, "nba_cache_hit": true, "arena_states_reused": 12, "game_states": 12, "nba_wall_s": 0.000000, "game_wall_s": 0.015625, "tableau": {"generalized_states": 50, "nba_states": 100, "nba_transitions": 300}, "game": {"letters_explored": 192, "input_letters": 3}}
+      {"round": 0, "status": "realizable", "bound": 3, "nba_cache_hit": true, "arena_states_reused": 12, "game_states": 12, "nba_wall_s": 0.000000, "game_wall_s": 0.015625, "tableau": {"generalized_states": 50, "nba_states": 100, "nba_transitions": 300}, "game": {"letters_explored": 192, "input_letters": 3, "max_active": 10}}
     ],
     "failures": []
   },
