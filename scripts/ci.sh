@@ -13,7 +13,10 @@ BUILD_DIR="${1:-build}"
 echo "== tier 1: build + ctest =="
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)"
-ctest --test-dir "$BUILD_DIR" --output-on-failure
+# At most four tests at once: every test is one process, so this bounds
+# the rung's memory on hosts with many cores.
+CTEST_JOBS=$(( $(nproc) < 4 ? $(nproc) : 4 ))
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$CTEST_JOBS"
 
 echo "== bench smoke: incremental-engine reuse + perf gate =="
 SMOKE_DIR="$(mktemp -d)"

@@ -23,7 +23,10 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target test_support test_core test_ben
 # makes lock-order reports actionable.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 
-(cd "$BUILD_DIR" && ctest --output-on-failure \
+# At most four TSan tests at once: the rung then takes about as long as
+# its slowest test, with four TSan processes' memory at most.
+CTEST_JOBS=$(( $(nproc) < 4 ? $(nproc) : 4 ))
+(cd "$BUILD_DIR" && ctest --output-on-failure -j"$CTEST_JOBS" \
     -R "QueryCache|ParallelConsistency|PipelineValidate|IncrementalParity.JobsFourMatchesJobsOne")
 
 echo "TSan run clean."
