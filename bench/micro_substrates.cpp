@@ -31,12 +31,12 @@ void BM_SimplexChain(benchmark::State &State) {
   const int N = static_cast<int>(State.range(0));
   for (auto _ : State) {
     Simplex S;
+    for (int I = 0; I < N; ++I)
+      S.addVariable(/*IsInt=*/false);
     for (int I = 0; I < N; ++I) {
-      LinearExpr E =
-          LinearExpr::variable(std::string("x").append(std::to_string(I))) -
-          LinearExpr::variable(
-              std::string("x").append(std::to_string((I + 1) % N)));
-      S.assertAtom({E, LinearRel::LT}, false);
+      LinearExpr E = LinearExpr::variable(static_cast<VarId>(I)) -
+                     LinearExpr::variable(static_cast<VarId>((I + 1) % N));
+      S.assertAtom({E, LinearRel::LT});
     }
     benchmark::DoNotOptimize(S.check());
   }
@@ -109,8 +109,8 @@ void BM_SygusSequentialSearch(benchmark::State &State) {
   for (auto _ : State) {
     SygusSolver Solver(Ctx, Theory::LIA);
     SygusStats Stats;
-    auto P = Solver.synthesizeSequential(Q, static_cast<unsigned>(N), {},
-                                         &Stats);
+    auto P = Solver.synthesizeSequential(Q, Solver.searchSpace(Q),
+                                         static_cast<unsigned>(N), {}, &Stats);
     benchmark::DoNotOptimize(P.has_value());
   }
 }
@@ -129,7 +129,7 @@ void BM_SygusLoopWrapper(benchmark::State &State) {
              true}};
   for (auto _ : State) {
     SygusSolver Solver(Ctx, Theory::LIA);
-    auto L = Solver.synthesizeLoop(Q);
+    auto L = Solver.synthesizeLoop(Q, Solver.searchSpace(Q));
     benchmark::DoNotOptimize(L.has_value());
   }
 }

@@ -149,10 +149,11 @@ std::optional<GeneratedAssumption> AssumptionGenerator::generate(
   SygusQuery Query = buildQuery(Ob);
   if (Query.Cells.empty())
     return std::nullopt; // Nothing updatable: no data transformation.
+  const SygusSearchSpace Space = Solver.searchSpace(Query);
 
   if (Ob.K == Obligation::Kind::Exact) {
-    auto Program =
-        Solver.synthesizeSequential(Query, Ob.Steps, ExcludedSeq, Stats);
+    auto Program = Solver.synthesizeSequential(Query, Space, Ob.Steps,
+                                               ExcludedSeq, Stats);
     if (!Program)
       return std::nullopt;
     return encodeSequential(Ob, *Program);
@@ -161,9 +162,9 @@ std::optional<GeneratedAssumption> AssumptionGenerator::generate(
   // Reachability: prefer short sequential witnesses (the intro example's
   // two increments), then fall back to loops (Example 4.5).
   if (auto Program = Solver.synthesizeSequentialUpTo(
-          Query, Opts.MaxSequentialSteps, ExcludedSeq, Stats))
+          Query, Space, Opts.MaxSequentialSteps, ExcludedSeq, Stats))
     return encodeSequential(Ob, *Program);
-  if (auto Program = Solver.synthesizeLoop(Query, ExcludedLoop, Stats))
+  if (auto Program = Solver.synthesizeLoop(Query, Space, ExcludedLoop, Stats))
     return encodeLoop(Ob, *Program);
   return std::nullopt;
 }

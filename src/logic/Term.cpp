@@ -2,8 +2,6 @@
 
 #include "logic/Term.h"
 
-#include "logic/Builtin.h"
-
 #include <algorithm>
 
 using namespace temos;
@@ -18,7 +16,7 @@ std::string Term::str() const {
     if (Args.empty())
       return Name + "()";
     // Operators render infix so printed terms re-parse ((x + 1), x < y).
-    if (Args.size() == 2 && findBuiltin(Name))
+    if (Args.size() == 2 && B)
       return std::string("(")
           .append(Args[0]->str())
           .append(" " + Name + " ")

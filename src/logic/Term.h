@@ -15,6 +15,7 @@
 #ifndef TEMOS_LOGIC_TERM_H
 #define TEMOS_LOGIC_TERM_H
 
+#include "logic/Builtin.h"
 #include "logic/Sort.h"
 #include "support/Rational.h"
 
@@ -47,6 +48,11 @@ public:
   /// Signal name or applied function symbol. Empty for numerals.
   const std::string &name() const { return Name; }
 
+  /// The builtin operator this application applies, or null for a
+  /// signal, a numeral or an uninterpreted function. Resolved once, when
+  /// the term is interned.
+  const Builtin *builtin() const { return B; }
+
   /// The numeric value; only valid for numerals.
   const Rational &value() const {
     assert(isNumeral() && "value() on non-numeral");
@@ -75,13 +81,15 @@ private:
   Term(Kind K, std::string Name, Sort S, std::vector<const Term *> Args,
        Rational Value)
       : K(K), Name(std::move(Name)), S(S), Args(std::move(Args)),
-        Value(Value) {}
+        Value(Value),
+        B(K == Kind::Apply ? findBuiltin(this->Name) : nullptr) {}
 
   Kind K;
   std::string Name;
   Sort S;
   std::vector<const Term *> Args;
   Rational Value;
+  const Builtin *B;
 };
 
 /// Hash-consing factory for terms. Terms returned by the factory live as

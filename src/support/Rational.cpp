@@ -95,57 +95,85 @@ Rational Rational::operator-() const {
   return R;
 }
 
-Rational Rational::operator+(const Rational &RHS) const {
-  __int128 N = static_cast<__int128>(Num) * RHS.Den +
-               static_cast<__int128>(RHS.Num) * Den;
-  __int128 D = static_cast<__int128>(Den) * RHS.Den;
+Rational Rational::reduce(__int128 N, __int128 D) {
+  Rational R;
+  if (D == 1) {
+    R.Num = narrow(N);
+    return R;
+  }
+  if (N >= -INT64_MAX && N <= INT64_MAX && D <= INT64_MAX) {
+    // Everything fits one word: the common case, without the 128-bit
+    // division loop.
+    int64_t N64 = static_cast<int64_t>(N), D64 = static_cast<int64_t>(D);
+    int64_t G = static_cast<int64_t>(std::gcd(uabs64(N64), uint64_t(D64)));
+    R.Num = N64 / G;
+    R.Den = D64 / G;
+    return R;
+  }
   __int128 G = gcd128(N, D);
-  if (G == 0)
-    G = 1;
-  return Rational(narrow(N / G), narrow(D / G));
+  R.Num = narrow(N / G);
+  R.Den = narrow(D / G);
+  return R;
+}
+
+Rational Rational::operator+(const Rational &RHS) const {
+  if (Den == 1 && RHS.Den == 1) {
+    Rational R;
+    if (__builtin_add_overflow(Num, RHS.Num, &R.Num))
+      throw RationalOverflow("rational arithmetic overflow");
+    return R;
+  }
+  return reduce(static_cast<__int128>(Num) * RHS.Den +
+                    static_cast<__int128>(RHS.Num) * Den,
+                static_cast<__int128>(Den) * RHS.Den);
 }
 
 Rational Rational::operator-(const Rational &RHS) const {
-  __int128 N = static_cast<__int128>(Num) * RHS.Den -
-               static_cast<__int128>(RHS.Num) * Den;
-  __int128 D = static_cast<__int128>(Den) * RHS.Den;
-  __int128 G = gcd128(N, D);
-  if (G == 0)
-    G = 1;
-  return Rational(narrow(N / G), narrow(D / G));
+  if (Den == 1 && RHS.Den == 1) {
+    Rational R;
+    if (__builtin_sub_overflow(Num, RHS.Num, &R.Num))
+      throw RationalOverflow("rational arithmetic overflow");
+    return R;
+  }
+  return reduce(static_cast<__int128>(Num) * RHS.Den -
+                    static_cast<__int128>(RHS.Num) * Den,
+                static_cast<__int128>(Den) * RHS.Den);
 }
 
 Rational Rational::operator*(const Rational &RHS) const {
-  __int128 N = static_cast<__int128>(Num) * RHS.Num;
-  __int128 D = static_cast<__int128>(Den) * RHS.Den;
-  __int128 G = gcd128(N, D);
-  if (G == 0)
-    G = 1;
-  return Rational(narrow(N / G), narrow(D / G));
+  if (Den == 1 && RHS.Den == 1) {
+    Rational R;
+    if (__builtin_mul_overflow(Num, RHS.Num, &R.Num))
+      throw RationalOverflow("rational arithmetic overflow");
+    return R;
+  }
+  return reduce(static_cast<__int128>(Num) * RHS.Num,
+                static_cast<__int128>(Den) * RHS.Den);
 }
 
 Rational Rational::operator/(const Rational &RHS) const {
   if (RHS.isZero())
     throw RationalOverflow("division by zero rational");
-  // a/b / c/d = (a*d) / (b*c), canonicalized by the checked ctor path.
+  // a/b / c/d = (a*d) / (b*c), with the sign moved into the numerator.
   __int128 N = static_cast<__int128>(Num) * RHS.Den;
   __int128 D = static_cast<__int128>(Den) * RHS.Num;
   if (D < 0) {
     N = -N;
     D = -D;
   }
-  __int128 G = gcd128(N, D);
-  if (G == 0)
-    G = 1;
-  return Rational(narrow(N / G), narrow(D / G));
+  return reduce(N, D);
 }
 
 bool Rational::operator<(const Rational &RHS) const {
+  if (Den == 1 && RHS.Den == 1)
+    return Num < RHS.Num;
   return static_cast<__int128>(Num) * RHS.Den <
          static_cast<__int128>(RHS.Num) * Den;
 }
 
 bool Rational::operator<=(const Rational &RHS) const {
+  if (Den == 1 && RHS.Den == 1)
+    return Num <= RHS.Num;
   return static_cast<__int128>(Num) * RHS.Den <=
          static_cast<__int128>(RHS.Num) * Den;
 }

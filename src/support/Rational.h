@@ -90,6 +90,10 @@ public:
   }
 
 private:
+  /// The canonical form of N / D for D > 0; throws RationalOverflow when
+  /// it leaves the int64 range.
+  static Rational reduce(__int128 N, __int128 D);
+
   int64_t Num;
   int64_t Den;
 };

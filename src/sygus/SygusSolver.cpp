@@ -74,6 +74,10 @@ std::vector<StepChoice> SygusSolver::stepChoices(const SygusQuery &Query) const 
   return Choices;
 }
 
+SygusSearchSpace SygusSolver::searchSpace(const SygusQuery &Query) {
+  return {stepChoices(Query), samplePreModels(Query)};
+}
+
 std::optional<bool>
 SygusSolver::postHoldsConcrete(const SygusQuery &Query,
                                const Assignment &State) const {
@@ -230,13 +234,11 @@ SatResult SygusSolver::checkSat(const Formula *F) {
 }
 
 std::optional<SequentialProgram> SygusSolver::synthesizeSequential(
-    const SygusQuery &Query, unsigned Steps,
+    const SygusQuery &Query, const SygusSearchSpace &Space, unsigned Steps,
     const std::vector<SequentialProgram> &Excluded, SygusStats *Stats) {
-  std::vector<StepChoice> Choices = stepChoices(Query);
+  const std::vector<StepChoice> &Choices = Space.Choices;
   if (Choices.empty())
     return std::nullopt;
-
-  std::vector<Assignment> Samples = samplePreModels(Query);
 
   // Enumerate all length-`Steps` sequences over the per-step choices in
   // lexicographic order (the paper bounds the search by AST height; the
@@ -262,7 +264,7 @@ std::optional<SequentialProgram> SygusSolver::synthesizeSequential(
 
       // Concrete screening on sampled models before the SMT query.
       bool Screened = false;
-      for (const Assignment &Sample : Samples) {
+      for (const Assignment &Sample : Space.Samples) {
         Assignment State = Sample;
         bool Ok = true;
         for (const StepChoice &Step : Candidate.Steps)
@@ -306,28 +308,30 @@ std::optional<SequentialProgram> SygusSolver::synthesizeSequential(
 }
 
 std::optional<SequentialProgram> SygusSolver::synthesizeSequentialUpTo(
-    const SygusQuery &Query, unsigned MaxSteps,
+    const SygusQuery &Query, const SygusSearchSpace &Space, unsigned MaxSteps,
     const std::vector<SequentialProgram> &Excluded, SygusStats *Stats) {
   for (unsigned Steps = 1; Steps <= MaxSteps; ++Steps)
-    if (auto Program = synthesizeSequential(Query, Steps, Excluded, Stats))
+    if (auto Program =
+            synthesizeSequential(Query, Space, Steps, Excluded, Stats))
       return Program;
   return std::nullopt;
 }
 
 std::optional<LoopProgram>
 SygusSolver::synthesizeLoop(const SygusQuery &Query,
+                            const SygusSearchSpace &Space,
                             const std::vector<LoopProgram> &Excluded,
                             SygusStats *Stats) {
   // The recursion wrapper (Sec. 5.1): validate candidate loop bodies by
   // iterating them from sampled pre-condition models until the
   // post-condition holds.
-  std::vector<Assignment> Samples = samplePreModels(Query);
+  const std::vector<Assignment> &Samples = Space.Samples;
   if (Samples.empty())
     return std::nullopt;
 
   // Candidate bodies: single steps, the only bodies Alg. 3's W
   // encoding can express.
-  for (const StepChoice &Choice : stepChoices(Query)) {
+  for (const StepChoice &Choice : Space.Choices) {
     Dl.check(); // One poll per candidate body.
     LoopProgram Candidate{{Choice}};
     if (std::any_of(Excluded.begin(), Excluded.end(),

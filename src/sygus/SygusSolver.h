@@ -54,6 +54,15 @@ struct SygusQuery {
   std::vector<CellSpec> Cells;
 };
 
+/// What every search strategy for one query reads: the per-step choices
+/// (the chain grammar's cartesian product of cell updates) and the
+/// pre-condition samples used for concrete screening and by the loop
+/// wrapper. Computed once per query by SygusSolver::searchSpace.
+struct SygusSearchSpace {
+  std::vector<StepChoice> Choices;
+  std::vector<Assignment> Samples;
+};
+
 /// Statistics of one synthesis call.
 struct SygusStats {
   size_t CandidatesTried = 0;
@@ -92,25 +101,31 @@ public:
     Solver.setDeadline(D);
   }
 
+  /// The step choices and pre-condition samples of \p Query, for the
+  /// synthesize calls below; one query's strategies share one.
+  SygusSearchSpace searchSpace(const SygusQuery &Query);
+
   /// Synthesizes a sequential program of exactly \p Steps steps (the
   /// temporal constraint of Sec. 4.3.1). Programs in \p Excluded are
   /// skipped (refinement). Returns nullopt if no candidate verifies.
   std::optional<SequentialProgram>
-  synthesizeSequential(const SygusQuery &Query, unsigned Steps,
+  synthesizeSequential(const SygusQuery &Query, const SygusSearchSpace &Space,
+                       unsigned Steps,
                        const std::vector<SequentialProgram> &Excluded = {},
                        SygusStats *Stats = nullptr);
 
   /// Synthesizes a sequential program of any length 1..\p MaxSteps
   /// (shortest first), for F-obligations solvable without loops.
   std::optional<SequentialProgram>
-  synthesizeSequentialUpTo(const SygusQuery &Query, unsigned MaxSteps,
+  synthesizeSequentialUpTo(const SygusQuery &Query,
+                           const SygusSearchSpace &Space, unsigned MaxSteps,
                            const std::vector<SequentialProgram> &Excluded = {},
                            SygusStats *Stats = nullptr);
 
   /// Synthesizes a loop program for a reachability (F) obligation via
   /// the recursion wrapper.
   std::optional<LoopProgram>
-  synthesizeLoop(const SygusQuery &Query,
+  synthesizeLoop(const SygusQuery &Query, const SygusSearchSpace &Space,
                  const std::vector<LoopProgram> &Excluded = {},
                  SygusStats *Stats = nullptr);
 
@@ -133,7 +148,7 @@ public:
                          const std::vector<StepChoice> &Body);
 
   /// Sample assignments satisfying the pre-condition (SMT model plus
-  /// perturbations). Exposed for the loop wrapper and tests.
+  /// perturbations). Exposed for tests.
   std::vector<Assignment> samplePreModels(const SygusQuery &Query);
 
 private:
