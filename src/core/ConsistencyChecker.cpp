@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
+#include <bit>
 
 using namespace temos;
 
@@ -13,31 +13,6 @@ namespace {
 /// A literal combination as a bitmask over a fixed numbering: bit 2i
 /// stands for predicate i, bit 2i + 1 for its negation.
 using LiteralMask = uint64_t;
-
-/// Shared store of unsatisfiable literal combinations. Workers publish
-/// cores as they find them and consult the store to skip supersets
-/// whose verdict is implied.
-class UnsatCoreStore {
-public:
-  void publish(LiteralMask Mask) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Cores.push_back(Mask);
-  }
-
-  /// True if some published core is a subset of \p Mask (the mask's
-  /// unsatisfiability is already implied).
-  bool subsumes(LiteralMask Mask) const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    for (LiteralMask Core : Cores)
-      if ((Mask & Core) == Core)
-        return true;
-    return false;
-  }
-
-private:
-  mutable std::mutex Mutex;
-  std::vector<LiteralMask> Cores;
-};
 
 /// Builds the literal vector selected by \p Mask.
 std::vector<TheoryLiteral>
@@ -88,6 +63,14 @@ std::vector<LiteralMask> candidateMasks(size_t N, unsigned MaxSize) {
   return Masks;
 }
 
+/// True if some core in \p Cores is a subset of \p Mask (the mask's
+/// unsatisfiability is already implied).
+bool subsumed(LiteralMask Mask, const std::vector<LiteralMask> &Cores) {
+  return std::any_of(Cores.begin(), Cores.end(), [&](LiteralMask Core) {
+    return (Mask & Core) == Core;
+  });
+}
+
 /// The serial Sec. 4.2 sweep, optionally routing queries through a
 /// service for memoization. This is the reference semantics the
 /// parallel path reproduces.
@@ -107,16 +90,8 @@ ConsistencyResult checkSerial(const std::vector<const Term *> &Predicates,
   // Enumerate subsets by increasing size so minimal cores are found
   // before their supersets.
   for (LiteralMask Mask : candidateMasks(N, Options.MaxSubsetSize)) {
-    if (Options.MinimalCoresOnly) {
-      bool Subsumed = false;
-      for (LiteralMask Core : UnsatMasks)
-        if ((Mask & Core) == Core) {
-          Subsumed = true;
-          break;
-        }
-      if (Subsumed)
-        continue;
-    }
+    if (Options.MinimalCoresOnly && subsumed(Mask, UnsatMasks))
+      continue;
 
     // Degrade gracefully on deadline expiry: skip the remaining
     // combinations but keep everything found so far (each emitted
@@ -145,19 +120,13 @@ ConsistencyResult checkSerial(const std::vector<const Term *> &Predicates,
   return Result;
 }
 
-/// Parallel sweep: fan every candidate subset out across the service's
-/// pool, with opportunistic superset pruning through a shared core
-/// store, then replay the serial acceptance order over the verdicts.
-///
-/// Determinism argument: a mask is only skipped when a published unsat
-/// core is a *proper* subset (equal-size masks cannot subsume each
-/// other and a mask cannot be in the store before its own check), so
-/// every *minimal* unsat mask is always queried, whatever the
-/// interleaving. The post-filter accepts exactly the unsat masks with
-/// no accepted proper subset, which is precisely the set of minimal
-/// unsat masks -- the same set the serial sweep emits -- visited in the
-/// same (size, value) order. Formula construction stays on the calling
-/// thread.
+/// Parallel sweep, level by level: the combinations of one size are
+/// checked across the service's pool, then their unsat cores are
+/// accepted in (size, value) order before the next size starts. A mask
+/// is skipped exactly when a smaller accepted core subsumes it (cores of
+/// one size cannot subsume each other), which is the serial sweep's
+/// rule, so both sweeps ask the same queries and accept the same cores
+/// in the same order. Formula construction stays on the calling thread.
 ConsistencyResult checkParallel(const std::vector<const Term *> &Predicates,
                                 Context &Ctx,
                                 const ConsistencyOptions &Options,
@@ -165,63 +134,47 @@ ConsistencyResult checkParallel(const std::vector<const Term *> &Predicates,
   ConsistencyResult Result;
   const std::vector<LiteralMask> Masks =
       candidateMasks(Predicates.size(), Options.MaxSubsetSize);
+  std::vector<LiteralMask> Cores;
 
-  enum class Verdict : int8_t { Skipped, Sat, Unsat, Unknown };
-  std::vector<Verdict> Verdicts(Masks.size(), Verdict::Skipped);
-  UnsatCoreStore Cores;
+  std::vector<LiteralMask> Level;
+  std::vector<uint8_t> Unsat;
   std::atomic<size_t> Queries{0};
   std::atomic<size_t> DeadlineSkipped{0};
+  for (size_t Begin = 0; Begin < Masks.size();) {
+    const int Size = std::popcount(Masks[Begin]);
+    Level.clear();
+    size_t End = Begin;
+    for (; End < Masks.size() && std::popcount(Masks[End]) == Size; ++End)
+      if (!Options.MinimalCoresOnly || !subsumed(Masks[End], Cores))
+        Level.push_back(Masks[End]);
+    Begin = End;
 
-  Service.pool().forEach(Masks.size(), [&](size_t I) {
-    LiteralMask Mask = Masks[I];
-    if (Options.MinimalCoresOnly && Cores.subsumes(Mask))
-      return; // Verdict stays Skipped.
-    // Degraded mode: past the deadline, tasks become no-ops and the
-    // post-filter emits whatever the completed checks establish.
-    if (Dl.expired()) {
-      DeadlineSkipped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    Queries.fetch_add(1, std::memory_order_relaxed);
-    try {
-      switch (Service.checkLiterals(maskLiterals(Mask, Predicates))) {
-      case SatResult::Unsat:
-        Verdicts[I] = Verdict::Unsat;
-        Cores.publish(Mask);
-        break;
-      case SatResult::Sat:
-        Verdicts[I] = Verdict::Sat;
-        break;
-      case SatResult::Unknown:
-        Verdicts[I] = Verdict::Unknown;
-        break;
+    Unsat.assign(Level.size(), false);
+    Service.pool().forEach(Level.size(), [&](size_t I) {
+      // Degraded mode: past the deadline, tasks become no-ops and only
+      // the completed checks establish cores.
+      if (Dl.expired()) {
+        DeadlineSkipped.fetch_add(1, std::memory_order_relaxed);
+        return;
       }
-    } catch (const DeadlineExpired &) {
-      DeadlineSkipped.fetch_add(1, std::memory_order_relaxed);
+      Queries.fetch_add(1, std::memory_order_relaxed);
+      try {
+        Unsat[I] = Service.checkLiterals(maskLiterals(Level[I], Predicates)) ==
+                   SatResult::Unsat;
+      } catch (const DeadlineExpired &) {
+        DeadlineSkipped.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+
+    for (size_t I = 0; I < Level.size(); ++I) {
+      if (!Unsat[I])
+        continue;
+      Cores.push_back(Level[I]);
+      Result.Assumptions.push_back(maskAssumption(Level[I], Predicates, Ctx));
     }
-  });
+  }
   Result.SolverQueries = Queries.load();
   Result.DeadlineSkipped = DeadlineSkipped.load();
-
-  // Deterministic merge: accept in (size, value) order, filtering
-  // supersets of accepted cores exactly like the serial sweep.
-  std::vector<LiteralMask> Accepted;
-  for (size_t I = 0; I < Masks.size(); ++I) {
-    if (Verdicts[I] != Verdict::Unsat)
-      continue;
-    if (Options.MinimalCoresOnly) {
-      bool Subsumed = false;
-      for (LiteralMask Core : Accepted)
-        if ((Masks[I] & Core) == Core) {
-          Subsumed = true;
-          break;
-        }
-      if (Subsumed)
-        continue;
-    }
-    Accepted.push_back(Masks[I]);
-    Result.Assumptions.push_back(maskAssumption(Masks[I], Predicates, Ctx));
-  }
   return Result;
 }
 

@@ -11,11 +11,30 @@ SatResult SolverService::cached(const std::string &Key,
                                 const std::function<SatResult()> &Compute) {
   if (!Cfg.CacheEnabled)
     return Compute();
-  if (auto Hit = Cache.lookup(Key))
-    return static_cast<SatResult>(*Hit);
+  {
+    // Wait out another worker's computation of this key; its verdict is
+    // then a hit. A miss claims the key.
+    std::unique_lock<std::mutex> Lock(InFlightMutex);
+    InFlightDone.wait(Lock, [&] { return !InFlight.count(Key); });
+    if (auto Hit = Cache.lookup(Key))
+      return static_cast<SatResult>(*Hit);
+    InFlight.insert(Key);
+  }
+  // Release the claim however Compute() ends (a deadline throws).
+  struct Release {
+    SolverService &S;
+    const std::string &Key;
+    ~Release() {
+      {
+        std::lock_guard<std::mutex> Lock(S.InFlightMutex);
+        S.InFlight.erase(Key);
+      }
+      S.InFlightDone.notify_all();
+    }
+  } Claim{*this, Key};
   SatResult R = Compute();
   // Unknown verdicts are resource-limit artifacts, not facts about the
-  // query; don't memoize them.
+  // query; don't memoize them (a waiter then misses and computes).
   if (R != SatResult::Unknown)
     Cache.insert(Key, static_cast<int>(R));
   return R;

@@ -10,6 +10,11 @@
 ///  * a QueryCache memoizing verdicts under canonical structural keys
 ///    (theory tag + sorted literal renderings).
 ///
+/// Each key is computed once while it is in flight: a worker asking for
+/// a key another worker is computing waits for that verdict and counts a
+/// hit, as it would had it asked later. So the cache's hits and misses
+/// depend only on the multiset of queries, not on thread timing.
+///
 /// The cache stores verdicts only; a caller that needs a model runs an
 /// SmtSolver of its own.
 ///
@@ -22,8 +27,11 @@
 #include "support/SolverPool.h"
 #include "theory/SmtSolver.h"
 
+#include <condition_variable>
 #include <functional>
-#include <memory>
+#include <mutex>
+#include <string>
+#include <unordered_set>
 
 namespace temos {
 
@@ -70,6 +78,10 @@ private:
   SmtSolver Prototype;
   SolverPool Pool;
   QueryCache Cache;
+  /// Keys being computed, and the signal that one finished.
+  std::mutex InFlightMutex;
+  std::condition_variable InFlightDone;
+  std::unordered_set<std::string> InFlight;
 };
 
 } // namespace temos

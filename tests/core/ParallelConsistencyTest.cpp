@@ -31,14 +31,22 @@ std::string renderAssumptions(const PipelineResult &R) {
   return Out;
 }
 
+/// What a psi-generation run decided and what it asked the solver.
+struct FrontEnd {
+  std::string Assumptions;
+  size_t ConsistencyQueries = 0;
+  size_t CacheHits = 0;
+  size_t CacheMisses = 0;
+};
+
 /// Runs the psi-generation front end of the pipeline on \p Source with
-/// \p NumThreads workers and returns the rendered assumption set.
-std::string runWithThreads(const std::string &Source, unsigned NumThreads) {
+/// \p NumThreads workers.
+FrontEnd runWithThreads(const std::string &Source, unsigned NumThreads) {
   Context Ctx;
   auto Spec = parseSpecification(Source, Ctx);
   EXPECT_TRUE(Spec.ok()) << Spec.error().str();
   if (!Spec)
-    return "<parse error>";
+    return {"<parse error>"};
   Synthesizer Synth(Ctx);
   PipelineOptions Options;
   Options.Parallelism.NumThreads = NumThreads;
@@ -51,16 +59,46 @@ std::string runWithThreads(const std::string &Source, unsigned NumThreads) {
   Options.MaxRefinements = 0;
   PipelineResult R = Synth.run(*Spec, Options);
   EXPECT_TRUE(R.Diagnostic.empty()) << R.Diagnostic;
-  return renderAssumptions(R);
+  return {renderAssumptions(R), R.Stats.ConsistencyQueries,
+          R.Stats.CacheHits, R.Stats.CacheMisses};
 }
 
 TEST(ParallelConsistency, BundledBenchmarksMatchSerial) {
   // Every bundled Table-1 benchmark: the NumThreads=4 assumption set is
-  // byte-identical to the NumThreads=1 one.
+  // byte-identical to the NumThreads=1 one, and the level-synchronous
+  // sweep asks exactly the serial sweep's consistency queries, so the
+  // SMT cache counts match too.
   for (const BenchmarkSpec &B : allBenchmarks()) {
-    std::string Serial = runWithThreads(B.Source, 1);
-    std::string Parallel = runWithThreads(B.Source, 4);
-    EXPECT_EQ(Serial, Parallel) << B.Name;
+    FrontEnd Serial = runWithThreads(B.Source, 1);
+    FrontEnd Parallel = runWithThreads(B.Source, 4);
+    EXPECT_EQ(Serial.Assumptions, Parallel.Assumptions) << B.Name;
+    EXPECT_EQ(Serial.ConsistencyQueries, Parallel.ConsistencyQueries)
+        << B.Name;
+    EXPECT_EQ(Serial.CacheHits, Parallel.CacheHits) << B.Name;
+    EXPECT_EQ(Serial.CacheMisses, Parallel.CacheMisses) << B.Name;
+  }
+}
+
+TEST(ParallelConsistency, CacheCountsRepeatAtFourJobs) {
+  // Whole default pipelines: five four-thread runs of each row report
+  // the single-thread run's SMT cache hits and misses. Concurrent
+  // workers asking one key wait for its first computation instead of
+  // missing too.
+  for (const char *Row : {"Two-Player", "Automatic", "Single-Player"}) {
+    auto Counts = [&](unsigned NumThreads) {
+      Context Ctx;
+      auto Spec = parseSpecification(findBenchmark(Row)->Source, Ctx);
+      EXPECT_TRUE(Spec.ok()) << Spec.error().str();
+      Synthesizer Synth(Ctx);
+      PipelineOptions Options;
+      Options.Parallelism.NumThreads = NumThreads;
+      PipelineResult R = Synth.run(*Spec, Options);
+      return std::make_pair(R.Stats.CacheHits, R.Stats.CacheMisses);
+    };
+    const auto Serial = Counts(1);
+    EXPECT_GT(Serial.first, 0u) << Row;
+    for (int Run = 0; Run < 5; ++Run)
+      EXPECT_EQ(Counts(4), Serial) << Row << " run " << Run;
   }
 }
 
