@@ -20,11 +20,11 @@
 ///
 /// The subset checks are independent SMT queries, so when a
 /// SolverService with workers is supplied they are fanned out across
-/// its pool: workers publish unsat cores to a per-call UnsatCoreStore and
-/// skip supersets opportunistically, and a deterministic post-filter
-/// replays the serial acceptance order over the collected verdicts.
-/// The emitted assumption list is therefore byte-identical for every
-/// thread count (see docs/ARCHITECTURE.md for the argument).
+/// its pool, one combination size at a time: the combinations of one
+/// size run in parallel, skipping those a smaller core subsumes, and
+/// their cores are accepted in the serial order before the next size.
+/// The queries and the emitted assumption list are therefore the same
+/// for every thread count (see docs/ARCHITECTURE.md for the argument).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,9 +57,8 @@ struct ConsistencyResult {
   /// G !(...) assumptions, one per unsatisfiable combination.
   std::vector<const Formula *> Assumptions;
   /// Number of SMT satisfiability queries issued (including queries
-  /// answered by the service's cache). In minimal-core mode with
-  /// workers the count can vary with scheduling -- opportunistic
-  /// pruning races -- while the assumption list never does.
+  /// answered by the service's cache); the same for every thread
+  /// count.
   size_t SolverQueries = 0;
   /// Candidate combinations not checked because the deadline expired
   /// mid-sweep (either skipped before their query or aborted inside
