@@ -78,6 +78,31 @@ TEST_F(SmtSolverTest, IntegerInfeasibleRealFeasible) {
   EXPECT_EQ(Solver.checkLiterals(RealLits), SatResult::Sat);
 }
 
+TEST_F(SmtSolverTest, IntConstantIsIntegral) {
+  // A zero-argument function of sort Int is an integer like an Int
+  // signal: 0 < k() < 1 has no solution, over a Real k() it has one.
+  const Term *K = Ctx.Terms.apply("k", Sort::Int, {});
+  std::vector<TheoryLiteral> Lits = {
+      {cmp(">", K, Ctx.Terms.numeral(0)), true},
+      {cmp("<", K, Ctx.Terms.numeral(1)), true}};
+  EXPECT_EQ(Solver.checkLiterals(Lits), SatResult::Unsat);
+
+  const Term *R = Ctx.Terms.apply("r", Sort::Real, {});
+  std::vector<TheoryLiteral> RealLits = {
+      {cmp(">", R, Ctx.Terms.numeral(0)), true},
+      {cmp("<", R, Ctx.Terms.numeral(1)), true}};
+  EXPECT_EQ(Solver.checkLiterals(RealLits), SatResult::Sat);
+
+  // Through a disequality split too: k() != 0 && 0 <= k() <= 1 forces
+  // k() = 1, and k() != 1 then leaves nothing.
+  std::vector<TheoryLiteral> Split = {
+      {cmp(">=", K, Ctx.Terms.numeral(0)), true},
+      {cmp("<=", K, Ctx.Terms.numeral(1)), true},
+      {cmp("=", K, Ctx.Terms.numeral(0)), false},
+      {cmp("=", K, Ctx.Terms.numeral(1)), false}};
+  EXPECT_EQ(Solver.checkLiterals(Split), SatResult::Unsat);
+}
+
 TEST_F(SmtSolverTest, ParityViaScaledEquality) {
   // 2x = 5 has no integer solution.
   const Term *X = intSig("x");
