@@ -83,11 +83,12 @@ int64_t floorDR(const DeltaRational &V) {
   return V.real().floor();
 }
 
-/// An atom for the simplex, asserted after Fresh numeric constants are
+/// An atom for the simplex, asserted after its new numeric constants are
 /// created (see TheoryCheck::placeConstants).
 struct ArithAtom {
   LinearAtom Atom;
-  unsigned Fresh = 0;
+  /// Integrality of each constant the atom mentions first, in order.
+  std::vector<bool> Fresh = {};
 };
 
 /// The arithmetic sub-problem: atoms plus numeric disequalities, solved
@@ -115,7 +116,7 @@ public:
     size_t Fresh = 0;
     for (const std::vector<ArithAtom> *List : {&Atoms, &Disequalities})
       for (const ArithAtom &A : *List)
-        Fresh += A.Fresh + 1;
+        Fresh += A.Fresh.size() + 1;
     S.reserve(IsInt.size() + Fresh);
     for (bool Int : IsInt)
       S.addVariable(Int);
@@ -127,8 +128,8 @@ public:
 
 private:
   static bool assertAtom(Simplex &S, const ArithAtom &A, LinearRel Rel) {
-    for (unsigned I = 0; I < A.Fresh; ++I)
-      S.addVariable(/*IsInt=*/false);
+    for (bool Int : A.Fresh)
+      S.addVariable(Int);
     if (Rel == A.Atom.Rel)
       return S.assertAtom(A.Atom);
     return S.assertAtom({A.Atom.Expr, Rel});
@@ -208,9 +209,9 @@ private:
 /// functions with arguments) in the order of their names -- a signal's
 /// name, an application's rendering -- with equal names sharing one
 /// variable. Numeric constants (zero-argument applications) are not
-/// among them: the simplex creates each one, real-valued, when an atom
-/// first mentions it, between the slacks, which placeConstants
-/// reproduces.
+/// among them: the simplex creates each one, integer-valued if it is
+/// Int-sorted, when an atom first mentions it, between the slacks, which
+/// placeConstants reproduces.
 ///
 /// The containers outlive the check: each thread reuses one TheoryCheck
 /// (see check()), so a check allocates little beyond its linear
@@ -254,6 +255,8 @@ private:
   /// order of their renderings.
   VarId Structural = 0;
   VarId Constants = 0;
+  /// Integrality of constant Structural + I.
+  std::vector<bool> ConstantIsInt;
   /// Numeric signals reported in models: (name, variable).
   std::vector<std::pair<const std::string *, VarId>> ModelSignals;
   CongruenceClosure CC;
@@ -366,8 +369,10 @@ void TheoryCheck::numberVariables() {
     }
     I = End;
   }
+  ConstantIsInt.clear();
   for (size_t I = 0; I < Consts.size(); ++Constants) {
     const std::string_view Key = Consts[I].Key;
+    ConstantIsInt.push_back(Nodes[Consts[I].Node]->sort() == Sort::Int);
     for (; I < Consts.size() && Consts[I].Key == Key; ++I)
       NodeVar[Consts[I].Node] = Structural + Constants;
   }
@@ -387,7 +392,7 @@ void TheoryCheck::placeConstants() {
     for (const LinearExpr::Entry &E : A.Atom.Expr.entries()) {
       if (Placed[E.Var] == None) {
         Placed[E.Var] = Next++;
-        ++A.Fresh;
+        A.Fresh.push_back(ConstantIsInt[E.Var - Structural]);
       }
       Renumbered =
           Renumbered + LinearExpr::variable(Placed[E.Var]).scaled(E.Coeff);
