@@ -200,8 +200,8 @@ const Recorded Expected[] = {
     {"Theory_6", {900, 0x72c7656330bf7cf7ull}},
     {"Theory_7", {900, 0xf7a22ec73bb0c156ull}},
     {"Theory_8", {900, 0xa497edf743073364ull}},
-    {"Purified_1", {900, 0x4087400c5381faa7ull}},
-    {"Purified_2", {900, 0xcc0ab5490e6278dcull}},
+    {"Purified_1", {900, 0xe960e94404a61f7dull}},
+    {"Purified_2", {900, 0x1f978f80acf02f63ull}},
     {"Row_Vibrato", {2, 0xaabc86a4a490e4faull}},
     {"Row_Modulation", {8, 0xa3a93ec4471ad50full}},
     {"Row_Intertwined", {2, 0xaabc86a4a490e4faull}},
