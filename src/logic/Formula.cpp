@@ -75,29 +75,35 @@ size_t Formula::size() const {
   return Total;
 }
 
+bool FormulaFactory::Key::operator==(const Key &RHS) const {
+  return K == RHS.K && Atom == RHS.Atom && Cell == RHS.Cell &&
+         std::ranges::equal(Kids, RHS.Kids);
+}
+
+size_t FormulaFactory::KeyHash::operator()(const Key &K) const {
+  size_t H = std::hash<std::string_view>()(K.Cell);
+  auto Mix = [&H](size_t V) { H = (H ^ V) * 0x9e3779b97f4a7c15ull; };
+  Mix(static_cast<size_t>(K.K));
+  Mix(reinterpret_cast<uintptr_t>(K.Atom));
+  for (const Formula *Kid : K.Kids)
+    Mix(reinterpret_cast<uintptr_t>(Kid));
+  return H ^ (H >> 29);
+}
+
 const Formula *FormulaFactory::intern(Formula::Kind K, const Term *Atom,
                                       const std::string &Cell,
                                       std::vector<const Formula *> Kids) {
-  std::string Key;
-  Key += static_cast<char>('A' + static_cast<int>(K));
-  Key += std::to_string(reinterpret_cast<uintptr_t>(Atom));
-  Key += '#';
-  Key += Cell;
-  for (const Formula *Kid : Kids) {
-    Key += '@';
-    Key += std::to_string(reinterpret_cast<uintptr_t>(Kid));
-  }
   // Find-or-create must be atomic: two workers interning the same
   // structure concurrently must receive the same node (and id).
   std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Formulas.find(Key);
+  auto It = Formulas.find(Key{K, Atom, Cell, Kids});
   if (It != Formulas.end())
     return It->second.get();
   auto Node =
       std::unique_ptr<Formula>(new Formula(K, Atom, Cell, std::move(Kids)));
   Node->Id = static_cast<unsigned>(Formulas.size());
   const Formula *Result = Node.get();
-  Formulas.emplace(std::move(Key), std::move(Node));
+  Formulas.emplace(Key{K, Atom, Result->Cell, Result->Kids}, std::move(Node));
   return Result;
 }
 

@@ -22,7 +22,9 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -168,6 +170,19 @@ public:
   }
 
 private:
+  /// What interning compares, so it builds no string: a lookup views the
+  /// caller's arguments, a stored key its own node's fields.
+  struct Key {
+    Formula::Kind K;
+    const Term *Atom;
+    std::string_view Cell;
+    std::span<const Formula *const> Kids;
+    bool operator==(const Key &RHS) const;
+  };
+  struct KeyHash {
+    size_t operator()(const Key &K) const;
+  };
+
   const Formula *intern(Formula::Kind K, const Term *Atom,
                         const std::string &Cell,
                         std::vector<const Formula *> Kids);
@@ -177,7 +192,7 @@ private:
   /// Guards NNFCache separately: nnf() recurses through intern(), so
   /// the memo cannot share the interning mutex without deadlock.
   mutable std::mutex NNFMutex;
-  std::unordered_map<std::string, std::unique_ptr<Formula>> Formulas;
+  std::unordered_map<Key, std::unique_ptr<Formula>, KeyHash> Formulas;
   std::unordered_map<const Formula *, const Formula *> NNFCache[2];
 };
 

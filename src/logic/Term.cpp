@@ -31,30 +31,33 @@ std::string Term::str() const {
   return "?";
 }
 
+bool TermFactory::Key::operator==(const Key &RHS) const {
+  return K == RHS.K && S == RHS.S && Name == RHS.Name &&
+         Value == RHS.Value && std::ranges::equal(Args, RHS.Args);
+}
+
+size_t TermFactory::KeyHash::operator()(const Key &K) const {
+  size_t H = std::hash<std::string_view>()(K.Name);
+  auto Mix = [&H](size_t V) { H = (H ^ V) * 0x9e3779b97f4a7c15ull; };
+  Mix(static_cast<size_t>(K.K) << 8 | static_cast<size_t>(K.S));
+  Mix(K.Value.hash());
+  for (const Term *Arg : K.Args)
+    Mix(reinterpret_cast<uintptr_t>(Arg));
+  return H ^ (H >> 29);
+}
+
 const Term *TermFactory::intern(Term::Kind K, const std::string &Name, Sort S,
                                 const std::vector<const Term *> &Args,
                                 const Rational &Value) {
-  // Build a structural key. Child pointers are unique per structure, so
-  // embedding their addresses keys the whole subtree.
-  std::string Key;
-  Key += static_cast<char>('0' + static_cast<int>(K));
-  Key += static_cast<char>('0' + static_cast<int>(S));
-  Key += Name;
-  Key += '#';
-  Key += Value.str();
-  for (const Term *Arg : Args) {
-    Key += '@';
-    Key += std::to_string(reinterpret_cast<uintptr_t>(Arg));
-  }
   // Find-or-create must be atomic: two workers interning the same
   // structure concurrently must receive the same node.
   std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Terms.find(Key);
+  auto It = Terms.find(Key{K, S, Name, Value, Args});
   if (It != Terms.end())
     return It->second.get();
   auto Node = std::unique_ptr<Term>(new Term(K, Name, S, Args, Value));
   const Term *Result = Node.get();
-  Terms.emplace(std::move(Key), std::move(Node));
+  Terms.emplace(Key{K, S, Result->Name, Value, Result->Args}, std::move(Node));
   return Result;
 }
 

@@ -22,7 +22,9 @@
 #include <cassert>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -131,12 +133,26 @@ public:
   }
 
 private:
+  /// What interning compares, so it builds no string: a lookup views the
+  /// caller's arguments, a stored key its own node's fields.
+  struct Key {
+    Term::Kind K;
+    Sort S;
+    std::string_view Name;
+    Rational Value;
+    std::span<const Term *const> Args;
+    bool operator==(const Key &RHS) const;
+  };
+  struct KeyHash {
+    size_t operator()(const Key &K) const;
+  };
+
   const Term *intern(Term::Kind K, const std::string &Name, Sort S,
                      const std::vector<const Term *> &Args,
                      const Rational &Value);
 
   mutable std::mutex Mutex;
-  std::unordered_map<std::string, std::unique_ptr<Term>> Terms;
+  std::unordered_map<Key, std::unique_ptr<Term>, KeyHash> Terms;
 };
 
 /// Collects the names of all signals occurring in \p T into \p Out

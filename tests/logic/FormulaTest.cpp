@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 using namespace temos;
 
 namespace {
@@ -62,6 +65,56 @@ TEST_F(FormulaTest, UpdateAtom) {
   EXPECT_EQ(U->cell(), "x");
   EXPECT_EQ(U->updateValue(), Inc);
   EXPECT_EQ(U->str(), "[x <- (x + 1)]");
+}
+
+TEST_F(FormulaTest, UpdateAndPredicateOfEqualRenderingAreDistinct) {
+  const Formula *Update = FF.update("c", TF.signal("t", Sort::Int));
+  const Formula *Pred = FF.pred(TF.signal("[c <- t]", Sort::Bool));
+  EXPECT_EQ(Update->str(), Pred->str());
+  EXPECT_NE(Update, Pred);
+  EXPECT_EQ(Update, FF.update("c", TF.signal("t", Sort::Int)));
+}
+
+TEST_F(FormulaTest, ConcurrentInterningKeepsOneNodePerStructure) {
+  // Four threads intern the same structures, each in its own order. Every
+  // structure gets one node, and the formula ids are 0..n-1, once each.
+  constexpr int Count = 300;
+  constexpr int Threads = 4;
+  // Results by structure, whatever order a thread built them in.
+  std::vector<std::vector<const Formula *>> Built(
+      Threads, std::vector<const Formula *>(3 * Count));
+  std::vector<std::vector<const Term *>> Terms(
+      Threads, std::vector<const Term *>(Count));
+  std::vector<std::thread> Workers;
+  for (int W = 0; W < Threads; ++W)
+    Workers.emplace_back([&, W] {
+      const Term *X = TF.signal("x", Sort::Int);
+      for (int J = 0; J < Count; ++J) {
+        const int I = W % 2 ? Count - 1 - J : J;
+        const Term *Lt = TF.apply("<", Sort::Bool, {X, TF.numeral(I)});
+        const Formula *P = FF.pred(Lt);
+        const Formula *N = FF.next(P);
+        Terms[W][I] = Lt;
+        Built[W][3 * I] = P;
+        Built[W][3 * I + 1] = N;
+        Built[W][3 * I + 2] = FF.andF(P, N);
+      }
+    });
+  for (std::thread &T : Workers)
+    T.join();
+  for (int W = 1; W < Threads; ++W) {
+    EXPECT_EQ(Built[W], Built[0]);
+    EXPECT_EQ(Terms[W], Terms[0]);
+  }
+  // x, the numerals 0..Count-1 and one comparison per numeral.
+  EXPECT_EQ(TF.size(), size_t(1 + 2 * Count));
+  ASSERT_EQ(FF.size(), size_t(3 * Count));
+  std::vector<unsigned> Ids;
+  for (const Formula *F : Built[0])
+    Ids.push_back(F->id());
+  std::sort(Ids.begin(), Ids.end());
+  for (unsigned I = 0; I < Ids.size(); ++I)
+    EXPECT_EQ(Ids[I], I);
 }
 
 TEST_F(FormulaTest, Str) {

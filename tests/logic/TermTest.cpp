@@ -33,6 +33,25 @@ TEST_F(TermTest, AppliesAreHashConsed) {
   EXPECT_NE(A, Flipped);
 }
 
+TEST_F(TermTest, NumeralsOfEqualValueDifferBySort) {
+  // Both render "3"; the sort keeps them apart.
+  const Term *Int = F.numeral(Rational(3), Sort::Int);
+  const Term *Real = F.numeral(Rational(3), Sort::Real);
+  EXPECT_EQ(Int->str(), Real->str());
+  EXPECT_NE(Int, Real);
+  EXPECT_EQ(Real, F.numeral(Rational(3), Sort::Real));
+  EXPECT_NE(Real, F.numeral(Rational(7, 2), Sort::Real));
+}
+
+TEST_F(TermTest, SignalAndConstantAreDistinct) {
+  const Term *Signal = F.signal("k", Sort::Int);
+  const Term *Constant = F.apply("k", Sort::Int, {});
+  EXPECT_NE(Signal, Constant);
+  EXPECT_EQ(Constant, F.apply("k", Sort::Int, {}));
+  EXPECT_NE(Constant, F.apply("k", Sort::Real, {}));
+  EXPECT_NE(Constant, F.apply("k", Sort::Int, {Signal}));
+}
+
 TEST_F(TermTest, NumeralsCarryValues) {
   const Term *N = F.numeral(Rational(7, 2), Sort::Real);
   EXPECT_TRUE(N->isNumeral());
