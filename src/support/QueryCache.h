@@ -2,16 +2,9 @@
 ///
 /// \file
 /// A thread-safe memo table for solver verdicts, shared by every worker
-/// of the solver service. Keys are *canonical*: the same set of literals
-/// in any order (and under any duplication) maps to the same key, so a
-/// consistency-check subset and a SyGuS side-condition that happen to
-/// ask the same theory question share one SMT run.
-///
-/// The key scheme is structural, not pointer-based: literals are
-/// rendered to their concrete syntax and sorted. That makes keys stable
-/// across Context instances -- a cache can outlive a pipeline run and
-/// serve a repeated run from a fresh Context, which is where the
-/// repeated-run cache hits reported in PipelineStats come from.
+/// of the solver service. A key is opaque bytes: the service that fills
+/// the cache decides what makes two queries the same (see
+/// SolverService.h), and this table only maps keys to verdicts.
 ///
 /// The table is bounded like every other memo in the pipeline: when an
 /// insert finds it full, it drops every entry. Dropping only costs
@@ -29,12 +22,10 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 namespace temos {
 
-/// Thread-safe string-keyed verdict memo with hit/miss accounting and a
+/// Thread-safe byte-keyed verdict memo with hit/miss accounting and a
 /// drop-everything size cap.
 class QueryCache {
 public:
@@ -46,15 +37,6 @@ public:
 
   explicit QueryCache(size_t Capacity = DefaultCapacity)
       : Capacity(Capacity) {}
-
-  /// Canonical key for a literal-set query: \p TheoryTag (queries in
-  /// different theories never collide) plus the literal renderings,
-  /// sorted and deduplicated. A literal is (rendering, polarity);
-  /// "p" asserted positively and "p" asserted negatively produce
-  /// distinct keys.
-  static std::string
-  canonicalKey(const std::string &TheoryTag,
-               std::vector<std::pair<std::string, bool>> Literals);
 
   /// Returns the stored verdict, or nullopt on a miss. Counts a hit or
   /// a miss.

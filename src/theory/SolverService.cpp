@@ -2,6 +2,9 @@
 
 #include "theory/SolverService.h"
 
+#include <algorithm>
+#include <span>
+
 using namespace temos;
 
 SolverService::SolverService(Theory Th, Config C)
@@ -40,22 +43,34 @@ SatResult SolverService::cached(const std::string &Key,
   return R;
 }
 
+namespace {
+
+/// A cache key: the kind of query ('L' or 'F'), then node addresses.
+std::string nodeKey(char Kind, std::span<const uintptr_t> Nodes) {
+  std::string Key(1, Kind);
+  Key.append(reinterpret_cast<const char *>(Nodes.data()), Nodes.size_bytes());
+  return Key;
+}
+
+} // namespace
+
 SatResult
 SolverService::checkLiterals(const std::vector<TheoryLiteral> &Literals) {
-  SmtSolver Solver = Prototype.clone();
-  std::vector<std::pair<std::string, bool>> Rendered;
-  Rendered.reserve(Literals.size());
+  // Terms are aligned, so a literal's polarity fits in its atom
+  // address's low bit.
+  static_assert(alignof(Term) > 1);
+  std::vector<uintptr_t> Set;
+  Set.reserve(Literals.size());
   for (const TheoryLiteral &L : Literals)
-    Rendered.emplace_back(L.Atom->str(), L.Positive);
-  std::string Key =
-      QueryCache::canonicalKey(std::string("lits/") + theoryName(theory()),
-                               std::move(Rendered));
-  return cached(Key, [&] { return Solver.checkLiterals(Literals); });
+    Set.push_back(reinterpret_cast<uintptr_t>(L.Atom) | L.Positive);
+  std::sort(Set.begin(), Set.end());
+  Set.erase(std::unique(Set.begin(), Set.end()), Set.end());
+  return cached(nodeKey('L', Set),
+                [&] { return Prototype.clone().checkLiterals(Literals); });
 }
 
 SatResult SolverService::checkFormula(const Formula *F) {
-  SmtSolver Solver = Prototype.clone();
-  std::string Key = std::string("formula/") + theoryName(theory()) + "|" +
-                    F->str();
-  return cached(Key, [&] { return Solver.checkFormula(F); });
+  const uintptr_t Node = reinterpret_cast<uintptr_t>(F);
+  return cached(nodeKey('F', {&Node, 1}),
+                [&] { return Prototype.clone().checkFormula(F); });
 }

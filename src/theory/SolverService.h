@@ -7,8 +7,11 @@
 ///  * a SolverPool of workers, each running its own SmtSolver clone
 ///    (SmtSolver::clone() is cheap because the solver keeps no state
 ///    between queries), and
-///  * a QueryCache memoizing verdicts under canonical structural keys
-///    (theory tag + sorted literal renderings).
+///  * a QueryCache memoizing verdicts keyed on interned nodes: a literal
+///    query by its sorted, deduplicated (atom, polarity) set, a formula
+///    query by its node, the two kinds never sharing a key. Node
+///    addresses name a query only within one Context; a service belongs
+///    to one Synthesizer, which holds one Context for life.
 ///
 /// Each key is computed once while it is in flight: a worker asking for
 /// a key another worker is computing waits for that verdict and counts a

@@ -48,48 +48,6 @@ TEST(QueryCache, ClearResetsEverything) {
   EXPECT_EQ(Cache.misses(), 0u);
 }
 
-TEST(QueryCache, CanonicalKeyIsOrderInvariant) {
-  // The same literal set in any order must produce the same key: the
-  // consistency checker enumerates subsets in mask order while SyGuS
-  // verifiers build conjunctions in chain order.
-  std::string A = QueryCache::canonicalKey(
-      "lits/LIA", {{"(x < y)", true}, {"(y < x)", true}});
-  std::string B = QueryCache::canonicalKey(
-      "lits/LIA", {{"(y < x)", true}, {"(x < y)", true}});
-  EXPECT_EQ(A, B);
-}
-
-TEST(QueryCache, CanonicalKeySeparatesPolarity) {
-  // (p, true) and (p, false) are different literals.
-  std::string Pos = QueryCache::canonicalKey("lits/LIA", {{"(x < y)", true}});
-  std::string Neg = QueryCache::canonicalKey("lits/LIA", {{"(x < y)", false}});
-  EXPECT_NE(Pos, Neg);
-}
-
-TEST(QueryCache, CanonicalKeySeparatesTheories) {
-  std::string Lia = QueryCache::canonicalKey("lits/LIA", {{"(x = y)", true}});
-  std::string Uf = QueryCache::canonicalKey("lits/UF", {{"(x = y)", true}});
-  EXPECT_NE(Lia, Uf);
-}
-
-TEST(QueryCache, CanonicalKeyDeduplicatesLiterals) {
-  // {l, l} and {l} are the same conjunction.
-  std::string Twice = QueryCache::canonicalKey(
-      "lits/LIA", {{"(x < y)", true}, {"(x < y)", true}});
-  std::string Once = QueryCache::canonicalKey("lits/LIA", {{"(x < y)", true}});
-  EXPECT_EQ(Twice, Once);
-}
-
-TEST(QueryCache, CanonicalKeyResistsConcatenationCollisions) {
-  // Length-prefixed joining: {"ab", "c"} must not collide with
-  // {"a", "bc"} even though the concatenations agree.
-  std::string AbC =
-      QueryCache::canonicalKey("t", {{"ab", true}, {"c", true}});
-  std::string ABc =
-      QueryCache::canonicalKey("t", {{"a", true}, {"bc", true}});
-  EXPECT_NE(AbC, ABc);
-}
-
 TEST(QueryCache, DropsEverythingAtCapacity) {
   QueryCache Cache(2);
   Cache.insert("a", 1);
