@@ -511,15 +511,14 @@ struct TableauCache::Impl {
     std::vector<Expansion> Expansions;
   };
 
-  /// The table of (alphabet signature, root formula): state sets are
-  /// indexed over the root's closure, and cubes and masks compile
-  /// against the alphabet's bit and letter indices.
-  Table &table(const std::string &Signature, const Formula *Root,
-               size_t Words) {
-    return Tables.try_emplace({Signature, Root}, Words).first->second;
+  /// The table of (alphabet, root formula): state sets are indexed over
+  /// the root's closure, and cubes and masks compile against the
+  /// alphabet's bit and letter indices.
+  Table &table(const Alphabet &AB, const Formula *Root, size_t Words) {
+    return Tables.try_emplace({AB, Root}, Words).first->second;
   }
 
-  std::map<std::pair<std::string, const Formula *>, Table> Tables;
+  std::map<std::pair<Alphabet, const Formula *>, Table> Tables;
   size_t Entries = 0;
   size_t Hits = 0;
   size_t Misses = 0;
@@ -591,9 +590,7 @@ Nba temos::buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
   Expander Exp(Cl);
   Expansion Scratch;
   TableauCache::Impl *C = Cache ? Cache->I.get() : nullptr;
-  const std::string Signature = C ? AB.signatureKey() : std::string();
-  TableauCache::Impl::Table *Memo =
-      C ? &C->table(Signature, Nnf, SetWords) : nullptr;
+  TableauCache::Impl::Table *Memo = C ? &C->table(AB, Nnf, SetWords) : nullptr;
   auto Expand = [&](const uint64_t *Set) -> const Expansion & {
     if (!C) {
       Exp.expand(Set, Scratch);
@@ -608,7 +605,7 @@ Nba temos::buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
     if (C->Entries >= TableauCache::Impl::MaxEntries) {
       C->Tables.clear();
       C->Entries = 0;
-      Memo = &C->table(Signature, Nnf, SetWords);
+      Memo = &C->table(AB, Nnf, SetWords);
       Memo->States.intern(Set);
     }
     ++C->Entries;

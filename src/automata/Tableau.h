@@ -94,8 +94,8 @@ Nba buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
 /// cube, its output-letter mask, its successor obligation set and its
 /// defer mask. A construction indexes the closure of its root (the
 /// peeled NNF formula) and represents state sets, successor sets and
-/// defer masks over that index, so entries are keyed by (alphabet
-/// signature, root formula, state set): cubes and masks compile against
+/// defer masks over that index, so entries are keyed by (alphabet, root
+/// formula node, state set): cubes and masks compile against
 /// concrete bit and letter indices, and a branch replays only into a
 /// build of the same closure. A state that recurs in a later build of
 /// the same root and alphabet replays its expansion instead of
@@ -104,9 +104,9 @@ Nba buildNba(const Formula *F, Context &Ctx, const Alphabet &AB,
 /// grown formula's tableau states differ from the earlier formula's,
 /// and the cache serves 0 hits on every row.)
 ///
-/// The cache is tied to one Context (formula ids are interning indices):
-/// never share an instance across Contexts. Not thread-safe; the
-/// synthesis engine uses it from the construction thread only.
+/// Keys hold interned nodes, unique only within one Context: never share
+/// an instance across Contexts. Not thread-safe; the synthesis engine
+/// uses it from the construction thread only.
 class TableauCache {
 public:
   TableauCache();

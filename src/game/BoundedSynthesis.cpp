@@ -635,10 +635,13 @@ MealyMachine GameArena::extract(unsigned B,
 } // namespace
 
 struct SynthesisEngine::Impl {
-  /// The memo for one (alphabet, tableau limits, negated specification):
-  /// its UCW, the tableau stats of building it, and the counting-game
-  /// arena explored over it.
+  /// The memo for one (alphabet, tableau state budget, NNF of the
+  /// negated specification): its UCW, the tableau stats of building it,
+  /// and the counting-game arena explored over it.
   struct Entry {
+    Alphabet AB;
+    size_t MaxGeneralizedStates;
+    const Formula *Nnf;
     std::shared_ptr<const Nba> Ucw;
     TableauStats Stats;
     std::unique_ptr<GameArena> Arena;
@@ -649,12 +652,13 @@ struct SynthesisEngine::Impl {
   /// everything (deterministic; entries are re-derivable).
   static constexpr size_t MaxEntries = 8;
 
-  /// Cache keys render formulas and use Context-interned ids; an engine
-  /// is bound to the first Context it sees.
+  /// Entries are keyed on interned nodes, which identify a formula only
+  /// within their Context; an engine is bound to the first Context it
+  /// sees.
   const Context *BoundCtx = nullptr;
 
   TableauCache ExpCache;
-  std::unordered_map<std::string, Entry> Entries;
+  std::vector<Entry> Entries;
 
   SynthesisResult synthesize(const Formula *Spec, Context &Ctx,
                              const Alphabet &AB,
@@ -671,7 +675,7 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
   SynthesisResult Result;
 
   if (BoundCtx && BoundCtx != &Ctx) {
-    // A different Context invalidates every formula-id-based key.
+    // A different Context invalidates every node-keyed entry.
     Entries.clear();
     ExpCache.clear();
     BoundCtx = nullptr;
@@ -692,13 +696,12 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
   Entry *Memo = nullptr;
   if (Incremental) {
     const Formula *Nnf = Ctx.Formulas.toNNF(Negated);
-    std::string Key =
-        AB.signatureKey() + "|g" +
-        std::to_string(Options.Tableau.MaxGeneralizedStates) + "|" +
-        Nnf->str();
-    auto It = Entries.find(Key);
+    const size_t Budget = Options.Tableau.MaxGeneralizedStates;
+    auto It = std::find_if(Entries.begin(), Entries.end(), [&](const Entry &E) {
+      return E.Nnf == Nnf && E.MaxGeneralizedStates == Budget && E.AB == AB;
+    });
     if (It != Entries.end()) {
-      Memo = &It->second;
+      Memo = &*It;
       Result.Stats.NbaCacheHit = true;
       Result.Stats.Tableau = Memo->Stats;
       Ucw = Memo->Ucw;
@@ -715,8 +718,7 @@ SynthesisResult SynthesisEngine::Impl::synthesize(const Formula *Spec,
       if (!TS.BudgetExceeded) {
         if (Entries.size() >= MaxEntries)
           Entries.clear();
-        Memo = &Entries.emplace(std::move(Key), Entry{Ucw, TS, nullptr})
-                    .first->second;
+        Memo = &Entries.emplace_back(Entry{AB, Budget, Nnf, Ucw, TS, nullptr});
       }
     }
   } else {

@@ -14,7 +14,7 @@
 /// The engine is *incremental* along two axes (see
 /// docs/ARCHITECTURE.md):
 ///
-///  * One memo entry per (alphabet, tableau limits, NNF rendering of the
+///  * One memo entry per (alphabet, tableau state budget, NNF node of the
 ///    negated specification) holds the UCW, so repeated invocations on
 ///    an unchanged negated specification skip the tableau entirely. A
 ///    TableauCache also records per-state expansions across builds, but
@@ -149,8 +149,8 @@ struct SynthesisResult {
 /// pipeline run (the Synthesizer keeps one per instance). Cache traffic
 /// is reported per call in SynthesisStats.
 ///
-/// All cache keys involve formula renderings and formula ids, so an
-/// engine must only ever be used with a single Context (checked). Not
+/// Every cache key holds interned nodes, which are unique only within one
+/// Context, so an engine must only be used with one Context (checked). Not
 /// thread-safe; calls are expected from the pipeline thread. The
 /// SolverPool is used *within* a call to explore counting-game
 /// successor cells in waves merged in wave order (a null pool means an

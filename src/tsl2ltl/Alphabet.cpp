@@ -134,23 +134,3 @@ bool Alphabet::holds(const Formula *Atom, const Letter &L) const {
   std::vector<unsigned> Choices = decodeOutput(L.OutputIndex);
   return Choices[static_cast<size_t>(C)] == static_cast<unsigned>(O);
 }
-
-std::string Alphabet::signatureKey() const {
-  std::string Key;
-  for (const Term *P : Predicates) {
-    Key += 'p';
-    Key += P->str();
-    Key += ';';
-  }
-  for (const CellUpdates &C : Cells) {
-    Key += 'c';
-    Key += C.Cell;
-    Key += '{';
-    for (const Formula *O : C.Options) {
-      Key += O->str();
-      Key += ',';
-    }
-    Key += '}';
-  }
-  return Key;
-}
