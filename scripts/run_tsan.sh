@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive tests under ThreadSanitizer and runs
 # them. The solver-service layer (SolverPool, QueryCache, the parallel
-# consistency checker and per-obligation SyGuS fan-out) and the
-# counting-game exploration (pool workers write per-wave-slot buffers)
-# are where data races would live, so this drives the tests that
-# exercise them with multiple pool workers.
+# consistency checker and per-obligation SyGuS fan-out), the term and
+# formula interning tables its workers share, and the counting-game
+# exploration (pool workers write per-wave-slot buffers) are where data
+# races would live, so this drives the tests that exercise them with
+# multiple threads.
 #
 # Usage: scripts/run_tsan.sh [build-dir]
 set -euo pipefail
@@ -17,7 +18,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DTEMOS_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DTEMOS_TEST_TIMEOUT=3600
-cmake --build "$BUILD_DIR" -j"$(nproc)" --target test_support test_core test_benchmarks
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target test_support test_logic test_core test_benchmarks
 
 # halt_on_error keeps a race from scrolling past; second_deadlock_stack
 # makes lock-order reports actionable.
@@ -27,6 +28,6 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 # its slowest test, with four TSan processes' memory at most.
 CTEST_JOBS=$(( $(nproc) < 4 ? $(nproc) : 4 ))
 (cd "$BUILD_DIR" && ctest --output-on-failure -j"$CTEST_JOBS" \
-    -R "QueryCache|ParallelConsistency|PipelineValidate|IncrementalParity.JobsFourMatchesJobsOne")
+    -R "QueryCache|FormulaTest.ConcurrentInterningKeepsOneNodePerStructure|ParallelConsistency|PipelineValidate|IncrementalParity.JobsFourMatchesJobsOne")
 
 echo "TSan run clean."
