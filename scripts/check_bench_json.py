@@ -19,7 +19,8 @@ With BASELINE.json, also fails when any deterministic counter differs
 from the baseline's (the spec sizes, refinements, reactive_runs,
 game_states, machine_states, js_loc, and each reactive entry's bound,
 game_states, tableau sizes, game.letters_explored, game.input_letters and
-game.max_active),
+game.max_active, and the SyGuS work sygus.candidates and
+sygus.verifier_calls of the run and of its repeat),
 naming the key,
 and when the current synthesis wall time
 regresses by more than 25% against the baseline. Timings below a 0.25s
@@ -36,7 +37,7 @@ FLOOR_SECONDS = 0.25
 
 REQUIRED_KEYS = [
     "schema", "name", "status", "jobs", "cache", "spec", "phases",
-    "refinements", "reactive_runs", "game_states", "smt_cache",
+    "refinements", "reactive_runs", "game_states", "smt_cache", "sygus",
     "nba_cache", "expansion_cache", "reactive", "failures",
     "machine_states", "js_loc",
 ]
@@ -47,6 +48,7 @@ REACTIVE_KEYS = ["round", "status", "bound", "nba_cache_hit",
                  "game_wall_s", "tableau", "game"]
 TABLEAU_KEYS = ["generalized_states", "nba_states", "nba_transitions"]
 GAME_KEYS = ["letters_explored", "input_letters", "max_active"]
+SYGUS_KEYS = ["candidates", "verifier_calls"]
 FAILURE_KEYS = ["kind", "phase", "detail"]
 FAILURE_KINDS = ["timeout", "state-budget", "overflow", "worker-exception",
                  "internal"]
@@ -85,6 +87,9 @@ def check_shape(doc, expect_status="realizable"):
     for key in PHASE_KEYS:
         if not isinstance(doc["phases"].get(key), (int, float)):
             fail(f"phases.{key} missing or not a number")
+    for key in SYGUS_KEYS:
+        if not isinstance(doc["sygus"].get(key), int):
+            fail(f"sygus.{key} missing or not an integer")
     if not isinstance(doc["reactive"], list):
         fail("reactive array missing")
     # A degraded run may never have reached the reactive phase; a
@@ -134,6 +139,13 @@ def check_counters(doc, baseline):
     for key in COUNTER_KEYS:
         expected[key] = baseline[key]
         actual[key] = doc[key]
+    runs = [("", doc, baseline)]
+    if "repeat" in baseline:
+        runs.append(("repeat.", doc.get("repeat", {}), baseline["repeat"]))
+    for prefix, run, ref in runs:
+        for key in SYGUS_KEYS:
+            expected[f"{prefix}sygus.{key}"] = ref["sygus"][key]
+            actual[f"{prefix}sygus.{key}"] = run.get("sygus", {}).get(key)
     expected["len(reactive)"] = len(baseline["reactive"])
     actual["len(reactive)"] = len(doc["reactive"])
     for i, (entry, ref) in enumerate(zip(doc["reactive"],

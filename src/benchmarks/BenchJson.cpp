@@ -63,6 +63,9 @@ std::string statsBody(const PipelineStats &S, const std::string &Indent) {
   J += Indent + "\"game_states\": " + std::to_string(S.GameStates) + ",\n";
   J += Indent + "\"smt_cache\": {\"hits\": " + std::to_string(S.CacheHits) +
        ", \"misses\": " + std::to_string(S.CacheMisses) + "},\n";
+  J += Indent + "\"sygus\": {\"candidates\": " +
+       std::to_string(S.SygusCandidates) +
+       ", \"verifier_calls\": " + std::to_string(S.SygusVerifierCalls) + "},\n";
   J += Indent + "\"nba_cache\": {\"hits\": " + std::to_string(S.NbaCacheHits) +
        ", \"misses\": " + std::to_string(S.NbaCacheMisses) + "},\n";
   J += Indent + "\"expansion_cache\": {\"hits\": " +

@@ -135,6 +135,12 @@ struct PipelineStats {
   size_t NbaCacheMisses = 0;
   size_t ExpansionCacheHits = 0;
   size_t ExpansionCacheMisses = 0;
+  /// SyGuS search work of this run: candidates tried and verification
+  /// conditions asked, over the obligations the merge took in (so the
+  /// counts do not depend on the thread count) and the refinement
+  /// re-syntheses.
+  size_t SygusCandidates = 0;
+  size_t SygusVerifierCalls = 0;
   /// One entry per reactive invocation (ReactiveRuns entries), in
   /// order. Surfaced via --bench-json; never part of the text summary.
   std::vector<ReactiveRunStats> ReactiveDetail;
