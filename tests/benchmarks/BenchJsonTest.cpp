@@ -82,6 +82,7 @@ TEST(BenchJson, RendersTheDocumentByteForByte) {
   "reactive_runs": 2,
   "game_states": 40,
   "smt_cache": {"hits": 7, "misses": 9},
+  "sygus": {"candidates": 0, "verifier_calls": 0},
   "nba_cache": {"hits": 0, "misses": 2},
   "expansion_cache": {"hits": 0, "misses": 31},
   "reactive": [
@@ -97,6 +98,7 @@ TEST(BenchJson, RendersTheDocumentByteForByte) {
     "reactive_runs": 1,
     "game_states": 12,
     "smt_cache": {"hits": 0, "misses": 0},
+    "sygus": {"candidates": 0, "verifier_calls": 0},
     "nba_cache": {"hits": 1, "misses": 0},
     "expansion_cache": {"hits": 0, "misses": 0},
     "reactive": [
