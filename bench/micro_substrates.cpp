@@ -109,7 +109,7 @@ void BM_SygusSequentialSearch(benchmark::State &State) {
   for (auto _ : State) {
     SygusSolver Solver(Ctx, Theory::LIA);
     SygusStats Stats;
-    auto P = Solver.synthesizeSequential(Q, Solver.searchSpace(Q),
+    auto P = Solver.synthesizeSequential(Solver.searchSpace(Q),
                                          static_cast<unsigned>(N), {}, &Stats);
     benchmark::DoNotOptimize(P.has_value());
   }
@@ -129,7 +129,7 @@ void BM_SygusLoopWrapper(benchmark::State &State) {
              true}};
   for (auto _ : State) {
     SygusSolver Solver(Ctx, Theory::LIA);
-    auto L = Solver.synthesizeLoop(Q, Solver.searchSpace(Q));
+    auto L = Solver.synthesizeLoop(Solver.searchSpace(Q));
     benchmark::DoNotOptimize(L.has_value());
   }
 }

@@ -8,51 +8,11 @@
 
 using namespace temos;
 
-SygusQuery AssumptionGenerator::buildQuery(const Obligation &Ob) const {
-  SygusQuery Query;
-  Query.Pre = Ob.Pre;
-  Query.Post = Ob.Post;
-
-  // Cells relevant to the obligation: updatable signals occurring in the
-  // post-condition terms.
-  std::vector<std::string> Relevant;
-  for (const TheoryLiteral &L : Ob.Post) {
-    std::vector<std::string> Names;
-    collectSignals(L.Atom, Names);
-    for (const std::string &Name : Names)
-      if (Spec.isUpdatable(Name) &&
-          std::find(Relevant.begin(), Relevant.end(), Name) == Relevant.end())
-        Relevant.push_back(Name);
-  }
-
-  // Available update right-hand sides per cell, from the spec's update
-  // terms (the chain grammar's F set, Sec. 4.3.1).
-  std::vector<const Formula *> Updates;
-  auto Collect = [&](const std::vector<const Formula *> &Fs) {
-    for (const Formula *F : Fs)
-      for (const Formula *U : collectUpdateTerms(F))
-        if (std::find(Updates.begin(), Updates.end(), U) == Updates.end())
-          Updates.push_back(U);
-  };
-  Collect(Spec.Assumptions);
-  Collect(Spec.AlwaysGuarantees);
-  Collect(Spec.Guarantees);
-
-  for (const std::string &Name : Relevant) {
-    CellSpec Cell;
-    Cell.Name = Name;
-    Cell.S = *Spec.signalSort(Name);
-    for (const Formula *U : Updates)
-      if (U->cell() == Name)
-        Cell.Updates.push_back(U->updateValue());
-    // The chain grammar's terminal s_i (Sec. 4.3.1): the identity update
-    // is always available (a cell not written keeps its value).
-    const Term *Identity = Ctx.Terms.signal(Name, Cell.S);
-    if (std::find(Cell.Updates.begin(), Cell.Updates.end(), Identity) ==
-        Cell.Updates.end())
-      Cell.Updates.push_back(Identity);
-    Query.Cells.push_back(std::move(Cell));
-  }
+std::shared_ptr<const SygusGrammar>
+SygusGrammar::build(const Specification &Spec, Context &Ctx) {
+  auto G = std::make_shared<SygusGrammar>();
+  for (const Formula *U : collectUpdateTerms(Spec))
+    G->Updates[U->cell()].push_back(U->updateValue());
 
   // Ambient facts: non-temporal predicate literals from the 'always
   // assume' block (e.g. weight > 0) strengthen the SyGuS semantic
@@ -73,11 +33,46 @@ SygusQuery AssumptionGenerator::buildQuery(const Obligation &Ob) const {
       else
         continue;
       bool Duplicate = false;
-      for (const TheoryLiteral &Existing : Query.Ambient)
+      for (const TheoryLiteral &Existing : G->Ambient)
         Duplicate |= Existing.Atom == L.Atom;
       if (!Duplicate)
-        Query.Ambient.push_back(L);
+        G->Ambient.push_back(L);
     }
+  }
+  return G;
+}
+
+SygusQuery AssumptionGenerator::buildQuery(const Obligation &Ob) const {
+  SygusQuery Query;
+  Query.Pre = Ob.Pre;
+  Query.Post = Ob.Post;
+  Query.Ambient = Grammar->Ambient;
+
+  // Cells relevant to the obligation: updatable signals occurring in the
+  // post-condition terms.
+  std::vector<std::string> Relevant;
+  for (const TheoryLiteral &L : Ob.Post) {
+    std::vector<std::string> Names;
+    collectSignals(L.Atom, Names);
+    for (const std::string &Name : Names)
+      if (Spec.isUpdatable(Name) &&
+          std::find(Relevant.begin(), Relevant.end(), Name) == Relevant.end())
+        Relevant.push_back(Name);
+  }
+
+  for (const std::string &Name : Relevant) {
+    CellSpec Cell;
+    Cell.Name = Name;
+    Cell.S = *Spec.signalSort(Name);
+    if (auto It = Grammar->Updates.find(Name); It != Grammar->Updates.end())
+      Cell.Updates = It->second;
+    // The chain grammar's terminal s_i (Sec. 4.3.1): the identity update
+    // is always available (a cell not written keeps its value).
+    const Term *Identity = Ctx.Terms.signal(Name, Cell.S);
+    if (std::find(Cell.Updates.begin(), Cell.Updates.end(), Identity) ==
+        Cell.Updates.end())
+      Cell.Updates.push_back(Identity);
+    Query.Cells.push_back(std::move(Cell));
   }
   return Query;
 }
@@ -149,11 +144,11 @@ std::optional<GeneratedAssumption> AssumptionGenerator::generate(
   SygusQuery Query = buildQuery(Ob);
   if (Query.Cells.empty())
     return std::nullopt; // Nothing updatable: no data transformation.
-  const SygusSearchSpace Space = Solver.searchSpace(Query);
+  const CompiledQuery Space = Solver.searchSpace(Query);
 
   if (Ob.K == Obligation::Kind::Exact) {
-    auto Program = Solver.synthesizeSequential(Query, Space, Ob.Steps,
-                                               ExcludedSeq, Stats);
+    auto Program =
+        Solver.synthesizeSequential(Space, Ob.Steps, ExcludedSeq, Stats);
     if (!Program)
       return std::nullopt;
     return encodeSequential(Ob, *Program);
@@ -162,9 +157,9 @@ std::optional<GeneratedAssumption> AssumptionGenerator::generate(
   // Reachability: prefer short sequential witnesses (the intro example's
   // two increments), then fall back to loops (Example 4.5).
   if (auto Program = Solver.synthesizeSequentialUpTo(
-          Query, Space, Opts.MaxSequentialSteps, ExcludedSeq, Stats))
+          Space, Opts.MaxSequentialSteps, ExcludedSeq, Stats))
     return encodeSequential(Ob, *Program);
-  if (auto Program = Solver.synthesizeLoop(Query, Space, ExcludedLoop, Stats))
+  if (auto Program = Solver.synthesizeLoop(Space, ExcludedLoop, Stats))
     return encodeLoop(Ob, *Program);
   return std::nullopt;
 }

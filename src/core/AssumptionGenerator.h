@@ -22,7 +22,9 @@
 #include "core/Decomposition.h"
 #include "sygus/SygusSolver.h"
 
+#include <memory>
 #include <optional>
+#include <unordered_map>
 
 namespace temos {
 
@@ -45,17 +47,38 @@ struct GeneratedAssumption {
   LoopProgram Loop;
 };
 
+/// The spec-wide part of every SyGuS query of one specification: the
+/// update right-hand sides per cell (the chain grammar's F set, Sec.
+/// 4.3.1) and the ambient literals. Read-only once built, so the
+/// generators of one run share one.
+struct SygusGrammar {
+  /// Cell name -> the spec's update right-hand sides for it, in spec
+  /// order.
+  std::unordered_map<std::string, std::vector<const Term *>> Updates;
+  /// Non-temporal predicate literals of the 'always assume' block.
+  std::vector<TheoryLiteral> Ambient;
+
+  static std::shared_ptr<const SygusGrammar> build(const Specification &Spec,
+                                                   Context &Ctx);
+};
+
 /// Generates TSL assumptions from obligations via SyGuS.
 ///
-/// Construction is cheap (no per-spec precomputation), so the pipeline
-/// builds one generator per obligation task: generators share the
-/// Context (whose factories are internally synchronized) but nothing
-/// else, and obligations are independent, so concurrent generate()
-/// calls on distinct instances are safe.
+/// The pipeline builds the grammar once per run and one generator per
+/// obligation task: generators share the grammar and the Context (whose
+/// factories are internally synchronized) but nothing else, and
+/// obligations are independent, so concurrent generate() calls on
+/// distinct instances are safe.
 class AssumptionGenerator {
 public:
+  /// A generator with its own grammar of \p Spec.
   AssumptionGenerator(const Specification &Spec, Context &Ctx)
-      : Spec(Spec), Ctx(Ctx), Solver(Ctx, Spec.Th) {}
+      : AssumptionGenerator(Spec, Ctx, SygusGrammar::build(Spec, Ctx)) {}
+  /// A generator sharing \p Grammar, built from \p Spec.
+  AssumptionGenerator(const Specification &Spec, Context &Ctx,
+                      std::shared_ptr<const SygusGrammar> Grammar)
+      : Spec(Spec), Ctx(Ctx), Grammar(std::move(Grammar)),
+        Solver(Ctx, Spec.Th) {}
 
   /// Routes the inner SyGuS verifier's verdict-only SMT checks through
   /// \p Service (shared query cache across workers and runs).
@@ -109,6 +132,7 @@ private:
 
   const Specification &Spec;
   Context &Ctx;
+  std::shared_ptr<const SygusGrammar> Grammar;
   SygusSolver Solver;
 };
 

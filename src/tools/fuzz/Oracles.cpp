@@ -797,8 +797,8 @@ SygusVerdict checkSygusCase(Context &Ctx, const SygusCase &Case,
                             FaultKind Fault) {
   SygusVerdict Out;
   SygusSolver Solver(Ctx, Theory::LIA);
-  const SygusSearchSpace Space = Solver.searchSpace(Case.Query);
-  auto P = Solver.synthesizeSequentialUpTo(Case.Query, Space, Case.MaxSteps);
+  const CompiledQuery Space = Solver.searchSpace(Case.Query);
+  auto P = Solver.synthesizeSequentialUpTo(Space, Case.MaxSteps);
 
   if (!P) {
     // Completeness: the solver enumerates exactly this space, so a
@@ -847,9 +847,8 @@ SygusVerdict checkSygusCase(Context &Ctx, const SygusCase &Case,
 
   // Exclusion lists must exclude: re-synthesizing with the found
   // program excluded must not return it again.
-  auto P2 = Solver.synthesizeSequential(Case.Query, Space,
-                                        static_cast<unsigned>(P->length()),
-                                        {*P});
+  auto P2 = Solver.synthesizeSequential(
+      Space, static_cast<unsigned>(P->length()), {*P});
   if (P2 && *P2 == *P) {
     Out.Kind = SygusDisc::ExclusionIgnored;
     Out.Detail = "exclusion constraint ignored: " + P->str() +

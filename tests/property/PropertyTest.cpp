@@ -363,7 +363,7 @@ TEST_P(SygusProperties, VerifiedProgramsHoldOnConcreteRuns) {
         TargetDelta >= 0 ? TargetDelta : -TargetDelta);
     if (Steps == 0)
       Steps = 2; // Reach the same value in two steps (+1 then -1).
-    auto P = Solver.synthesizeSequential(Q, Solver.searchSpace(Q), Steps);
+    auto P = Solver.synthesizeSequential(Solver.searchSpace(Q), Steps);
     ASSERT_TRUE(P.has_value()) << "start " << Start << " delta "
                                << TargetDelta;
 

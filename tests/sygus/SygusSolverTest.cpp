@@ -38,7 +38,7 @@ TEST_F(SygusSolverTest, IntroExampleTwoIncrements) {
   SygusQuery Q = counterQuery();
   Q.Pre = {{cmp("=", X(), num(0)), true}};
   Q.Post = {{cmp("=", X(), num(2)), true}};
-  auto P = Solver.synthesizeSequential(Q, Solver.searchSpace(Q), 2);
+  auto P = Solver.synthesizeSequential(Solver.searchSpace(Q), 2);
   ASSERT_TRUE(P.has_value());
   ASSERT_EQ(P->Steps.size(), 2u);
   EXPECT_EQ(P->Steps[0].at("x")->str(), "(x + 1)");
@@ -52,7 +52,7 @@ TEST_F(SygusSolverTest, ExampleFourTwoHeightTwoIdentity) {
   SygusQuery Q = counterQuery();
   Q.Pre = {{cmp("=", X(), num(0)), true}};
   Q.Post = {{cmp("=", X(), num(0)), true}};
-  auto P = Solver.synthesizeSequential(Q, Solver.searchSpace(Q), 2);
+  auto P = Solver.synthesizeSequential(Solver.searchSpace(Q), 2);
   ASSERT_TRUE(P.has_value());
   EXPECT_EQ(P->Steps[0].at("x")->str(), "(x + 1)");
   EXPECT_EQ(P->Steps[1].at("x")->str(), "(x - 1)");
@@ -67,9 +67,9 @@ TEST_F(SygusSolverTest, ExclusionForcesDifferentProgram) {
   Q.Pre = {{cmp("=", X(), num(0)), true}};
   Q.Post = {{cmp("=", X(), num(2)), true}};
 
-  auto First = Solver.synthesizeSequential(Q, Solver.searchSpace(Q), 3);
+  auto First = Solver.synthesizeSequential(Solver.searchSpace(Q), 3);
   ASSERT_TRUE(First.has_value());
-  auto Second = Solver.synthesizeSequential(Q, Solver.searchSpace(Q), 3, {*First});
+  auto Second = Solver.synthesizeSequential(Solver.searchSpace(Q), 3, {*First});
   ASSERT_TRUE(Second.has_value());
   EXPECT_FALSE(*First == *Second);
   // Both must still verify.
@@ -83,7 +83,7 @@ TEST_F(SygusSolverTest, UnsolvableObligationReturnsNothing) {
   SygusQuery Q = counterQuery();
   Q.Pre = {{cmp("=", X(), num(0)), true}};
   Q.Post = {{cmp("=", X(), num(5)), true}};
-  EXPECT_FALSE(Solver.synthesizeSequential(Q, Solver.searchSpace(Q), 2).has_value());
+  EXPECT_FALSE(Solver.synthesizeSequential(Solver.searchSpace(Q), 2).has_value());
 }
 
 TEST_F(SygusSolverTest, UpToSearchFindsShortest) {
@@ -91,7 +91,7 @@ TEST_F(SygusSolverTest, UpToSearchFindsShortest) {
   SygusQuery Q = counterQuery();
   Q.Pre = {{cmp("=", X(), num(0)), true}};
   Q.Post = {{cmp("=", X(), num(3)), true}};
-  auto P = Solver.synthesizeSequentialUpTo(Q, Solver.searchSpace(Q), 4);
+  auto P = Solver.synthesizeSequentialUpTo(Solver.searchSpace(Q), 4);
   ASSERT_TRUE(P.has_value());
   EXPECT_EQ(P->Steps.size(), 3u);
 }
@@ -123,7 +123,7 @@ TEST_F(SygusSolverTest, MultiCellObligation) {
   };
   Q.Pre = {{cmp("=", V1, V2), true}};
   Q.Post = {{cmp("<", V2, V1), true}};
-  auto P = Solver.synthesizeSequential(Q, Solver.searchSpace(Q), 1);
+  auto P = Solver.synthesizeSequential(Solver.searchSpace(Q), 1);
   ASSERT_TRUE(P.has_value());
   EXPECT_EQ(P->Steps[0].at("vr1")->str(), "(vr1 + 1)");
   EXPECT_EQ(P->Steps[0].at("vr2")->str(), "vr2");
@@ -135,7 +135,7 @@ TEST_F(SygusSolverTest, LoopSynthesisExampleFourFive) {
   SygusQuery Q = counterQuery();
   Q.Pre = {{cmp("<", X(), num(0)), true}};
   Q.Post = {{cmp("=", X(), num(0)), true}};
-  auto L = Solver.synthesizeLoop(Q, Solver.searchSpace(Q));
+  auto L = Solver.synthesizeLoop(Solver.searchSpace(Q));
   ASSERT_TRUE(L.has_value());
   ASSERT_EQ(L->Body.size(), 1u);
   EXPECT_EQ(L->Body[0].at("x")->str(), "(x + 1)");
@@ -147,7 +147,7 @@ TEST_F(SygusSolverTest, LoopSynthesisDirectionMatters) {
   SygusQuery Q = counterQuery();
   Q.Pre = {{cmp(">", X(), num(0)), true}};
   Q.Post = {{cmp("=", X(), num(0)), true}};
-  auto L = Solver.synthesizeLoop(Q, Solver.searchSpace(Q));
+  auto L = Solver.synthesizeLoop(Solver.searchSpace(Q));
   ASSERT_TRUE(L.has_value());
   EXPECT_EQ(L->Body[0].at("x")->str(), "(x - 1)");
 }
@@ -164,14 +164,14 @@ TEST_F(SygusSolverTest, LoopExclusion) {
   };
   Q.Pre = {{cmp("<", V1, V2), true}};
   Q.Post = {{cmp("<=", V2, V1), true}};
-  auto L = Solver.synthesizeLoop(Q, Solver.searchSpace(Q));
+  auto L = Solver.synthesizeLoop(Solver.searchSpace(Q));
   ASSERT_TRUE(L.has_value());
   ASSERT_EQ(L->Body.size(), 1u);
   EXPECT_EQ(L->Body[0].at("vr1")->str(), "(vr1 + 1)");
   // Bodies are single steps, and the only other one (stutter) makes no
   // progress: excluding the increment leaves no loop at all, which is
   // the refinement loop's drop path (Alg. 4).
-  EXPECT_FALSE(Solver.synthesizeLoop(Q, Solver.searchSpace(Q), {*L}).has_value());
+  EXPECT_FALSE(Solver.synthesizeLoop(Solver.searchSpace(Q), {*L}).has_value());
 }
 
 TEST_F(SygusSolverTest, SamplePreModelsSatisfyPre) {
@@ -200,7 +200,7 @@ TEST_F(SygusSolverTest, UninterpretedFunctionObligation) {
   Q.Cells = {{"y", Sort::Opaque, {YSig, XSig}}};
   Q.Pre = {{PX, true}};
   Q.Post = {{PY, true}};
-  auto P = Solver.synthesizeSequential(Q, Solver.searchSpace(Q), 1);
+  auto P = Solver.synthesizeSequential(Solver.searchSpace(Q), 1);
   ASSERT_TRUE(P.has_value());
   EXPECT_EQ(P->Steps[0].at("y")->str(), "x");
 }
@@ -211,7 +211,7 @@ TEST_F(SygusSolverTest, StatsAreReported) {
   Q.Pre = {{cmp("=", X(), num(0)), true}};
   Q.Post = {{cmp("=", X(), num(2)), true}};
   SygusStats Stats;
-  auto P = Solver.synthesizeSequential(Q, Solver.searchSpace(Q), 2, {}, &Stats);
+  auto P = Solver.synthesizeSequential(Solver.searchSpace(Q), 2, {}, &Stats);
   ASSERT_TRUE(P.has_value());
   EXPECT_GT(Stats.CandidatesTried, 0u);
 }
@@ -231,7 +231,7 @@ TEST_F(SygusSolverTest, LoopRankingRejectsInputChasing) {
   std::vector<StepChoice> Body = {
       {{"paddle", Ctx.Terms.apply("+", Sort::Int, {Paddle, num(1)})}}};
   EXPECT_FALSE(Solver.verifyLoopRanking(Q, Body));
-  EXPECT_FALSE(Solver.synthesizeLoop(Q, Solver.searchSpace(Q)).has_value());
+  EXPECT_FALSE(Solver.synthesizeLoop(Solver.searchSpace(Q)).has_value());
 }
 
 TEST_F(SygusSolverTest, LoopRankingAcceptsCellOnlyMilestone) {
@@ -244,7 +244,7 @@ TEST_F(SygusSolverTest, LoopRankingAcceptsCellOnlyMilestone) {
               {Ctx.Terms.apply("+", Sort::Int, {Paddle, num(1)}), Paddle}}};
   Q.Pre = {{cmp("<", Paddle, num(9)), true}};
   Q.Post = {{cmp(">=", Paddle, num(9)), true}};
-  auto L = Solver.synthesizeLoop(Q, Solver.searchSpace(Q));
+  auto L = Solver.synthesizeLoop(Solver.searchSpace(Q));
   ASSERT_TRUE(L.has_value());
   EXPECT_EQ(L->Body[0].at("paddle")->str(), "(paddle + 1)");
 }
