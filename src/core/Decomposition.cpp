@@ -142,6 +142,11 @@ public:
 
 private:
   bool equivalent(const TheoryLiteral &A, const TheoryLiteral &B) {
+    // One atom decides without the solver: the same polarity is the same
+    // literal, and opposite ones are never equivalent (p && p and
+    // !p && !p cannot both be unsat).
+    if (A.Atom == B.Atom)
+      return A.Positive == B.Positive;
     // A && !B unsat and !A && B unsat.
     return Solver.checkLiterals({{A.Atom, A.Positive},
                                  {B.Atom, !B.Positive}}) == SatResult::Unsat &&

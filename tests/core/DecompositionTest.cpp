@@ -171,6 +171,34 @@ TEST_F(DecompositionTest, LiteralCanonicalizationCollapsesEquivalents) {
   EXPECT_EQ(D.Obligations.size(), 2u);
 }
 
+TEST_F(DecompositionTest, SameAtomPairsKeepTheCanonicalLiterals) {
+  // The canonicalizer decides a pair over one atom without the solver
+  // (the same polarity is the same literal, opposite ones are never
+  // equivalent); pairs over two atoms still go to the solver, so
+  // !(f <= 10) and (f > 10) still merge.
+  Specification Spec = parse(R"(
+    #LIA#
+    cells { int f = 0; }
+    always guarantee {
+      [f <- f + 1] || [f <- f - 1];
+      !(f <= 10) -> F (f <= 10);
+      f > 10 -> X (f <= 10);
+      f <= 10 -> F (f > 10);
+    }
+  )");
+  Decomposition D = decompose(Spec, Ctx);
+  std::vector<std::string> Obligations;
+  for (const Obligation &Ob : D.Obligations)
+    Obligations.push_back(Ob.str());
+  // !(f <= 10) appears only as its canonical spelling (f > 10).
+  EXPECT_EQ(Obligations, (std::vector<std::string>{
+                             "(f > 10) --[eventually]--> (f <= 10)",
+                             "(f <= 10) --[1 steps]--> (f <= 10)",
+                             "(f > 10) --[1 steps]--> (f <= 10)",
+                             "(f <= 10) --[eventually]--> (f > 10)",
+                         }));
+}
+
 TEST_F(DecompositionTest, AllLiteralsBecomeEventualPosts) {
   // The CFS mechanism (Sec. 2): vr-comparisons appear under no temporal
   // operator in the spec, yet the flip obligation must exist.
