@@ -57,6 +57,7 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
+#include <map>
 #include <unordered_map>
 
 using namespace temos;
@@ -135,7 +136,8 @@ public:
   /// Solves the bound-\p B safety game over the explored arena: the
   /// winning flag of every state. Requires a successful extendTo(B).
   /// Returns nullopt when \p Dl expires mid-fixpoint; a partial fixpoint
-  /// is an over-approximation of the winning region.
+  /// is an over-approximation of the winning region. A bound solved
+  /// since the arena last grew is answered from its kept fixpoint.
   std::optional<std::vector<char>> solve(unsigned B, const Deadline &Dl);
 
   /// Whether the last failed extendTo()/solve() was stopped by the
@@ -438,6 +440,9 @@ private:
   std::deque<uint32_t> Pending;
   /// Highest bound fully explored; -1 = nothing expanded yet.
   int64_t ExploredBound = -1;
+  /// The winning region of each bound solved since extendTo last added
+  /// a state or a move.
+  std::map<unsigned, std::vector<char>> Solved;
   /// Last failure cause: deadline (true) vs. state budget (false).
   bool TimedOut = false;
   size_t LettersExplored = 0;
@@ -456,6 +461,8 @@ bool GameArena::extendTo(unsigned B, SolverPool &Pool, const Deadline &Dl) {
   // frontier, expanded again in merge order.
   Pending.insert(Pending.begin(), Overflowing.begin(), Overflowing.end());
   Overflowing.clear();
+  // Expanding re-adds moves: every kept fixpoint is stale.
+  Solved.clear();
   if (!drainPending(B, Pool, Dl))
     return false;
   ExploredBound = B;
@@ -531,6 +538,14 @@ std::optional<std::vector<char>> GameArena::solve(unsigned B,
   // Greatest fixpoint: a state is winning while for every input some
   // legal (weight <= B) output leads to a winning state.
   TimedOut = false;
+  if (auto It = Solved.find(B); It != Solved.end()) {
+    // The deadline answers as it would before the first sweep.
+    if (Dl.expired()) {
+      TimedOut = true;
+      return std::nullopt;
+    }
+    return It->second;
+  }
   std::vector<char> Winning(States.size(), 1);
   bool Changed = true;
   while (Changed) {
@@ -564,6 +579,7 @@ std::optional<std::vector<char>> GameArena::solve(unsigned B,
       }
     }
   }
+  Solved[B] = Winning;
   return Winning;
 }
 

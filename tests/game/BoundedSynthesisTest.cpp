@@ -343,6 +343,32 @@ TEST_F(EscalationReuseTest, HeldEngineReusesTheEscalatedArena) {
   EXPECT_TRUE(sameMachine(*First.Machine, *Second.Machine));
 }
 
+TEST_F(EscalationReuseTest, WarmCallsAnswerFromKeptFixpoints) {
+  // A bound-1 call leaves the bound-1 fixpoint behind; the escalating
+  // call answers bound 1 from it, grows the arena for bound 3 (which
+  // drops it) and solves bound 3 afresh; a third call answers both
+  // bounds from the kept fixpoints. Each returns a fresh engine's
+  // verdict and machine.
+  SynthesisOptions Bound1;
+  Bound1.BoundSchedule = {1};
+  SynthesisEngine Engine;
+  ASSERT_EQ(Engine.synthesize(F, Ctx, AB, Bound1).Status,
+            Realizability::Unrealizable);
+
+  SynthesisEngine FreshEngine;
+  const SynthesisResult Fresh = FreshEngine.synthesize(F, Ctx, AB);
+  ASSERT_EQ(Fresh.Status, Realizability::Realizable);
+  ASSERT_TRUE(Fresh.Machine.has_value());
+  for (int Call = 0; Call < 2; ++Call) {
+    SynthesisResult Warm = Engine.synthesize(F, Ctx, AB);
+    ASSERT_EQ(Warm.Status, Realizability::Realizable) << "call " << Call;
+    EXPECT_EQ(Warm.Stats.BoundUsed, Fresh.Stats.BoundUsed);
+    EXPECT_EQ(Warm.Stats.GameStates, Fresh.Stats.GameStates);
+    ASSERT_TRUE(Warm.Machine.has_value());
+    EXPECT_TRUE(sameMachine(*Warm.Machine, *Fresh.Machine)) << "call " << Call;
+  }
+}
+
 TEST_F(EscalationReuseTest, BudgetFailedEscalationThenLowerBound) {
   // A budget of exactly the bound-1 arena: bound 1 fits, the escalation
   // to bound 3 runs out of states.
