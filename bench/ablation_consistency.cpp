@@ -170,13 +170,6 @@ int main() {
   size_t Agreements = 0, Count = 0;
   size_t FullQueries = 0, MinQueries = 0;
   for (const BenchmarkSpec &B : allBenchmarks()) {
-    // The heavyweight music row would dominate the ablation's wall time
-    // (4 full runs) without changing the aggregate comparison.
-    if (std::string(B.Name) == "Multi-effect") {
-      std::printf("%-16s | skipped (heavyweight row; see bench/table1)\n",
-                  B.Name);
-      continue;
-    }
     PipelineOptions Full;
     Full.Consistency.MinimalCoresOnly = false;
     BenchmarkRun FullRun = runBenchmark(B, Full);
