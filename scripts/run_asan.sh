@@ -32,10 +32,11 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 # (TableauFingerprint, TableauEdges, TableauWideClosure), test_theory
 # (Simplex, LinearExprTest, CongruenceClosureTest, SmtSolver,
 # SolverServiceTest, SmtModelFingerprint, ...), test_logic (TermTest,
-# FormulaTest, ...) and test_sygus.
+# FormulaTest, ...), test_sygus and test_core's SygusFingerprint (every
+# row's obligations through the compiled SyGuS query's slot frames).
 (cd "$BUILD_DIR" && ctest --output-on-failure -j"$(nproc)" \
     -R "TableauTest|NbaTest|BoundedSynthesisTest|EscalationReuseTest|GameFingerprint|TableauFingerprint|TableauEdges|TableauWideClosure")
 (cd "$BUILD_DIR" && ctest --output-on-failure -j"$(nproc)" \
-    -R "^(TermTest|FormulaTest|SimplifyTest|ParserTest|DiagnosticsTest|Simplex|LinearExprTest|CongruenceClosureTest|EvaluatorTest|SmtSolverTest|SolverServiceTest|SmtModelFingerprintCoverage|ProgramTest|SygusSolverTest)\.|SmtModelFingerprint\.")
+    -R "^(TermTest|FormulaTest|SimplifyTest|ParserTest|DiagnosticsTest|Simplex|LinearExprTest|CongruenceClosureTest|EvaluatorTest|SmtSolverTest|SolverServiceTest|SmtModelFingerprintCoverage|ProgramTest|SygusSolverTest)\.|SmtModelFingerprint\.|SygusFingerprint")
 
 echo "ASan+UBSan run clean."

@@ -5,7 +5,9 @@
 # formula interning tables its workers share, and the counting-game
 # exploration (pool workers write per-wave-slot buffers) are where data
 # races would live, so this drives the tests that exercise them with
-# multiple threads.
+# multiple threads. IncrementalParity.JobsFourMatchesJobsOne runs every
+# row's pipeline at jobs 4: its SyGuS batches read one shared SygusGrammar
+# and intern each compiled query's VC terms and formulas concurrently.
 #
 # Usage: scripts/run_tsan.sh [build-dir]
 set -euo pipefail
