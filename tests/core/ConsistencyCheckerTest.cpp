@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 using namespace temos;
 
@@ -78,23 +79,50 @@ TEST_F(ConsistencyCheckerTest, WideMasksMatchAcrossThreadCounts) {
           cmp(">", X, Ctx.Terms.numeral(static_cast<int64_t>(I))));
     ConsistencyOptions Options;
     Options.MaxSubsetSize = 2;
+    // The assumptions, then the query count.
     auto Render = [&](SolverService *Service) {
+      ConsistencyResult R =
+          checkConsistency(Preds, Theory::LIA, Ctx, Options, Service);
       std::string Out;
-      for (const Formula *A :
-           checkConsistency(Preds, Theory::LIA, Ctx, Options, Service)
-               .Assumptions)
+      for (const Formula *A : R.Assumptions)
         Out += A->str() + "\n";
-      return Out;
+      return std::make_pair(Out, R.SolverQueries);
     };
-    const std::string Serial = Render(nullptr);
+    const auto [Serial, SerialQueries] = Render(nullptr);
     SolverService::Config C;
     C.NumThreads = 4;
     SolverService Parallel(Theory::LIA, C);
-    EXPECT_EQ(Serial, Render(&Parallel)) << N << " predicates";
+    EXPECT_EQ(std::make_pair(Serial, SerialQueries), Render(&Parallel))
+        << N << " predicates";
     EXPECT_EQ(std::count(Serial.begin(), Serial.end(), '\n'),
               static_cast<long>(N * (N - 1) / 2));
     const std::string Top = "(x > " + std::to_string(N - 1) + ")";
     EXPECT_NE(Serial.find(Top), std::string::npos) << Serial;
+  }
+}
+
+TEST_F(ConsistencyCheckerTest, ExpiredDeadlineSkipsEveryCombination) {
+  // Past the deadline the sweep asks nothing and emits nothing, and
+  // counts every candidate combination as skipped: C(3, k) * 2^k
+  // literal combinations of each size k <= 3, none subsumed because no
+  // core was found.
+  const Term *X = Ctx.Terms.signal("x", Sort::Int);
+  const Term *Y = Ctx.Terms.signal("y", Sort::Int);
+  const Term *Z = Ctx.Terms.signal("z", Sort::Int);
+  std::vector<const Term *> Preds = {cmp("<", X, Y), cmp("<", Y, Z),
+                                     cmp("<", Z, X)};
+  const size_t Candidates = 3 * 2 + 3 * 4 + 1 * 8;
+  const Deadline Expired = Deadline::after(0);
+  SolverService::Config C;
+  C.NumThreads = 4;
+  SolverService Parallel(Theory::LIA, C);
+  for (SolverService *Service : {static_cast<SolverService *>(nullptr),
+                                 &Parallel}) {
+    ConsistencyResult R =
+        checkConsistency(Preds, Theory::LIA, Ctx, {}, Service, Expired);
+    EXPECT_EQ(R.SolverQueries, 0u);
+    EXPECT_TRUE(R.Assumptions.empty());
+    EXPECT_EQ(R.DeadlineSkipped, Candidates);
   }
 }
 
