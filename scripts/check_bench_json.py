@@ -20,7 +20,8 @@ from the baseline's (the spec sizes, refinements, reactive_runs,
 game_states, machine_states, js_loc, and each reactive entry's bound,
 game_states, tableau sizes, game.letters_explored, game.input_letters and
 game.max_active, and the SyGuS work sygus.candidates and
-sygus.verifier_calls of the run and of its repeat),
+sygus.verifier_calls and the SMT cache traffic smt_cache.hits and
+smt_cache.misses of the run and of its repeat),
 naming the key,
 and when the current synthesis wall time
 regresses by more than 25% against the baseline. Timings below a 0.25s
@@ -49,6 +50,7 @@ REACTIVE_KEYS = ["round", "status", "bound", "nba_cache_hit",
 TABLEAU_KEYS = ["generalized_states", "nba_states", "nba_transitions"]
 GAME_KEYS = ["letters_explored", "input_letters", "max_active"]
 SYGUS_KEYS = ["candidates", "verifier_calls"]
+SMT_CACHE_KEYS = ["hits", "misses"]
 FAILURE_KEYS = ["kind", "phase", "detail"]
 FAILURE_KINDS = ["timeout", "state-budget", "overflow", "worker-exception",
                  "internal"]
@@ -143,9 +145,12 @@ def check_counters(doc, baseline):
     if "repeat" in baseline:
         runs.append(("repeat.", doc.get("repeat", {}), baseline["repeat"]))
     for prefix, run, ref in runs:
-        for key in SYGUS_KEYS:
-            expected[f"{prefix}sygus.{key}"] = ref["sygus"][key]
-            actual[f"{prefix}sygus.{key}"] = run.get("sygus", {}).get(key)
+        for group, keys in (("sygus", SYGUS_KEYS),
+                            ("smt_cache", SMT_CACHE_KEYS)):
+            for key in keys:
+                expected[f"{prefix}{group}.{key}"] = ref[group][key]
+                actual[f"{prefix}{group}.{key}"] = \
+                    run.get(group, {}).get(key)
     expected["len(reactive)"] = len(baseline["reactive"])
     actual["len(reactive)"] = len(doc["reactive"])
     for i, (entry, ref) in enumerate(zip(doc["reactive"],
