@@ -40,7 +40,7 @@ const Formula *maskAssumption(LiteralMask Mask,
 
 /// All literal combinations over \p N predicates with [1, MaxSize]
 /// literals and no predicate in both polarities, ordered by (size,
-/// value) -- the order the serial algorithm visits them in.
+/// value) -- the order the sweep accepts their cores in.
 std::vector<LiteralMask> candidateMasks(size_t N, unsigned MaxSize) {
   // Every predicate's odd (negative) bit. A mask holds both literals of
   // a predicate when Mask << 1 moves a set even bit onto a set odd one.
@@ -71,66 +71,17 @@ bool subsumed(LiteralMask Mask, const std::vector<LiteralMask> &Cores) {
   });
 }
 
-/// The serial Sec. 4.2 sweep, optionally routing queries through a
-/// service for memoization. This is the reference semantics the
-/// parallel path reproduces.
-ConsistencyResult checkSerial(const std::vector<const Term *> &Predicates,
-                              Theory Th, Context &Ctx,
-                              const ConsistencyOptions &Options,
-                              SolverService *Service, const Deadline &Dl) {
-  ConsistencyResult Result;
-  SmtSolver Solver(Th);
-  Solver.setDeadline(Dl);
-  const size_t N = Predicates.size();
-
-  // Combinations already found unsatisfiable (as bitmasks), used to skip
-  // supersets in minimal-core mode.
-  std::vector<LiteralMask> UnsatMasks;
-
-  // Enumerate subsets by increasing size so minimal cores are found
-  // before their supersets.
-  for (LiteralMask Mask : candidateMasks(N, Options.MaxSubsetSize)) {
-    if (Options.MinimalCoresOnly && subsumed(Mask, UnsatMasks))
-      continue;
-
-    // Degrade gracefully on deadline expiry: skip the remaining
-    // combinations but keep everything found so far (each emitted
-    // assumption is individually valid).
-    if (Dl.expired()) {
-      ++Result.DeadlineSkipped;
-      continue;
-    }
-
-    std::vector<TheoryLiteral> Literals = maskLiterals(Mask, Predicates);
-    ++Result.SolverQueries;
-    SatResult R;
-    try {
-      R = Service ? Service->checkLiterals(Literals)
-                  : Solver.checkLiterals(Literals);
-    } catch (const DeadlineExpired &) {
-      ++Result.DeadlineSkipped;
-      continue;
-    }
-    if (R != SatResult::Unsat)
-      continue;
-
-    UnsatMasks.push_back(Mask);
-    Result.Assumptions.push_back(maskAssumption(Mask, Predicates, Ctx));
-  }
-  return Result;
-}
-
-/// Parallel sweep, level by level: the combinations of one size are
-/// checked across the service's pool, then their unsat cores are
-/// accepted in (size, value) order before the next size starts. A mask
-/// is skipped exactly when a smaller accepted core subsumes it (cores of
-/// one size cannot subsume each other), which is the serial sweep's
-/// rule, so both sweeps ask the same queries and accept the same cores
-/// in the same order. Formula construction stays on the calling thread.
-ConsistencyResult checkParallel(const std::vector<const Term *> &Predicates,
-                                Context &Ctx,
-                                const ConsistencyOptions &Options,
-                                SolverService &Service, const Deadline &Dl) {
+/// The Sec. 4.2 sweep, level by level: the combinations of one size
+/// are checked across the service's pool (in index order on the calling
+/// thread for an inline pool), then their unsat cores are accepted in
+/// (size, value) order before the next size starts. A mask is skipped
+/// exactly when a smaller accepted core subsumes it (cores of one size
+/// cannot subsume each other), so every pool width asks the same queries
+/// and accepts the same cores in the same order. Formula construction
+/// stays on the calling thread.
+ConsistencyResult sweep(const std::vector<const Term *> &Predicates,
+                        Context &Ctx, const ConsistencyOptions &Options,
+                        SolverService &Service, const Deadline &Dl) {
   ConsistencyResult Result;
   const std::vector<LiteralMask> Masks =
       candidateMasks(Predicates.size(), Options.MaxSubsetSize);
@@ -189,7 +140,9 @@ temos::checkConsistency(const std::vector<const Term *> &Predicates,
     return ConsistencyResult();
   assert(Predicates.size() <= 24 &&
          "too many predicates for powerset consistency checking");
-  if (Service && Service->pool().workerCount() > 0)
-    return checkParallel(Predicates, Ctx, Options, *Service, Dl);
-  return checkSerial(Predicates, Th, Ctx, Options, Service, Dl);
+  if (Service)
+    return sweep(Predicates, Ctx, Options, *Service, Dl);
+  SolverService Local(Th);
+  Local.setDeadline(Dl);
+  return sweep(Predicates, Ctx, Options, Local, Dl);
 }

@@ -18,13 +18,14 @@
 /// ablation bench compares the two. A combination never holds a
 /// predicate in both polarities.
 ///
-/// The subset checks are independent SMT queries, so when a
-/// SolverService with workers is supplied they are fanned out across
-/// its pool, one combination size at a time: the combinations of one
-/// size run in parallel, skipping those a smaller core subsumes, and
-/// their cores are accepted in the serial order before the next size.
-/// The queries and the emitted assumption list are therefore the same
-/// for every thread count (see docs/ARCHITECTURE.md for the argument).
+/// The subset checks are independent SMT queries, asked through a
+/// SolverService in one sweep, one combination size at a time: the
+/// combinations of one size run across the service's pool (in order on
+/// the calling thread when it has no workers), skipping those a smaller
+/// core subsumes, and their cores are accepted in (size, value) order
+/// before the next size. The queries and the emitted assumption list are
+/// therefore the same for every thread count (see docs/ARCHITECTURE.md
+/// for the argument).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +34,6 @@
 
 #include "logic/Specification.h"
 #include "support/Deadline.h"
-#include "theory/SmtSolver.h"
 #include "theory/SolverService.h"
 
 #include <vector>
@@ -57,7 +57,7 @@ struct ConsistencyResult {
   /// G !(...) assumptions, one per unsatisfiable combination.
   std::vector<const Formula *> Assumptions;
   /// Number of SMT satisfiability queries issued (including queries
-  /// answered by the service's cache); the same for every thread
+  /// answered from the service's table); the same for every thread
   /// count.
   size_t SolverQueries = 0;
   /// Candidate combinations not checked because the deadline expired
@@ -67,10 +67,10 @@ struct ConsistencyResult {
   size_t DeadlineSkipped = 0;
 };
 
-/// Runs consistency checking over the predicate literals of \p Spec.
-/// With a null \p Service (or a single-threaded one) the checks run
-/// serially on the calling thread; a service with workers fans them out
-/// across its pool and serves repeats from its query cache.
+/// Runs consistency checking over the predicate literals of \p Spec,
+/// asking \p Service (its pool fans the checks out, its table serves
+/// repeats). A null \p Service means a fresh one-thread service over
+/// \p Th with deadline \p Dl.
 ///
 /// \p Dl is polled once per candidate combination. On expiry the sweep
 /// degrades gracefully: remaining combinations are skipped (counted in
