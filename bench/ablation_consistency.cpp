@@ -150,9 +150,9 @@ bool runParallelAblation() {
   C.NumThreads = 1;
   SolverService Svc(Spec->Th, C);
   (void)checkConsistency(D.PredicateLiterals, Spec->Th, Ctx, Sweep, &Svc);
-  size_t MissesAfterFirst = Svc.cache().misses();
+  size_t MissesAfterFirst = Svc.misses();
   (void)checkConsistency(D.PredicateLiterals, Spec->Th, Ctx, Sweep, &Svc);
-  size_t Hits = Svc.cache().hits();
+  size_t Hits = Svc.hits();
   std::printf("query cache: run 1 = %zu misses, run 2 = %zu hits\n",
               MissesAfterFirst, Hits);
 

@@ -93,14 +93,9 @@ PipelineResult Synthesizer::run(const Specification &Spec,
 
 SolverService &Synthesizer::ensureService(Theory Th,
                                           const PipelineOptions &Options) {
-  if (Service && Service->theory() == Th &&
-      Service->config().NumThreads == Options.Parallelism.NumThreads &&
-      Service->config().CacheEnabled == Options.Parallelism.CacheEnabled)
-    return *Service;
-  SolverService::Config C;
-  C.NumThreads = Options.Parallelism.NumThreads;
-  C.CacheEnabled = Options.Parallelism.CacheEnabled;
-  Service = std::make_shared<SolverService>(Th, C);
+  if (!Service || Service->theory() != Th ||
+      Service->config() != Options.Parallelism)
+    Service = std::make_shared<SolverService>(Th, Options.Parallelism);
   return *Service;
 }
 
@@ -435,8 +430,8 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
                               ? Deadline::after(Options.Budget.TotalSeconds)
                               : Deadline();
   SolverService &Svc = ensureService(Spec.Th, Options);
-  const size_t Hits0 = Svc.cache().hits();
-  const size_t Misses0 = Svc.cache().misses();
+  const size_t Hits0 = Svc.hits();
+  const size_t Misses0 = Svc.misses();
   Timer PsiTimer;
 
   // --- Decomposition, consistency checking, SyGuS (Secs. 4.1-4.3). -------
@@ -502,7 +497,7 @@ PipelineResult Synthesizer::runPipeline(const Specification &Spec,
 
   Result.Stats.SynthesisSeconds = SynthTimer.seconds();
   Result.Stats.SynthesisCpuSeconds = SynthTimer.cpuSeconds();
-  Result.Stats.CacheHits = Svc.cache().hits() - Hits0;
-  Result.Stats.CacheMisses = Svc.cache().misses() - Misses0;
+  Result.Stats.CacheHits = Svc.hits() - Hits0;
+  Result.Stats.CacheMisses = Svc.misses() - Misses0;
   return Result;
 }

@@ -28,20 +28,6 @@
 
 namespace temos {
 
-/// Solver-service tunables: how the pipeline fans independent SMT and
-/// SyGuS work out across workers, and whether verdicts are memoized.
-struct ParallelismOptions {
-  /// Worker threads for the solver service. 1 (the default) runs
-  /// everything inline on the calling thread, exactly like the
-  /// pre-service pipeline.
-  unsigned NumThreads = 1;
-  /// Memoize SMT verdicts in the service's query cache. The cache is
-  /// keyed structurally, so it survives across pipeline runs on the
-  /// same Synthesizer and serves repeated runs (PipelineStats reports
-  /// the hit/miss split per run).
-  bool CacheEnabled = true;
-};
-
 /// Wall-clock budgets for one pipeline run, in seconds; 0 = unlimited.
 /// The SyGuS budget starts ticking when its phase starts and is
 /// additionally capped by the total budget (whichever deadline falls
@@ -62,7 +48,7 @@ struct PipelineOptions {
   ConsistencyOptions Consistency;
   SynthesisOptions Reactive;
   AssumptionGenerator::Options Sygus;
-  ParallelismOptions Parallelism;
+  SolverService::Config Parallelism;
   TimeBudget Budget;
   /// Refinement-loop iterations (Alg. 4) before giving up.
   unsigned MaxRefinements = 8;
@@ -122,7 +108,7 @@ struct PipelineStats {
   unsigned ReactiveRuns = 0;
   size_t GameStates = 0;
   size_t ConsistencyQueries = 0;
-  /// Query-cache hits/misses attributable to this run (the cache itself
+  /// Solver-service hits/misses attributable to this run (the table itself
   /// persists across runs on the same Synthesizer, which is where
   /// repeated-run hits come from).
   size_t CacheHits = 0;

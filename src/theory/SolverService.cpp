@@ -14,33 +14,68 @@ SatResult SolverService::cached(const std::string &Key,
                                 const std::function<SatResult()> &Compute) {
   if (!Cfg.CacheEnabled)
     return Compute();
-  {
-    // Wait out another worker's computation of this key; its verdict is
-    // then a hit. A miss claims the key.
-    std::unique_lock<std::mutex> Lock(InFlightMutex);
-    InFlightDone.wait(Lock, [&] { return !InFlight.count(Key); });
-    if (auto Hit = Cache.lookup(Key))
-      return static_cast<SatResult>(*Hit);
-    InFlight.insert(Key);
+  std::unique_lock<std::mutex> Lock(Mutex);
+  // Wait out another thread's claim on this key; its stored verdict is
+  // then a hit. A miss claims the key.
+  auto It = Table.end();
+  Settled.wait(Lock, [&] {
+    It = Table.find(Key);
+    return It == Table.end() || It->second;
+  });
+  if (It != Table.end()) {
+    ++Hits;
+    return *It->second;
   }
-  // Release the claim however Compute() ends (a deadline throws).
-  struct Release {
-    SolverService &S;
-    const std::string &Key;
-    ~Release() {
-      {
-        std::lock_guard<std::mutex> Lock(S.InFlightMutex);
-        S.InFlight.erase(Key);
+  ++Misses;
+  // Claims are erased only by their holder and drops keep them, so the
+  // slot outlives the unlocked computation.
+  std::optional<SatResult> &Slot = Table.try_emplace(Key).first->second;
+  Lock.unlock();
+
+  // Stores the verdict in the claimed slot, or releases the claim for
+  // an Unknown verdict or a throw, and wakes the waiters.
+  auto Settle = [&](SatResult R) {
+    {
+      std::lock_guard<std::mutex> Guard(Mutex);
+      if (R == SatResult::Unknown) {
+        Table.erase(Key);
+      } else {
+        if (Stored == DefaultCapacity) {
+          std::erase_if(Table, [](const auto &Entry) {
+            return Entry.second.has_value();
+          });
+          Stored = 0;
+        }
+        Slot = R;
+        ++Stored;
       }
-      S.InFlightDone.notify_all();
     }
-  } Claim{*this, Key};
-  SatResult R = Compute();
-  // Unknown verdicts are resource-limit artifacts, not facts about the
-  // query; don't memoize them (a waiter then misses and computes).
-  if (R != SatResult::Unknown)
-    Cache.insert(Key, static_cast<int>(R));
+    Settled.notify_all();
+  };
+  SatResult R;
+  try {
+    R = Compute();
+  } catch (...) {
+    Settle(SatResult::Unknown);
+    throw;
+  }
+  Settle(R);
   return R;
+}
+
+size_t SolverService::hits() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Hits;
+}
+
+size_t SolverService::misses() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Misses;
+}
+
+size_t SolverService::size() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Stored;
 }
 
 namespace {

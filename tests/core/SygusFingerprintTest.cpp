@@ -76,8 +76,8 @@ void addOutcome(AssumptionGenerator &Gen, SolverService &Svc,
       Gen.generate(Ob, ExcludedSeq, ExcludedLoop, &Stats);
   Out.Candidates += Stats.CandidatesTried;
   Out.VerifierCalls += Stats.VerifierCalls;
-  Out.Hits = Svc.cache().hits();
-  Out.Misses = Svc.cache().misses();
+  Out.Hits = Svc.hits();
+  Out.Misses = Svc.misses();
   Out.add(Ob.str() + " => " + (G ? G->Assumption->str() : "none") +
           " | " + std::to_string(Stats.CandidatesTried) + " " +
           std::to_string(Stats.VerifierCalls) + " " +
