@@ -66,8 +66,8 @@ FrontEnd runWithThreads(const std::string &Source, unsigned NumThreads) {
 TEST(ParallelConsistency, BundledBenchmarksMatchSerial) {
   // Every bundled Table-1 benchmark: the NumThreads=4 assumption set is
   // byte-identical to the NumThreads=1 one, and the level-synchronous
-  // sweep asks exactly the serial sweep's consistency queries, so the
-  // SMT cache counts match too.
+  // sweep asks the same consistency queries at both widths, so the SMT
+  // cache counts match too.
   for (const BenchmarkSpec &B : allBenchmarks()) {
     FrontEnd Serial = runWithThreads(B.Source, 1);
     FrontEnd Parallel = runWithThreads(B.Source, 4);
